@@ -22,7 +22,7 @@ from .construct import (
     polygon_json,
     stick_count,
 )
-from .errors import InternalVerificationError, InvalidArcPresentation
+from .errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
 from .geom import polygon_embedded
 from .invariants import match, project
 
@@ -156,15 +156,21 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _batch_row(ident, ap, seed, top) -> dict:
+def _batch_row(ident, source, seed, top) -> dict:
+    """One CSV row for ``source``, an .arc path or a generated presentation.
+
+    An unreadable or unparsable file, like a failed build, yields an error
+    row rather than ending the batch.
+    """
     row = dict.fromkeys(CSV_COLUMNS, "")
     row["id"] = ident
-    row["n"] = ap.n
     row["seed"] = seed
     try:
+        ap = parse(_read_text(source)) if isinstance(source, str) else source
+        row["n"] = ap.n
         knot, cert = build_full(ap, top=top)
     except (InvalidArcPresentation, InternalVerificationError) as e:
-        row["top_reduction"] = f"error:{type(e).__name__}"
+        row["top_reduction"] = f"error:{type(e).__name__}: {e}"
         row["bound_satisfied"] = _tf(False)
         row["embedded"] = _tf(False)
         row["invariants_match"] = _tf(False)
@@ -184,7 +190,7 @@ def _batch_row(ident, ap, seed, top) -> dict:
 def cmd_batch(args) -> int:
     jobs = []
     for path in args.arcs:
-        jobs.append((Path(path).stem, parse(_read_text(path)), ""))
+        jobs.append((Path(path).stem, path, ""))
     if args.count:
         if args.n is None:
             print("error: batch --count needs --n", file=sys.stderr)
@@ -197,7 +203,7 @@ def cmd_batch(args) -> int:
         return EXIT_INVALID
 
     top = not args.no_top_reduction
-    rows = [_batch_row(ident, ap, seed, top) for ident, ap, seed in jobs]
+    rows = [_batch_row(ident, source, seed, top) for ident, source, seed in jobs]
     sink = sys.stdout if args.csv is None else open(args.csv, "w", newline="")
     try:
         writer = csv.DictWriter(sink, CSV_COLUMNS, lineterminator="\n")
@@ -214,12 +220,19 @@ def cmd_bounds(args) -> int:
         f"{'c':>4} {'lower':>7} {'lower~':>9} {'negami_upper':>13} "
         f"{'arc_upper':>10} {'stick_upper':>12}"
     )
+    try:
+        reports = [
+            bound_report(c, nonalternating_prime=args.nonalternating_prime)
+            for c in range(args.cmin, args.cmax + 1)
+        ]
+    except ValueError as e:  # crossing number outside the bounds' domain
+        print(f"error: bounds --cmin {args.cmin}: {e}", file=sys.stderr)
+        return EXIT_INVALID
     print(header)
-    for c in range(args.cmin, args.cmax + 1):
-        rep = bound_report(c, nonalternating_prime=args.nonalternating_prime)
+    for rep in reports:
         ng = rep.negami
         print(
-            f"{c:>4} {ng.lower_ceiling:>7} {ng.lower_decimal:>9} {ng.upper:>13} "
+            f"{rep.c:>4} {ng.lower_ceiling:>7} {ng.lower_decimal:>9} {ng.upper:>13} "
             f"{str(rep.arc_index_upper):>10} {str(rep.stick_upper):>12}"
         )
     return EXIT_OK
@@ -277,7 +290,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidArcPresentation as e:
+    except (InvalidArcPresentation, InvalidSetting) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except InternalVerificationError as e:

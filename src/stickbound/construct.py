@@ -30,12 +30,14 @@ from .arcpres import (
     normalize,
     require_valid,
 )
-from .errors import InternalVerificationError, InvalidArcPresentation
+from .errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
 from .geom import (
     Point3,
     _cross3,
     _dot3,
     _sub3,
+    bbox,
+    boxes_apart,
     polygon_embedded,
     seg2_line_intersection,
     seg_triangle_intersection,
@@ -310,8 +312,9 @@ def _triangle_clear(knot: StickKnot, info: TriangleInfo):
     a, b, c = info.triangle
     legs = ({a, b}, {b, c})
     allowed = frozenset((a, c))
+    box = bbox(info.triangle)
     for p, q in knot.edges():
-        if {p, q} in legs:
+        if {p, q} in legs or boxes_apart(box, bbox((p, q))):
             continue
         if triangle_pierced(info.triangle, (p, q), allowed):
             return (p, q)
@@ -430,7 +433,8 @@ def top_reduction(knot: StickKnot, trace: ReductionTrace):
     The two sticks feeding the top chord's verticals are extended collinearly
     beyond their junctions by L times their own length and joined by one
     connector stick.  L is searched by doubling (4, 8, ..., 2^16 by default;
-    env STICKBOUND_MAX_L overrides the cap).  A candidate is accepted only if
+    env STICKBOUND_MAX_L, an integer >= 4, overrides the cap; any other value
+    raises InvalidSetting).  A candidate is accepted only if
     the new polygon is embedded and a triangulated spanning surface between
     the old and new arcs is pierced by no stationary stick; otherwise the move
     is skipped and the polygon returned unchanged.
@@ -455,10 +459,9 @@ def top_reduction(knot: StickKnot, trace: ReductionTrace):
     f_a = rot_v[-1]
     if rot_r[0] != ROLE_V or rot_r[2] != ROLE_V:
         raise InternalVerificationError("top chord is not flanked by verticals")
-    cap = int(os.environ.get("STICKBOUND_MAX_L", DEFAULT_MAX_L))
-    reason = f"no-certified-connector-up-to-L={cap}"
+    cap = _max_length()
     length = 4
-    while length <= cap:
+    while True:
         d_a = _sub3(j_a, f_a)
         d_b = _sub3(j_b, f_b)
         t_a = (j_a[0] + length * d_a[0], j_a[1] + length * d_a[1], j_a[2] + length * d_a[2])
@@ -470,9 +473,27 @@ def top_reduction(knot: StickKnot, trace: ReductionTrace):
         )
         if ok:
             return StickKnot(tuple(cand_v), tuple(cand_r)), "applied", length
-        reason = why
         length *= 2
-    return knot, f"skipped:{reason}", None
+        if length > cap:
+            return knot, f"skipped:{why}", None
+
+
+def _max_length() -> int:
+    """The top move's cap on L: STICKBOUND_MAX_L, or DEFAULT_MAX_L if unset.
+
+    The search starts at L = 4, so a smaller cap (or a non-integer) would
+    skip the move without trying it; such values are refused.
+    """
+    raw = os.environ.get("STICKBOUND_MAX_L")
+    if raw is None:
+        return DEFAULT_MAX_L
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 4:
+        raise InvalidSetting(f"STICKBOUND_MAX_L must be an integer >= 4, got {raw!r}")
+    return cap
 
 
 def _disk_avoids(tris, rim, sticks):
@@ -482,8 +503,12 @@ def _disk_avoids(tris, rim, sticks):
     corner of the triangle, and a rim vertex of the disk (the polygon's
     pinned joints); everywhere else the closed triangles must be clear.
     """
+    boxes = [bbox(tri) for tri in tris]
     for e in sticks:
-        for tri in tris:
+        e_box = bbox(e)
+        for tri, box in zip(tris, boxes):
+            if boxes_apart(box, e_box):
+                continue
             ig = frozenset(p for p in e if p in tri and p in rim)
             if triangle_pierced(tri, e, ig):
                 return False

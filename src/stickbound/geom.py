@@ -2,6 +2,13 @@
 
 Points are tuples of ``fractions.Fraction``; every predicate is exact and
 deterministic.  No floating point, no tolerances, no rounding anywhere.
+
+Loops over many segment/segment or segment/triangle pairs first compare
+exact axis-aligned bounding boxes (:func:`bbox`, :func:`boxes_apart`).  Two
+closed boxes strictly apart on some axis hold sets that cannot meet, so the
+pair is decided without the full predicate; boxes that merely touch (a shared
+face, edge or corner) are never apart and always reach the full predicate.
+The filter is exact, so every verdict is the one the unfiltered loop gives.
 """
 
 from __future__ import annotations
@@ -82,6 +89,32 @@ def _lerp3(p, q, t):
         p[0] + t * (q[0] - p[0]),
         p[1] + t * (q[1] - p[1]),
         p[2] + t * (q[2] - p[2]),
+    )
+
+
+def bbox(points) -> tuple:
+    """Exact axis-aligned bounding box ``(lo, hi)`` of two or more 3D points."""
+    x, y, z = map(sorted, zip(*points))
+    return (x[0], y[0], z[0]), (x[-1], y[-1], z[-1])
+
+
+def boxes_apart(b1, b2) -> bool:
+    """True iff closed boxes ``b1`` and ``b2`` are strictly apart on some axis.
+
+    Touching boxes (equal bounds on an axis) are not apart, so a contact on a
+    box boundary, such as two horizontals at one height, is left to the full
+    predicate.  When this is True nothing inside one box meets the other.
+    Heights are compared first: most edge pairs of a lifted polygon sit at
+    different heights.
+    """
+    (lo1, hi1), (lo2, hi2) = b1, b2
+    return (
+        hi1[2] < lo2[2]
+        or hi2[2] < lo1[2]
+        or hi1[1] < lo2[1]
+        or hi2[1] < lo1[1]
+        or hi1[0] < lo2[0]
+        or hi2[0] < lo1[0]
     )
 
 
@@ -241,7 +274,8 @@ def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
 
     Consecutive edges must meet exactly at their shared vertex; all other pairs
     must be disjoint.  Collinear continuation at a vertex is allowed (it is a
-    shared-endpoint contact); doubling back or overlap is not.
+    shared-endpoint contact); doubling back or overlap is not.  Pairs whose
+    boxes are apart are disjoint and skip ``seg3_relation``.
     """
     m = len(vertices)
     if m < 3:
@@ -250,9 +284,13 @@ def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
         if vertices[i] == vertices[(i + 1) % m]:
             raise ValueError(f"repeated consecutive vertices at index {i}")
     edges = [(vertices[i], vertices[(i + 1) % m]) for i in range(m)]
+    boxes = [bbox(e) for e in edges]
     failures = []
     for i in range(m):
         for j in range(i + 1, m):
+            # consecutive edges share a vertex, so their boxes are never apart
+            if boxes_apart(boxes[i], boxes[j]):
+                continue
             rel = seg3_relation(edges[i], edges[j])
             consecutive = j == i + 1 or (i == 0 and j == m - 1)
             want = SHARED_ENDPOINT if consecutive else DISJOINT

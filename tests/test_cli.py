@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -147,6 +149,47 @@ def test_batch_generates_inline(capsys):
 
 def test_batch_without_inputs_errors(capsys):
     assert cli.main(["batch"]) == 1
+
+
+def test_batch_turns_bad_file_into_error_row(tmp_path, capsys):
+    good = tmp_path / "good.arc"
+    good.write_text(UNKNOT3)
+    bad = tmp_path / "bad.arc"
+    bad.write_text("3\n1 2\nnope\n1 3\n")
+    missing = tmp_path / "missing.arc"
+    assert cli.main(["batch", str(bad), str(good), str(missing)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["id"] for r in rows] == ["bad", "good", "missing"]
+    assert rows[0]["top_reduction"].startswith("error:InvalidArcPresentation: ")
+    assert "line 3" in rows[0]["top_reduction"]
+    assert rows[0]["n"] == "" and rows[0]["bound_satisfied"] == "false"
+    assert rows[1]["top_reduction"] == "applied"
+    assert rows[2]["top_reduction"].startswith("error:InvalidArcPresentation: cannot read")
+
+
+def test_batch_error_row_carries_message(capsys):
+    # n = 2 generates a valid presentation that the full build refuses
+    assert cli.main(["batch", "--count", "1", "--n", "2"]) == 0
+    row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert row["top_reduction"] == (
+        "error:InvalidArcPresentation: full build needs at least 3 chords"
+    )
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_length_cap_exits_1(trefoil_arc, monkeypatch, capsys, value):
+    monkeypatch.setenv("STICKBOUND_MAX_L", value)
+    assert cli.main(["build", str(trefoil_arc)]) == 1
+    assert cli.main(["batch", str(trefoil_arc)]) == 1
+    err = capsys.readouterr().err
+    assert "STICKBOUND_MAX_L" in err and "Traceback" not in err
+
+
+def test_bounds_below_domain_exits_1(capsys):
+    assert cli.main(["bounds", "--cmin", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--cmin 1" in err and "at least 3" in err
 
 
 def test_bounds_table(capsys):

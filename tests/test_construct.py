@@ -1,14 +1,26 @@
 """Lift, reduce, certify: the geometric pipeline from chords to few sticks."""
 
 import dataclasses
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from stickbound.arcpres import classify, layout, normalize, random_presentation
+from stickbound.arcpres import (
+    ArcPresentation,
+    classify,
+    layout,
+    normalize,
+    random_presentation,
+)
 from stickbound.construct import (
     StickKnot,
+    TriangleInfo,
+    _disk_avoids,
+    _nondegenerate,
+    _triangle_clear,
     assign_heights,
     build_full,
     build_k1,
@@ -22,8 +34,8 @@ from stickbound.construct import (
     triangle_reductions,
     verify_heights,
 )
-from stickbound.errors import InternalVerificationError, InvalidArcPresentation
-from stickbound.geom import polygon_embedded
+from stickbound.errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
+from stickbound.geom import polygon_embedded, triangle_pierced
 
 
 def test_assign_heights_constraints(ap5):
@@ -115,15 +127,32 @@ def test_top_reduction_trefoil(ap5):
     assert polygon_embedded(final.vertices).ok
 
 
-def test_top_reduction_respects_length_cap(ap5, monkeypatch):
-    monkeypatch.setenv("STICKBOUND_MAX_L", "2")
-    ap, _ = normalize(ap5)
+# 6 chords whose top move first certifies at L = 16
+NEEDS_L16 = ArcPresentation([(1, 3), (2, 4), (1, 5), (4, 6), (2, 5), (3, 6)])
+
+
+def test_top_reduction_respects_length_cap(monkeypatch):
+    ap, _ = normalize(NEEDS_L16)
     k2 = build_k2(ap)
     reduced, trace = triangle_reductions(ap, k2)
+    monkeypatch.setenv("STICKBOUND_MAX_L", "8")
     final, status, length = top_reduction(reduced, trace)
-    assert status == "skipped:no-certified-connector-up-to-L=2"
+    assert status.startswith("skipped:")
     assert length is None
     assert final is reduced
+    monkeypatch.setenv("STICKBOUND_MAX_L", "16")
+    assert top_reduction(reduced, trace)[1:] == ("applied", 16)
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "0", "3", "4.5", ""])
+def test_top_reduction_refuses_unusable_length_cap(ap5, monkeypatch, value):
+    ap, _ = normalize(ap5)
+    reduced, trace = triangle_reductions(ap, build_k2(ap))
+    monkeypatch.setenv("STICKBOUND_MAX_L", value)
+    with pytest.raises(InvalidSetting, match="STICKBOUND_MAX_L"):
+        top_reduction(reduced, trace)
+    with pytest.raises(InvalidSetting, match="STICKBOUND_MAX_L"):
+        build_full(ap5)
 
 
 def test_build_full_trefoil_certificate(ap5):
@@ -228,3 +257,108 @@ def test_obj_export_polyline(ap3):
     assert len(lines) == m + 1
     assert all(line.startswith("v ") for line in lines[:m])
     assert lines[m] == "l " + " ".join(str(i) for i in range(1, m + 1)) + " 1"
+
+
+# SHA-256 of the JSON `stickbound build` writes for random_presentation(n, seed),
+# recorded before the exact box filter went in front of the predicates.
+GOLDEN_BUILD_SHA256 = {
+    (8, 1): "0f2a11f3373d2fa6b146f222ded2328fa30513233b1e9215be7f404a2f629149",
+    (8, 2): "15237e83e56f40daca6e2c3c9fdb055530f90b7a7ebc623e21ac1760035e79db",
+    (8, 3): "11259ca12e13a72b536ea4ea685f9f4fa38b84b5f42063af274d412a10405bfd",
+    (12, 1): "4a8b04e2597e51ccf686bc8e1461270f6313263828733d66783e5bc40d3be7bf",
+    (12, 2): "62b5e815c622e609990b727f987c63918f9547e24183b0dd10b05d1de98537b6",
+    (12, 3): "6d40c7330d68418f35213f1edea0136fd3fb69c06ade4e9dda1913dd269a05e7",
+    (16, 1): "ed32899aa37e21404de315d05c0b685297604c2181588dd191e6280ff20a7070",
+    (16, 2): "77c9fff944caa3acc1eb1bc05c92a53da3e33fe89019abb7ab98f38ffc410148",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(GOLDEN_BUILD_SHA256))
+def test_build_json_matches_golden_digest(n, seed):
+    knot, cert = build_full(random_presentation(n, seed))
+    text = json.dumps(polygon_json(cert, knot), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BUILD_SHA256[n, seed]
+
+
+def clear_reference(knot, info):
+    """Unfiltered loop: the stick _triangle_clear must report, or None."""
+    a, b, c = info.triangle
+    for p, q in knot.edges():
+        if {p, q} in ({a, b}, {b, c}):
+            continue
+        if triangle_pierced(info.triangle, (p, q), frozenset((a, c))):
+            return (p, q)
+    return None
+
+
+def avoids_reference(tris, rim, sticks):
+    for e in sticks:
+        for tri in tris:
+            ig = frozenset(p for p in e if p in tri and p in rim)
+            if triangle_pierced(tri, e, ig):
+                return False
+    return True
+
+
+def _grid_point(rng):
+    return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(3))
+
+
+def _random_triangle(rng):
+    while True:
+        tri = tuple(_grid_point(rng) for _ in range(3))
+        if _nondegenerate(tri):
+            return tri
+
+
+def test_filtered_triangle_checks_agree_with_unfiltered_loops():
+    # Half-integer grid points: sticks on the triangle's plane, through its
+    # corners and along its box faces are common.  The polygon runs through
+    # the triangle's corners so that its legs and pinned corners occur too.
+    rng = random.Random(1512)
+    outcomes = set()
+    for _ in range(300):
+        tri = _random_triangle(rng)
+        a, b, c = tri
+        extra = [_grid_point(rng) for _ in range(rng.randint(2, 6))]
+        verts = [a, b, c] + extra
+        if any(verts[i] == verts[i - 1] for i in range(len(verts))):
+            continue
+        knot = StickKnot(tuple(verts), ("?",) * len(verts))
+        info = TriangleInfo(2, 1, 1, 2, tri)
+        hit = _triangle_clear(knot, info)
+        assert hit == clear_reference(knot, info)
+        outcomes.add(hit is None)
+        others = [_random_triangle(rng), tri]
+        sticks = knot.edges()[2:]
+        rim = frozenset(verts[:3])
+        assert _disk_avoids(others, rim, sticks) == avoids_reference(others, rim, sticks)
+    assert outcomes == {True, False}
+
+
+def test_pierced_reduction_triangle_is_rejected_by_both_loops():
+    ap, _ = normalize(random_presentation(10, 3))
+    k2 = build_k2(ap)
+    pts, _ = layout(ap)
+    infos = reduction_triangles(ap, assign_heights(ap), pts)
+    for info in infos:
+        assert _triangle_clear(k2, info) is None
+        assert clear_reference(k2, info) is None
+    # a stick through the centroid of a triangle, across its plane
+    info = infos[-1]
+    a, b, c = info.triangle
+    g = tuple((x + y + z) / 3 for x, y, z in zip(a, b, c))
+    normal = (c[1] - b[1], b[0] - c[0], 0)  # horizontal, off the vertical plane
+    stick = (
+        tuple(u - v for u, v in zip(g, normal)),
+        tuple(u + v for u, v in zip(g, normal)),
+    )
+    # prepended, so the stick is the first edge both loops test
+    pierced = StickKnot(stick + k2.vertices, ("?", "?") + k2.roles)
+    assert _triangle_clear(pierced, info) == stick
+    assert clear_reference(pierced, info) == stick
+    # a stick along the triangle's horizontal leg, overlapping it in a segment
+    mid = tuple((x + y) / 2 for x, y in zip(b, c))
+    along = StickKnot((mid, c) + k2.vertices, ("?", "?") + k2.roles)
+    assert _triangle_clear(along, info) == (mid, c)
+    assert clear_reference(along, info) == (mid, c)
