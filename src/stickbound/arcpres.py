@@ -77,13 +77,11 @@ def validate(ap: ArcPresentation) -> ValidationReport:
             errors.append(f"chord {idx} is degenerate: both endpoints at {a}")
     if errors:
         return ValidationReport(False, tuple(errors))
-    uses = {p: [] for p in range(1, n + 1)}
-    for idx, (a, b) in enumerate(ap.chords):
-        uses[a].append(idx)
-        uses[b].append(idx)
+    uses = _point_uses(ap)
     for p in range(1, n + 1):
-        if len(uses[p]) != 2:
-            errors.append(f"binding point {p} used {len(uses[p])} times, expected 2")
+        count = len(uses.get(p, ()))
+        if count != 2:
+            errors.append(f"binding point {p} used {count} times, expected 2")
     if errors:
         return ValidationReport(False, tuple(errors))
     # walk the chord-adjacency multigraph; valid iff one cycle through all n
@@ -113,22 +111,12 @@ def require_valid(ap: ArcPresentation) -> None:
 
 
 def _point_uses(ap):
+    """Binding point label -> 0-based indices of the chords that use it."""
     uses = {}
     for idx, (a, b) in enumerate(ap.chords):
         uses.setdefault(a, []).append(idx)
         uses.setdefault(b, []).append(idx)
     return uses
-
-
-def neighbors(ap: ArcPresentation, i: int) -> tuple:
-    """1-based indices of the two chords adjacent to chord i (1-based)."""
-    uses = _point_uses(ap)
-    a, b = ap.chords[i - 1]
-    out = []
-    for p in (a, b):
-        u, v = uses[p]
-        out.append((v if u == i - 1 else u) + 1)
-    return tuple(out)
 
 
 def crossing_pairs(ap: ArcPresentation) -> list:

@@ -16,12 +16,14 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from . import invariants
 from .arcpres import (
     ArcPresentation,
     ChordType,
+    _point_uses,
     chord_walk,
     classify,
     crossing_pairs,
@@ -30,6 +32,7 @@ from .arcpres import (
     normalize,
     require_valid,
 )
+from .bounds import theorem2_upper
 from .errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
 from .geom import (
     Point3,
@@ -130,7 +133,7 @@ def _crossings_by_chord(ap, pts):
             raise InternalVerificationError("crossing chords turned parallel")
         out[i].append((j, hit[2]))
         out[j].append((i, hit[2]))
-    return out, segs
+    return out
 
 
 def _fraction_along(seg, point):
@@ -143,11 +146,8 @@ def _fraction_along(seg, point):
 
 def _assign_heights(ap: ArcPresentation, pts) -> HeightAssignment:
     types, _ = classify(ap)
-    uses = {}
-    for idx, (a, b) in enumerate(ap.chords):
-        uses.setdefault(a, []).append(idx)
-        uses.setdefault(b, []).append(idx)
-    crossings, segs = _crossings_by_chord(ap, pts)
+    uses = _point_uses(ap)
+    crossings = _crossings_by_chord(ap, pts)
     n = ap.n
     z = [0] * (n + 1)
     z[1], z[2] = 1, 2
@@ -220,11 +220,8 @@ def verify_heights(ap: ArcPresentation, ha: HeightAssignment, pts) -> None:
         raise InternalVerificationError("heights are not strictly increasing")
     if z[0] != 1 or z[1] != 2:
         raise InternalVerificationError("heights must start 1, 2")
-    uses = {}
-    for idx, (a, b) in enumerate(ap.chords):
-        uses.setdefault(a, []).append(idx)
-        uses.setdefault(b, []).append(idx)
-    crossings, segs = _crossings_by_chord(ap, pts)
+    uses = _point_uses(ap)
+    crossings = _crossings_by_chord(ap, pts)
     for i in range(3, ap.n + 1):
         if types[i - 1] is ChordType.I:
             continue
@@ -343,7 +340,6 @@ class ReductionStep:
 class ReductionTrace:
     ap: ArcPresentation
     ha: HeightAssignment
-    pts: list
     steps: tuple = ()
 
 
@@ -389,7 +385,7 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
         del roles[idx]
         knot = StickKnot(tuple(verts), tuple(roles))
         steps.append(ReductionStep(info.chord, info.anchor, b, (a, c)))
-    return knot, ReductionTrace(ap, ha, list(pts), tuple(steps))
+    return knot, ReductionTrace(ap, ha, tuple(steps))
 
 
 def _tri_edges(t):
@@ -455,22 +451,19 @@ def top_reduction(knot: StickKnot, trace: ReductionTrace):
         raise InternalVerificationError("top horizontal stick not found")
     rot_v = verts[(top_idx - 1) % m :] + verts[: (top_idx - 1) % m]
     rot_r = roles[(top_idx - 1) % m :] + roles[: (top_idx - 1) % m]
-    j_a, top_a, top_b, j_b, f_b = rot_v[0], rot_v[1], rot_v[2], rot_v[3], rot_v[4]
-    f_a = rot_v[-1]
+    j_a, j_b, f_b, f_a = rot_v[0], rot_v[3], rot_v[4], rot_v[-1]
     if rot_r[0] != ROLE_V or rot_r[2] != ROLE_V:
         raise InternalVerificationError("top chord is not flanked by verticals")
+    d_a = _sub3(j_a, f_a)
+    d_b = _sub3(j_b, f_b)
     cap = _max_length()
     length = 4
     while True:
-        d_a = _sub3(j_a, f_a)
-        d_b = _sub3(j_b, f_b)
-        t_a = (j_a[0] + length * d_a[0], j_a[1] + length * d_a[1], j_a[2] + length * d_a[2])
-        t_b = (j_b[0] + length * d_b[0], j_b[1] + length * d_b[1], j_b[2] + length * d_b[2])
+        t_a = tuple(j + length * d for j, d in zip(j_a, d_a))
+        t_b = tuple(j + length * d for j, d in zip(j_b, d_b))
         cand_v = [t_a, t_b] + rot_v[4:]
         cand_r = [ROLE_CONN, ROLE_EXT] + rot_r[4:-1] + [ROLE_EXT]
-        ok, why = _certify_top(
-            rot_v, cand_v, j_a, top_a, top_b, j_b, t_a, t_b, f_a, f_b
-        )
+        ok, why = _certify_top(rot_v, cand_v, t_a, t_b)
         if ok:
             return StickKnot(tuple(cand_v), tuple(cand_r)), "applied", length
         length *= 2
@@ -515,118 +508,86 @@ def _disk_avoids(tris, rim, sticks):
     return True
 
 
-def _disk_sound(tris, shared_map) -> bool:
-    return all(_nondegenerate(tri) for tri in tris) and _surface_clean(
-        tris, shared_map
-    )
+# The top move's six corners, by index: the old path j_a, top_a, top_b, j_b
+# and the extension tips t_a, t_b.
+J_A, TOP_A, TOP_B, J_B, T_A, T_B = range(6)
+_OLD_PATH = (J_A, TOP_A, TOP_B, J_B)
+_S1 = (J_A, TOP_A, T_A)  # swing triangles of sides a and b
+_S2 = (J_B, TOP_B, T_B)
+
+# Spanning-disk shapes in the order they are tried: (interim path or None,
+# steps).  Each step is a tuple of disk triangles; the first step starts from
+# the old path, the second from the interim path.
+_DISKS = (
+    # ruled_a, ruled_b: one ruled step, the middle quad split along either diagonal
+    (None, ((_S1, _S2, (TOP_A, TOP_B, T_B), (TOP_A, T_B, T_A)),)),
+    (None, ((_S1, _S2, (TOP_A, TOP_B, T_A), (TOP_B, T_B, T_A)),)),
+    # two-step-b: the top stick and vertical b onto T_b, then vertical a and
+    # the interim stick onto T_a
+    ((J_A, TOP_A, T_B, J_B), ((_S2, (TOP_A, TOP_B, T_B)), (_S1, (TOP_A, T_B, T_A)))),
+    # two-step-a mirrors it
+    ((J_A, T_A, TOP_B, J_B), ((_S1, (TOP_A, TOP_B, T_A)), (_S2, (TOP_B, T_B, T_A)))),
+)
 
 
-def _certify_top(rot_v, cand_v, j_a, top_a, top_b, j_b, t_a, t_b, f_a, f_b):
+def _disk_parts(corners, before, tris):
+    """Triangles, shared simplices, rim and kept path sticks of one disk step.
+
+    ``tris`` index into ``corners``, and ``before`` is the path the step
+    starts from.  Two triangles may meet only in their common corners, the
+    rim is every corner of the step, and the sticks of the path that are no
+    side of a disk triangle stay where they are during the step.
+    """
+    disk = tuple(tuple(corners[i] for i in t) for t in tris)
+    shared = {
+        (x, y): tuple(corners[i] for i in sorted(set(tris[x]) & set(tris[y])))
+        for x, y in combinations(range(len(tris)), 2)
+    }
+    rim = frozenset(corners[i] for t in tris for i in t)
+    sides = {frozenset(e) for t in tris for e in _tri_edges(t)}
+    kept = [
+        (corners[a], corners[b])
+        for a, b in zip(before, before[1:])
+        if frozenset((a, b)) not in sides
+    ]
+    return disk, shared, rim, kept
+
+
+def _certify_top(rot_v, cand_v, t_a, t_b):
     """Exact certificate for one candidate top reduction.
 
     Requires the new polygon to be embedded, plus some certified spanning
     disk between the old path (vertical, top stick, vertical) and the new one
-    (extension, connector, extension) pierced by nothing stationary.  Four
-    disk shapes are tried: the one-step ruled surface with either diagonal of
-    its middle quad, and two two-step variants that swing one side at a time
-    through a certified-embedded intermediate polygon (these survive the
-    configurations where the two extension rays cross in the shadow, since
-    the lower extension passes under the other side's swing triangle).
+    (extension, connector, extension) pierced by nothing stationary.  The
+    shapes of ``_DISKS`` are tried in order: the one-step ruled surface with
+    either diagonal of its middle quad, and two two-step variants that swing
+    one side at a time through a certified-embedded intermediate polygon
+    (these survive the configurations where the two extension rays cross in
+    the shadow, since the lower extension passes under the other side's
+    swing triangle).
     """
     emb = polygon_embedded(cand_v)
     if not emb.ok:
         return False, f"result-not-embedded:{emb.failures[0]}"
+    corners = (*rot_v[:4], t_a, t_b)
+    # sticks off the old path: the chain f_b .. f_a, then f_a-j_a and j_b-f_b
     m = len(rot_v)
-    chain = [(rot_v[i], rot_v[i + 1]) for i in range(4, m - 1)]  # f_b .. f_a
-    e_a = (f_a, j_a)
-    e_b = (j_b, f_b)
-    v_a = (j_a, top_a)
-    v_b = (top_b, j_b)
-    ext_a = (j_a, t_a)
-    ext_b = (t_b, j_b)
-    s1 = (j_a, top_a, t_a)
-    s2 = (j_b, top_b, t_b)
-    hex_rim = frozenset((j_a, top_a, top_b, j_b, t_b, t_a))
-    one_step_sticks = chain + [e_a, e_b]
-
-    ruled_a = (
-        (s1, s2, (top_a, top_b, t_b), (top_a, t_b, t_a)),
-        {
-            (0, 1): (),
-            (0, 2): (top_a,),
-            (0, 3): (top_a, t_a),
-            (1, 2): (top_b, t_b),
-            (1, 3): (t_b,),
-            (2, 3): (top_a, t_b),
-        },
-    )
-    ruled_b = (
-        (s1, s2, (top_a, top_b, t_a), (top_b, t_b, t_a)),
-        {
-            (0, 1): (),
-            (0, 2): (top_a, t_a),
-            (0, 3): (t_a,),
-            (1, 2): (top_b,),
-            (1, 3): (top_b, t_b),
-            (2, 3): (top_b, t_a),
-        },
-    )
-    reason = "no-clean-spanning-disk"
-    for tris, shared_map in (ruled_a, ruled_b):
-        if not _disk_sound(tris, shared_map):
-            reason = "self-intersecting-spanning-surface"
-            continue
-        if _disk_avoids(tris, hex_rim, one_step_sticks):
-            return True, ""
-        reason = "stationary-stick-meets-spanning-surface"
-
-    # Two-step variants.  b-first: swing the top stick and vertical b onto
-    # T_b, then vertical a and the interim stick onto T_a; a-first mirrors.
-    for first in ("b", "a"):
-        if first == "b":
-            interim = list(rot_v)
-            interim[2] = t_b  # path becomes j_a, top_a, t_b, j_b
-            disks1 = (
-                (s2, (top_a, top_b, t_b)),
-                {(0, 1): (top_b, t_b)},
-                frozenset((top_a, top_b, j_b, t_b)),
-                chain + [e_a, e_b, v_a],
-            )
-            disks2 = (
-                (s1, (top_a, t_b, t_a)),
-                {(0, 1): (top_a, t_a)},
-                frozenset((j_a, top_a, t_b, t_a)),
-                chain + [e_a, e_b, ext_b],
-            )
-        else:
-            interim = list(rot_v)
-            interim[1] = t_a  # path becomes j_a, t_a, top_b, j_b
-            disks1 = (
-                (s1, (top_a, top_b, t_a)),
-                {(0, 1): (top_a, t_a)},
-                frozenset((j_a, top_a, top_b, t_a)),
-                chain + [e_a, e_b, v_b],
-            )
-            disks2 = (
-                (s2, (top_b, t_b, t_a)),
-                {(0, 1): (top_b, t_b)},
-                frozenset((top_b, j_b, t_b, t_a)),
-                chain + [e_a, e_b, ext_a],
-            )
-        if not polygon_embedded(interim).ok:
-            reason = "interim-polygon-not-embedded"
-            continue
-        good = True
-        for tris, shared_map, rim, sticks in (disks1, disks2):
-            if not _disk_sound(tris, shared_map):
+    outside = [(rot_v[i], rot_v[i + 1]) for i in range(4, m - 1)]
+    outside += [(rot_v[-1], rot_v[0]), (rot_v[3], rot_v[4])]
+    for interim, steps in _DISKS:
+        if interim is not None:
+            if not polygon_embedded([corners[i] for i in interim] + rot_v[4:]).ok:
+                reason = "interim-polygon-not-embedded"
+                continue
+        for before, tris in zip((_OLD_PATH, interim), steps):
+            disk, shared, rim, kept = _disk_parts(corners, before, tris)
+            if not all(map(_nondegenerate, disk)) or not _surface_clean(disk, shared):
                 reason = "self-intersecting-spanning-surface"
-                good = False
                 break
-            if not _disk_avoids(tris, rim, sticks):
+            if not _disk_avoids(disk, rim, outside + kept):
                 reason = "stationary-stick-meets-spanning-surface"
-                good = False
                 break
-        if good:
+        else:
             return True, ""
     return False, reason
 
@@ -640,16 +601,12 @@ class Certificate:
     beta: tuple
     heights: tuple
     layout_retry: int
-    sticks_k1: int
-    sticks_k2: int
     sticks_final: int
     reduced_chords: tuple
     top_reduction: str
     top_length: Optional[int]
     bound: Fraction
     bound_satisfied: bool
-    embedded_k2: bool
-    embedded_final: bool
     invariants_match: Optional[bool]
     determinant: Optional[int]
     determinant_out: Optional[int]
@@ -702,7 +659,7 @@ def build_full(ap: ArcPresentation, top: bool = True, check_invariants: bool = T
         raise InternalVerificationError(
             f"stick accounting: counted {sticks}, expected {expected}"
         )
-    bound = Fraction(3 * (n - 1), 2)
+    bound = theorem2_upper(n)
     cert_inv = (None, None, None, "", "")
     if check_invariants:
         d_in = diagram(ap)
@@ -715,16 +672,12 @@ def build_full(ap: ArcPresentation, top: bool = True, check_invariants: bool = T
         beta=beta.as_tuple(),
         heights=ha.z,
         layout_retry=retry,
-        sticks_k1=2 * n,
-        sticks_k2=len(k2.vertices),
         sticks_final=sticks,
         reduced_chords=tuple(s.chord for s in trace.steps),
         top_reduction=status,
         top_length=top_len,
         bound=bound,
         bound_satisfied=sticks <= bound,
-        embedded_k2=emb2.ok,
-        embedded_final=embf.ok,
         invariants_match=cert_inv[0],
         determinant=cert_inv[1],
         determinant_out=cert_inv[2],
@@ -753,6 +706,10 @@ def polygon_json(cert: Certificate, knot: StickKnot) -> dict:
 
 
 def knot_from_json(d: dict) -> StickKnot:
+    """The polygon of a build's JSON; raises ValueError on a malformed vertex."""
+    for i, v in enumerate(d["vertices"]):
+        if not isinstance(v, (list, tuple)) or len(v) != 3:
+            raise ValueError(f"vertex {i} is not a list of three coordinates: {v!r}")
     verts = tuple(tuple(Fraction(c) for c in v) for v in d["vertices"])
     roles = tuple(d.get("edge_roles", ["?"] * len(verts)))
     return StickKnot(verts, roles)

@@ -359,16 +359,6 @@ def _int_bareiss(m):
 # generic projection of a polygon to a diagram
 
 
-GENERICITY_CHECKS = (
-    "nonzero-edge-shadows",
-    "no-collinear-joints",
-    "distinct-vertex-shadows",
-    "no-vertex-on-edge",
-    "no-parallel-overlap",
-    "no-triple-points",
-)
-
-
 @dataclass(frozen=True)
 class ProjectedDiagram:
     """A diagram obtained by projecting a polygon along a generic direction."""
@@ -376,7 +366,6 @@ class ProjectedDiagram:
     diagram: Diagram
     direction: tuple
     attempt: int
-    checks: tuple
 
 
 def _on_open_segment2(p, a, b):
@@ -489,7 +478,6 @@ def project(knot, max_attempts: int = 65) -> ProjectedDiagram:
                 diagram=diag,
                 direction=(dx, dy, Fraction(1)),
                 attempt=attempt,
-                checks=GENERICITY_CHECKS,
             )
         last = failed
     raise InternalVerificationError(

@@ -59,7 +59,7 @@ def test_criterion_1_trefoil_tightness(ap5, capsys):
     ok = (
         cert.sticks_final == 6
         and cert.bound == Fraction(3 * (5 - 1), 2)
-        and cert.embedded_final
+        and polygon_embedded(knot.vertices).ok
         and cert.determinant == 3
         and cert.determinant_out == 3
         and cert.invariants_match
@@ -75,7 +75,7 @@ def test_criterion_2_unknot_sanity(ap3, capsys):
     dt = time.perf_counter() - t0
     ok = (
         cert.sticks_final == 3
-        and cert.embedded_final
+        and polygon_embedded(knot.vertices).ok
         and cert.determinant == 1
         and dt < 1.0
     )
@@ -115,7 +115,7 @@ def test_criterion_5_theorem_at_scale(full500, capsys):
     bad = []
     for ap, knot, cert in results:
         n, b1 = cert.n, cert.beta[0]
-        if not cert.embedded_final:
+        if not polygon_embedded(knot.vertices).ok:
             bad.append((ap, "not embedded"))
         if cert.top_reduction == "applied":
             applied += 1

@@ -95,6 +95,43 @@ def test_verify_tampered_stick_claim_exits_2(trefoil_arc, tmp_path):
     assert cli.main(["verify", str(trefoil_arc), str(out)]) == 2
 
 
+def _tampered(trefoil_arc, tmp_path, change):
+    """Path of the trefoil's build JSON after ``change(doc)``."""
+    out = tmp_path / "t.json"
+    assert cli.main(["build", str(trefoil_arc), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    change(doc)
+    out.write_text(json.dumps(doc))
+    return out
+
+
+def test_verify_wrong_determinant_exits_2(trefoil_arc, tmp_path, capsys):
+    out = _tampered(trefoil_arc, tmp_path, lambda doc: doc.update(determinant=7))
+    assert cli.main(["verify", str(trefoil_arc), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stored determinant 7" in err and "polygon has 3" in err
+
+
+def test_verify_flipped_bound_verdict_exits_2(trefoil_arc, tmp_path, capsys):
+    out = _tampered(trefoil_arc, tmp_path, lambda doc: doc.update(bound_satisfied=False))
+    assert cli.main(["verify", str(trefoil_arc), str(out)]) == 2
+    assert "bound verdict" in capsys.readouterr().err
+
+
+# two and four coordinates, and a string whose three characters would parse
+@pytest.mark.parametrize("vertex", [["0", "0"], ["0", "0", "0", "0"], "000"])
+def test_verify_vertex_without_three_coordinates_exits_1(
+    trefoil_arc, tmp_path, capsys, vertex
+):
+    def change(doc):
+        doc["vertices"][1] = vertex
+
+    out = _tampered(trefoil_arc, tmp_path, change)
+    assert cli.main(["verify", str(trefoil_arc), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "malformed polygon JSON: vertex 1 is not a list of three coordinates" in err
+
+
 def test_verify_garbage_json_exits_1(trefoil_arc, tmp_path):
     bad = tmp_path / "g.json"
     bad.write_text("{not json")

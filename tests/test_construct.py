@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from stickbound import construct
 from stickbound.arcpres import (
     ArcPresentation,
     classify,
@@ -16,9 +17,12 @@ from stickbound.arcpres import (
     random_presentation,
 )
 from stickbound.construct import (
+    _DISKS,
+    _OLD_PATH,
     StickKnot,
     TriangleInfo,
     _disk_avoids,
+    _disk_parts,
     _nondegenerate,
     _triangle_clear,
     assign_heights,
@@ -159,11 +163,10 @@ def test_build_full_trefoil_certificate(ap5):
     knot, cert = build_full(ap5)
     assert cert.n == 5
     assert cert.beta == (2, 1, 2)
-    assert cert.sticks_k1 == cert.sticks_k2 == 10
     assert cert.sticks_final == 6
     assert cert.bound == Fraction(6)
     assert cert.bound_satisfied
-    assert cert.embedded_k2 and cert.embedded_final
+    assert polygon_embedded(knot.vertices).ok
     assert cert.top_reduction == "applied"
     assert cert.reduced_chords == (3, 4)
     assert cert.determinant == 3 == cert.determinant_out
@@ -190,7 +193,7 @@ def test_build_full_figure_eight(ap6_fig8):
 def test_build_full_survives_layout_retry(concurrence9):
     knot, cert = build_full(concurrence9)
     assert cert.layout_retry >= 1
-    assert cert.embedded_final
+    assert polygon_embedded(knot.vertices).ok
     assert cert.invariants_match
 
 
@@ -273,11 +276,134 @@ GOLDEN_BUILD_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("n,seed", sorted(GOLDEN_BUILD_SHA256))
-def test_build_json_matches_golden_digest(n, seed):
+# The same under STICKBOUND_MAX_L=8, recorded before the spanning-disk shapes
+# became one table; the first five inputs skip the move at that cap.
+GOLDEN_CAPPED_SHA256 = {
+    (9, 16): "349b962400c79ed52f4a333a3b24138962ec29c1f8458708cba4805ff8bb84c7",
+    (10, 43): "25b73b9b64f0160248e8e814eeb4b82e2e703a0b4d9cc27d98158b9b20e0eeeb",
+    (11, 14): "5f3f82b4f0c0d00ca2b8a683713e0b02964a64aef58d9e2a26f05988e3fb52a7",
+    (13, 3): "b262135e7d0609b11ae31da8c85cdf41bfabbeb113b8ca2bb84271592829ee18",
+    (14, 23): "d1bfe30aea487490c2210cd2f12f05cc81877742cb5ce7f0fad1751dc18c93d2",
+    (9, 1): "65c936a52f3e734ee9c9c8ce8ec08599a8773cd304d8b17d9db03d80db8c8935",
+    (10, 1): "528d7dedb27caa74862e743cca1331fcb8697b2f8550e503bad43178dcde1b4c",
+    (13, 1): "59d596336dcc6a08ad182fa9b2fd5888a307c421fe0849246610ff7790debe33",
+}
+
+
+def build_digest(n, seed):
     knot, cert = build_full(random_presentation(n, seed))
     text = json.dumps(polygon_json(cert, knot), indent=2) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_BUILD_SHA256[n, seed]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,seed", sorted(GOLDEN_BUILD_SHA256))
+def test_build_json_matches_golden_digest(n, seed):
+    assert build_digest(n, seed) == GOLDEN_BUILD_SHA256[n, seed]
+
+
+@pytest.mark.parametrize("n,seed", sorted(GOLDEN_CAPPED_SHA256))
+def test_capped_build_json_matches_golden_digest(n, seed, monkeypatch):
+    monkeypatch.setenv("STICKBOUND_MAX_L", "8")
+    assert build_digest(n, seed) == GOLDEN_CAPPED_SHA256[n, seed]
+
+
+def test_disk_table_derives_the_hand_written_tables():
+    # The tables the top-move certificate spelled out by hand before the
+    # shapes became data, kept here as the reference: per shape its interim
+    # path, and per step the triangles, shared simplices, rim and the path
+    # sticks that stay put (besides the sticks off the old path).
+    corners = ("j_a", "top_a", "top_b", "j_b", "t_a", "t_b")
+    j_a, top_a, top_b, j_b, t_a, t_b = corners
+    s1 = (j_a, top_a, t_a)
+    s2 = (j_b, top_b, t_b)
+    hex_rim = frozenset(corners)
+    ruled_a = (
+        (s1, s2, (top_a, top_b, t_b), (top_a, t_b, t_a)),
+        {
+            (0, 1): (),
+            (0, 2): (top_a,),
+            (0, 3): (top_a, t_a),
+            (1, 2): (top_b, t_b),
+            (1, 3): (t_b,),
+            (2, 3): (top_a, t_b),
+        },
+        hex_rim,
+        [],
+    )
+    ruled_b = (
+        (s1, s2, (top_a, top_b, t_a), (top_b, t_b, t_a)),
+        {
+            (0, 1): (),
+            (0, 2): (top_a, t_a),
+            (0, 3): (t_a,),
+            (1, 2): (top_b,),
+            (1, 3): (top_b, t_b),
+            (2, 3): (top_b, t_a),
+        },
+        hex_rim,
+        [],
+    )
+    two_step_b = (
+        (
+            (s2, (top_a, top_b, t_b)),
+            {(0, 1): (top_b, t_b)},
+            frozenset((top_a, top_b, j_b, t_b)),
+            [(j_a, top_a)],
+        ),
+        (
+            (s1, (top_a, t_b, t_a)),
+            {(0, 1): (top_a, t_a)},
+            frozenset((j_a, top_a, t_b, t_a)),
+            [(t_b, j_b)],
+        ),
+    )
+    two_step_a = (
+        (
+            (s1, (top_a, top_b, t_a)),
+            {(0, 1): (top_a, t_a)},
+            frozenset((j_a, top_a, top_b, t_a)),
+            [(top_b, j_b)],
+        ),
+        (
+            (s2, (top_b, t_b, t_a)),
+            {(0, 1): (top_b, t_b)},
+            frozenset((top_b, j_b, t_b, t_a)),
+            [(j_a, t_a)],
+        ),
+    )
+    expected = [
+        (None, (ruled_a,)),
+        (None, (ruled_b,)),
+        ((j_a, top_a, t_b, j_b), two_step_b),
+        ((j_a, t_a, top_b, j_b), two_step_a),
+    ]
+    derived = []
+    for interim, steps in _DISKS:
+        path = None if interim is None else tuple(corners[i] for i in interim)
+        parts = tuple(
+            _disk_parts(corners, before, tris)
+            for before, tris in zip((_OLD_PATH, interim), steps)
+        )
+        derived.append((path, parts))
+    assert derived == expected
+
+
+# (n, seed) of a seeded input whose top move is first certified, at L = 4, by
+# the shape _DISKS[k]: ruled_a, ruled_b, two-step-b, two-step-a
+CERTIFIED_BY = {0: (5, 1), 1: (6, 9), 2: (6, 15), 3: (8, 7)}
+
+
+@pytest.mark.parametrize("k", sorted(CERTIFIED_BY))
+def test_each_disk_shape_certifies_a_seeded_input(k, monkeypatch):
+    ap, _ = normalize(random_presentation(*CERTIFIED_BY[k]))
+    reduced, trace = triangle_reductions(ap, build_k2(ap))
+    assert top_reduction(reduced, trace)[1:] == ("applied", 4)
+    monkeypatch.setenv("STICKBOUND_MAX_L", "4")
+    monkeypatch.setattr(construct, "_DISKS", _DISKS[: k + 1])
+    assert top_reduction(reduced, trace)[1:] == ("applied", 4)
+    if k:  # the shapes tried before it do not certify the move
+        monkeypatch.setattr(construct, "_DISKS", _DISKS[:k])
+        assert top_reduction(reduced, trace)[1].startswith("skipped:")
 
 
 def clear_reference(knot, info):
