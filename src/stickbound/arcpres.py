@@ -332,6 +332,34 @@ def _arc_ids(gauss) -> tuple:
     return tuple(ids)
 
 
+def _gauss_diagram(hits, segment, strands) -> Diagram:
+    """Diagram of ``hits``, crossings as (over, under, param_over, param_under, point).
+
+    ``segment(strand)`` is a strand's oriented 2D segment, whose direction
+    gives each crossing's sign; the Gauss code walks ``strands`` in order and
+    each strand's crossings by their parameter along it.
+    """
+
+    def direction(strand):
+        (x0, y0), (x1, y1) = segment(strand)
+        return (x1 - x0, y1 - y0)
+
+    crossings = []
+    by_strand = {}
+    for over, under, p_over, p_under, point in hits:
+        cid = len(crossings)
+        sign = orient2d((0, 0), direction(over), direction(under))
+        crossings.append(Crossing(over, under, sign, point, p_over, p_under))
+        by_strand.setdefault(over, []).append((p_over, cid, True))
+        by_strand.setdefault(under, []).append((p_under, cid, False))
+    gauss = [
+        (cid, is_over)
+        for s in strands
+        for _, cid, is_over in sorted(by_strand.get(s, []))
+    ]
+    return Diagram(tuple(crossings), tuple(gauss))
+
+
 def diagram(ap: ArcPresentation) -> Diagram:
     """Exact planar diagram of ap; the smaller chord index goes under."""
     pts, _ = layout(ap)
@@ -339,31 +367,15 @@ def diagram(ap: ArcPresentation) -> Diagram:
     oriented = {}
     for cur, entry, exit_pt in walk:
         oriented[cur + 1] = (pts[entry - 1], pts[exit_pt - 1])
-    crossings = []
+    hits = []
     for i, j in crossing_pairs(ap):
-        si, sj = oriented[i], oriented[j]
-        s, u, point = seg2_line_intersection(si, sj)
+        s, u, point = seg2_line_intersection(oriented[i], oriented[j])
         if not (0 < s < 1 and 0 < u < 1):
             raise InternalVerificationError(
                 f"interleaved chords {i},{j} failed to cross properly"
             )
-        d_over = (sj[1][0] - sj[0][0], sj[1][1] - sj[0][1])
-        d_under = (si[1][0] - si[0][0], si[1][1] - si[0][1])
-        sign = orient2d((0, 0), d_over, d_under)
-        crossings.append(
-            Crossing(
-                over=j, under=i, sign=sign, point=point, param_over=u, param_under=s
-            )
-        )
-    by_chord = {}
-    for cid, c in enumerate(crossings):
-        by_chord.setdefault(c.under, []).append((c.param_under, cid, False))
-        by_chord.setdefault(c.over, []).append((c.param_over, cid, True))
-    gauss = []
-    for cur, _, _ in walk:
-        for _, cid, is_over in sorted(by_chord.get(cur + 1, [])):
-            gauss.append((cid, is_over))
-    return Diagram(tuple(crossings), tuple(gauss))
+        hits.append((j, i, u, s, point))
+    return _gauss_diagram(hits, oriented.get, [cur + 1 for cur, _, _ in walk])
 
 
 def random_presentation(n: int, seed: int) -> ArcPresentation:

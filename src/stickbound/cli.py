@@ -77,10 +77,18 @@ def cmd_build(args) -> int:
     _emit(json.dumps(polygon_json(cert, knot), indent=2) + "\n", args.out)
     if args.obj:
         Path(args.obj).write_text(obj_export(knot))
-    if cert.invariants_match is False:
+    if not cert.invariants_match:
         print("error: invariants of output polygon do not match input", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
+
+
+def _stored(data, key, *types):
+    """data[key] if its type is exactly one of ``types`` (a bool is no int)."""
+    value = data[key]
+    if type(value) not in types:
+        raise TypeError(f"{key} has the wrong type: {value!r}")
+    return value
 
 
 def cmd_verify(args) -> int:
@@ -88,9 +96,9 @@ def cmd_verify(args) -> int:
     try:
         data = json.loads(_read_text(args.polygon))
         knot = knot_from_json(data)
-        stored_sticks = int(data["sticks"])
-        stored_bound_ok = bool(data["bound_satisfied"])
-        stored_det = data["determinant"]
+        stored_sticks = _stored(data, "sticks", int)
+        stored_bound_ok = _stored(data, "bound_satisfied", bool)
+        stored_det = _stored(data, "determinant", int, type(None))
     except InvalidArcPresentation:
         raise
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:

@@ -263,15 +263,13 @@ def build_k1(ap: ArcPresentation) -> StickKnot:
     return _polygon(ap, list(range(1, ap.n + 1)), pts)
 
 
-def build_k2(ap: ArcPresentation, ha: Optional[HeightAssignment] = None) -> StickKnot:
+def build_k2(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization lifted to the reduction-ready heights."""
     require_valid(ap)
     if ap.n < 3:
         raise InvalidArcPresentation("need at least 3 chords")
     pts, _ = layout(ap)
-    if ha is None:
-        ha = _assign_heights(ap, pts)
-    return _polygon(ap, list(ha.z), pts)
+    return _polygon(ap, list(_assign_heights(ap, pts).z), pts)
 
 
 @dataclass(frozen=True)
@@ -299,8 +297,8 @@ def reduction_triangles(ap: ArcPresentation, ha: HeightAssignment, pts) -> list:
     return out
 
 
-def _triangle_clear(knot: StickKnot, info: TriangleInfo):
-    """First stick meeting the closed triangle beyond its own legs, if any.
+def _triangle_clear(edges, info: TriangleInfo):
+    """First of ``edges`` meeting the closed triangle beyond its own legs, if any.
 
     The two legs (vertical to the anchor, horizontal of the chord) are
     skipped; contact exactly at the lower apex corner or the far corner is
@@ -310,7 +308,7 @@ def _triangle_clear(knot: StickKnot, info: TriangleInfo):
     legs = ({a, b}, {b, c})
     allowed = frozenset((a, c))
     box = bbox(info.triangle)
-    for p, q in knot.edges():
+    for p, q in edges:
         if {p, q} in legs or boxes_apart(box, bbox((p, q))):
             continue
         if triangle_pierced(info.triangle, (p, q), allowed):
@@ -320,9 +318,10 @@ def _triangle_clear(knot: StickKnot, info: TriangleInfo):
 
 def sweep_triangles(knot: StickKnot, triangles) -> list:
     """All (triangle, offending stick) pairs; empty means every triangle clear."""
+    edges = knot.edges()
     bad = []
     for info in triangles:
-        hit = _triangle_clear(knot, info)
+        hit = _triangle_clear(edges, info)
         if hit is not None:
             bad.append((info, hit))
     return bad
@@ -346,22 +345,32 @@ class ReductionTrace:
 def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
     """Replace both legs by the hypotenuse for chords 2..n-1 of type II/III.
 
-    Processes chords in increasing order.  Before each replacement the
-    triangle is re-verified empty against the current polygon; a pierced
-    triangle means the height assignment is broken and raises.
-    Returns (knot, trace).
+    One sweep proves every triangle empty in the lifted polygon k2.  The
+    triangles are then collapsed in increasing chord order, each tested only
+    against the hypotenuses laid down before it: a collapse keeps every other
+    stick, so those are the only sticks of the current polygon the sweep has
+    not seen.  A pierced triangle means the height assignment is broken and
+    raises.  Returns (knot, trace).
     """
     require_valid(ap)
     if pts is None:
         pts, _ = layout(ap)
     if ha is None:
         ha = _assign_heights(ap, pts)
+    triangles = reduction_triangles(ap, ha, pts)
+    bad = sweep_triangles(k2, triangles)
+    if bad:
+        info, hit = bad[0]
+        raise InternalVerificationError(
+            f"triangle of chord {info.chord} not empty in lifted polygon: {hit}"
+        )
     knot = k2
     steps = []
-    for info in reduction_triangles(ap, ha, pts):
+    hypotenuses = []
+    for info in triangles:
         if info.chord >= ap.n or info.chord < 2:
             continue
-        hit = _triangle_clear(knot, info)
+        hit = _triangle_clear(hypotenuses, info)
         if hit is not None:
             raise InternalVerificationError(
                 f"triangle of chord {info.chord} pierced by stick {hit}"
@@ -376,14 +385,11 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
             raise InternalVerificationError(
                 f"polygon structure near chord {info.chord} unexpected"
             )
-        if idx == 0:
-            verts = verts[1:] + verts[:1]
-            roles = roles[1:] + roles[:1]
-            idx = verts.index(b)
         del verts[idx]
         roles[idx - 1] = ROLE_HYP
         del roles[idx]
         knot = StickKnot(tuple(verts), tuple(roles))
+        hypotenuses.append((a, c))
         steps.append(ReductionStep(info.chord, info.anchor, b, (a, c)))
     return knot, ReductionTrace(ap, ha, tuple(steps))
 
@@ -607,14 +613,14 @@ class Certificate:
     top_length: Optional[int]
     bound: Fraction
     bound_satisfied: bool
-    invariants_match: Optional[bool]
-    determinant: Optional[int]
-    determinant_out: Optional[int]
+    invariants_match: bool
+    determinant: int
+    determinant_out: int
     alexander_in: str
     alexander_out: str
 
 
-def build_full(ap: ArcPresentation, top: bool = True, check_invariants: bool = True):
+def build_full(ap: ArcPresentation, top: bool = True):
     """Normalize, lift, reduce, certify; returns (StickKnot, Certificate).
 
     The invariant check compares the exact diagram of the input presentation
@@ -634,12 +640,6 @@ def build_full(ap: ArcPresentation, top: bool = True, check_invariants: bool = T
     emb2 = polygon_embedded(k2.vertices)
     if not emb2.ok:
         raise InternalVerificationError(f"lifted polygon not embedded: {emb2.failures}")
-    bad = sweep_triangles(k2, reduction_triangles(norm, ha, pts))
-    if bad:
-        info, hit = bad[0]
-        raise InternalVerificationError(
-            f"triangle of chord {info.chord} not empty in lifted polygon: {hit}"
-        )
     reduced, trace = triangle_reductions(norm, k2, ha, pts)
     expected_reduced = 2 * n - (beta.beta2 + beta.beta3 - 1)
     if len(reduced.vertices) != expected_reduced:
@@ -660,12 +660,7 @@ def build_full(ap: ArcPresentation, top: bool = True, check_invariants: bool = T
             f"stick accounting: counted {sticks}, expected {expected}"
         )
     bound = theorem2_upper(n)
-    cert_inv = (None, None, None, "", "")
-    if check_invariants:
-        d_in = diagram(ap)
-        d_out = invariants.project(final)
-        rep = invariants.match(d_in, d_out)
-        cert_inv = (rep.ok, rep.det1, rep.det2, str(rep.alex1), str(rep.alex2))
+    rep = invariants.match(diagram(ap), invariants.project(final))
     cert = Certificate(
         n=n,
         shift=shift,
@@ -678,11 +673,11 @@ def build_full(ap: ArcPresentation, top: bool = True, check_invariants: bool = T
         top_length=top_len,
         bound=bound,
         bound_satisfied=sticks <= bound,
-        invariants_match=cert_inv[0],
-        determinant=cert_inv[1],
-        determinant_out=cert_inv[2],
-        alexander_in=cert_inv[3],
-        alexander_out=cert_inv[4],
+        invariants_match=rep.ok,
+        determinant=rep.det1,
+        determinant_out=rep.det2,
+        alexander_in=str(rep.alex1),
+        alexander_out=str(rep.alex2),
     )
     return final, cert
 

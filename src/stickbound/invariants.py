@@ -13,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arcpres import Crossing, Diagram
+from .arcpres import Diagram, _gauss_diagram
 from .errors import InternalVerificationError
 from .geom import orient2d, seg2_line_intersection
+
+PROJECTION_ATTEMPTS = 65
 
 
 # ---------------------------------------------------------------------------
@@ -419,47 +421,18 @@ def _project_once(verts, shadows):
         if point in seen:
             return None, "no-triple-points"
         seen.add(point)
-    crossings = []
-    per_edge = {}
+    over_under = []
     for i, j, s, u, point in hits:
         zi = verts[i][2] + s * (verts[(i + 1) % m][2] - verts[i][2])
         zj = verts[j][2] + u * (verts[(j + 1) % m][2] - verts[j][2])
         if zi == zj:
             raise InternalVerificationError("polygon edges meet in space")
-        if zi > zj:
-            over, under, p_over, p_under = i, j, s, u
-        else:
-            over, under, p_over, p_under = j, i, u, s
-        d_over = (
-            shadows[(over + 1) % m][0] - shadows[over][0],
-            shadows[(over + 1) % m][1] - shadows[over][1],
-        )
-        d_under = (
-            shadows[(under + 1) % m][0] - shadows[under][0],
-            shadows[(under + 1) % m][1] - shadows[under][1],
-        )
-        sign = orient2d((0, 0), d_over, d_under)
-        cid = len(crossings)
-        crossings.append(
-            Crossing(
-                over=over,
-                under=under,
-                sign=sign,
-                point=point,
-                param_over=p_over,
-                param_under=p_under,
-            )
-        )
-        per_edge.setdefault(over, []).append((p_over, cid, True))
-        per_edge.setdefault(under, []).append((p_under, cid, False))
-    gauss = []
-    for e in range(m):
-        for _, cid, is_over in sorted(per_edge.get(e, [])):
-            gauss.append((cid, is_over))
-    return Diagram(tuple(crossings), tuple(gauss)), None
+        over_under.append((i, j, s, u, point) if zi > zj else (j, i, u, s, point))
+    edges = {e: (shadows[e], shadows[(e + 1) % m]) for e in range(m)}
+    return _gauss_diagram(over_under, edges.get, range(m)), None
 
 
-def project(knot, max_attempts: int = 65) -> ProjectedDiagram:
+def project(knot) -> ProjectedDiagram:
     """Project a polygon along (1/(7+m), 1/(11+2m), 1) for the first generic m.
 
     Larger z is the over strand.  Every genericity condition is checked
@@ -468,7 +441,7 @@ def project(knot, max_attempts: int = 65) -> ProjectedDiagram:
     """
     verts = getattr(knot, "vertices", knot)
     last = "no directions tried"
-    for attempt in range(max_attempts):
+    for attempt in range(PROJECTION_ATTEMPTS):
         dx = Fraction(1, 7 + attempt)
         dy = Fraction(1, 11 + 2 * attempt)
         shadows = [(v[0] - v[2] * dx, v[1] - v[2] * dy) for v in verts]

@@ -132,6 +132,37 @@ def test_verify_vertex_without_three_coordinates_exits_1(
     assert "malformed polygon JSON: vertex 1 is not a list of three coordinates" in err
 
 
+# stored fields of the wrong JSON type, each of which once coerced to a pass
+# (6.9 -> 6, "false" -> True) or to a confusing mismatch ("3" != 3)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sticks", 6.9),
+        ("sticks", 6.0),
+        ("sticks", "6"),
+        ("sticks", True),
+        ("bound_satisfied", "false"),
+        ("bound_satisfied", 1),
+        ("bound_satisfied", None),
+        ("determinant", "3"),
+        ("determinant", 3.0),
+        ("determinant", True),
+    ],
+)
+def test_verify_stored_field_of_wrong_type_exits_1(
+    trefoil_arc, tmp_path, capsys, field, value
+):
+    out = _tampered(trefoil_arc, tmp_path, lambda doc: doc.update({field: value}))
+    assert cli.main(["verify", str(trefoil_arc), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"malformed polygon JSON: {field} has the wrong type" in err
+
+
+def test_verify_accepts_null_determinant(trefoil_arc, tmp_path):
+    out = _tampered(trefoil_arc, tmp_path, lambda doc: doc.update(determinant=None))
+    assert cli.main(["verify", str(trefoil_arc), str(out)]) == 0
+
+
 def test_verify_garbage_json_exits_1(trefoil_arc, tmp_path):
     bad = tmp_path / "g.json"
     bad.write_text("{not json")

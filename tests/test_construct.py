@@ -19,6 +19,7 @@ from stickbound.arcpres import (
 from stickbound.construct import (
     _DISKS,
     _OLD_PATH,
+    ReductionStep,
     StickKnot,
     TriangleInfo,
     _disk_avoids,
@@ -452,7 +453,7 @@ def test_filtered_triangle_checks_agree_with_unfiltered_loops():
             continue
         knot = StickKnot(tuple(verts), ("?",) * len(verts))
         info = TriangleInfo(2, 1, 1, 2, tri)
-        hit = _triangle_clear(knot, info)
+        hit = _triangle_clear(knot.edges(), info)
         assert hit == clear_reference(knot, info)
         outcomes.add(hit is None)
         others = [_random_triangle(rng), tri]
@@ -468,7 +469,7 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     pts, _ = layout(ap)
     infos = reduction_triangles(ap, assign_heights(ap), pts)
     for info in infos:
-        assert _triangle_clear(k2, info) is None
+        assert _triangle_clear(k2.edges(), info) is None
         assert clear_reference(k2, info) is None
     # a stick through the centroid of a triangle, across its plane
     info = infos[-1]
@@ -481,10 +482,134 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     )
     # prepended, so the stick is the first edge both loops test
     pierced = StickKnot(stick + k2.vertices, ("?", "?") + k2.roles)
-    assert _triangle_clear(pierced, info) == stick
+    assert _triangle_clear(pierced.edges(), info) == stick
     assert clear_reference(pierced, info) == stick
     # a stick along the triangle's horizontal leg, overlapping it in a segment
     mid = tuple((x + y) / 2 for x, y in zip(b, c))
     along = StickKnot((mid, c) + k2.vertices, ("?", "?") + k2.roles)
-    assert _triangle_clear(along, info) == (mid, c)
+    assert _triangle_clear(along.edges(), info) == (mid, c)
     assert clear_reference(along, info) == (mid, c)
+    # a slanted stick through the centroid, as a hypotenuse laid down by an
+    # earlier collapse would be: the only kind of stick checked after the sweep
+    hyp = (
+        tuple(u - v for u, v in zip(g, normal + (1,))),
+        tuple(u + v for u, v in zip(g, normal + (1,))),
+    )
+    assert _triangle_clear([hyp], info) == hyp
+    assert _triangle_clear(k2.edges() + [hyp], info) == hyp
+    laid = StickKnot(hyp + k2.vertices, ("hypotenuse", "?") + k2.roles)
+    assert clear_reference(laid, info) == hyp
+
+
+def two_pass_reference(ap, k2, ha, pts):
+    """The former reduction loop: a sweep of k2, then a check of each
+    triangle against the whole current polygon before it collapses."""
+    infos = reduction_triangles(ap, ha, pts)
+    if any(_triangle_clear(k2.edges(), info) is not None for info in infos):
+        raise InternalVerificationError("triangle not empty in lifted polygon")
+    knot, steps = k2, []
+    for info in infos:
+        if info.chord >= ap.n or info.chord < 2:
+            continue
+        if _triangle_clear(knot.edges(), info) is not None:
+            raise InternalVerificationError("triangle pierced")
+        a, b, c = info.triangle
+        verts, roles = list(knot.vertices), list(knot.roles)
+        idx = verts.index(b)
+        if {verts[idx - 1], verts[(idx + 1) % len(verts)]} != {a, c}:
+            raise InternalVerificationError("polygon structure unexpected")
+        if idx == 0:
+            verts = verts[1:] + verts[:1]
+            roles = roles[1:] + roles[:1]
+            idx = verts.index(b)
+        del verts[idx]
+        roles[idx - 1] = "hypotenuse"
+        del roles[idx]
+        knot = StickKnot(tuple(verts), tuple(roles))
+        steps.append(ReductionStep(info.chord, info.anchor, b, (a, c)))
+    return knot, tuple(steps)
+
+
+def _height_mutants(ha, rng):
+    """Assigned heights, each chord lowered to its monotone minimum, and two
+    random swaps of a pair of heights."""
+    z = list(ha.z)
+    yield z
+    for i in range(2, len(z)):
+        if z[i] > z[i - 1] + 1:
+            yield z[:i] + [z[i - 1] + 1] + z[i + 1 :]
+    for _ in range(2):
+        i, j = rng.sample(range(len(z)), 2)
+        w = list(z)
+        w[i], w[j] = w[j], w[i]
+        yield w
+
+
+def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
+    rng = random.Random(1603)
+    outcomes = set()
+    for n in range(5, 9):
+        for seed in range(8):
+            ap, _ = normalize(random_presentation(n, seed))
+            pts, _ = layout(ap)
+            ha = assign_heights(ap)
+            for z in _height_mutants(ha, rng):
+                hz = dataclasses.replace(ha, z=tuple(z))
+                k2 = construct._polygon(ap, z, pts)
+                # also rotated so that the first collapsed corner sits at index 0
+                first = [t for t in reduction_triangles(ap, hz, pts) if 2 <= t.chord < n]
+                r = k2.vertices.index(first[0].triangle[1]) if first else 0
+                rotated = StickKnot(
+                    k2.vertices[r:] + k2.vertices[:r], k2.roles[r:] + k2.roles[:r]
+                )
+                for knot in (k2, rotated):
+                    try:
+                        expected = two_pass_reference(ap, knot, hz, pts)
+                    except InternalVerificationError:
+                        expected = None
+                    try:
+                        reduced, trace = triangle_reductions(ap, knot, hz, pts)
+                        got = (reduced, trace.steps)
+                    except InternalVerificationError as e:
+                        got = None
+                        if "pierced by stick" in str(e):
+                            outcomes.add("hypotenuse")
+                    assert got == expected, (n, seed, z)
+                    outcomes.add(got is None)
+    # returned, raised, and raised by a hypotenuse after a clean sweep
+    assert outcomes == {True, False, "hypotenuse"}
+
+
+def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
+    ap, _ = normalize(random_presentation(10, 3))
+    k2 = build_k2(ap)
+    seen = []
+    clear = construct._triangle_clear
+
+    def recorded(edges, info):
+        seen.append(list(edges))
+        return clear(edges, info)
+
+    monkeypatch.setattr(construct, "_triangle_clear", recorded)
+    reduced, trace = triangle_reductions(ap, k2)
+    pts, _ = layout(ap)
+    swept = len(reduction_triangles(ap, assign_heights(ap), pts))
+    assert len(trace.steps) >= 3
+    assert seen[:swept] == [k2.edges()] * swept
+    assert seen[swept:] == [
+        [s.new_edge for s in trace.steps[:k]] for k in range(len(trace.steps))
+    ]
+
+
+def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
+    sweeps = []
+    sweep = construct.sweep_triangles
+
+    def counted(knot, triangles):
+        sweeps.append(knot)
+        return sweep(knot, triangles)
+
+    monkeypatch.setattr(construct, "sweep_triangles", counted)
+    build_full(ap6_fig8)
+    assert len(sweeps) == 1
+    assert stick_count(sweeps[0]) == 2 * ap6_fig8.n
