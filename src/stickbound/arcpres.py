@@ -26,13 +26,17 @@ MAX_LAYOUT_RETRIES = 64
 
 @dataclass(frozen=True)
 class ArcPresentation:
-    """n chords as unordered label pairs; chords[i] is the chord of index i+1."""
+    """n chords as unordered label pairs; chords[i] is the chord of index i+1.
+
+    Construction runs ``require_valid`` and raises InvalidArcPresentation, so
+    every instance is a valid arc presentation.
+    """
 
     chords: tuple
 
     def __post_init__(self):
-        norm = tuple(tuple(sorted(pair)) for pair in self.chords)
-        object.__setattr__(self, "chords", norm)
+        object.__setattr__(self, "chords", tuple(map(_sorted_pair, self.chords)))
+        require_valid(self)
 
     @property
     def n(self) -> int:
@@ -55,59 +59,58 @@ class BetaCounts:
         return (self.beta1, self.beta2, self.beta3)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    errors: tuple = ()
+def _sorted_pair(pair):
+    """A chord as a sorted tuple, or as given if it cannot be sorted."""
+    try:
+        return tuple(sorted(pair))
+    except TypeError:  # not iterable, or labels of mixed types: require_valid says so
+        return pair
 
-    def __bool__(self):
-        return self.ok
 
+def require_valid(ap: ArcPresentation) -> None:
+    """Raise InvalidArcPresentation unless ap is a valid arc presentation.
 
-def validate(ap: ArcPresentation) -> ValidationReport:
-    """Structural validity: label use, nondegenerate chords, single cycle."""
+    Checked one phase at a time: every chord is a pair of distinct labels in
+    1..n, every binding point is used twice, and the chords close into one
+    cycle through all n.
+    """
     errors = []
     n = ap.n
     if n < 2:
-        return ValidationReport(False, (f"need at least 2 chords, got {n}",))
-    for idx, (a, b) in enumerate(ap.chords, start=1):
+        raise InvalidArcPresentation(f"need at least 2 chords, got {n}")
+    for idx, pair in enumerate(ap.chords, start=1):
+        is_pair = type(pair) is tuple and len(pair) == 2
+        if not (is_pair and type(pair[0]) is type(pair[1]) is int):
+            errors.append(f"chord {idx} is not a pair of integer labels: {pair!r}")
+            continue
+        a, b = pair
         if not (1 <= a <= n and 1 <= b <= n):
             errors.append(f"chord {idx} uses label outside 1..{n}: {{{a},{b}}}")
         if a == b:
             errors.append(f"chord {idx} is degenerate: both endpoints at {a}")
     if errors:
-        return ValidationReport(False, tuple(errors))
+        raise InvalidArcPresentation("; ".join(errors))
     uses = _point_uses(ap)
     for p in range(1, n + 1):
         count = len(uses.get(p, ()))
         if count != 2:
             errors.append(f"binding point {p} used {count} times, expected 2")
     if errors:
-        return ValidationReport(False, tuple(errors))
-    # walk the chord-adjacency multigraph; valid iff one cycle through all n
+        raise InvalidArcPresentation("; ".join(errors))
+    # walk the chord-adjacency multigraph; valid iff one cycle through all n.
+    # With every point used twice the walk is back at chord 1 within n steps.
     cur, entry = 0, ap.chords[0][0]
-    steps = 0
-    while True:
+    for steps in range(1, n + 1):
         a, b = ap.chords[cur]
-        exit_pt = b if entry == a else a
-        u, v = uses[exit_pt]
-        cur, entry = (v if u == cur else u), exit_pt
-        steps += 1
+        entry = b if entry == a else a
+        u, v = uses[entry]
+        cur = v if u == cur else u
         if cur == 0:
             break
-        if steps > n:
-            break
     if steps != n:
-        errors.append(
+        raise InvalidArcPresentation(
             f"chord-adjacency graph is not a single {n}-cycle (closed after {steps})"
         )
-    return ValidationReport(not errors, tuple(errors))
-
-
-def require_valid(ap: ArcPresentation) -> None:
-    rep = validate(ap)
-    if not rep.ok:
-        raise InvalidArcPresentation("; ".join(rep.errors))
 
 
 def _point_uses(ap):
@@ -121,7 +124,6 @@ def _point_uses(ap):
 
 def crossing_pairs(ap: ArcPresentation) -> list:
     """Sorted list of 1-based chord index pairs whose endpoints interleave."""
-    require_valid(ap)
     n = ap.n
     out = []
     for i in range(n):
@@ -137,7 +139,6 @@ def crossing_pairs(ap: ArcPresentation) -> list:
 
 def classify(ap: ArcPresentation):
     """Per-chord types and the (beta1, beta2, beta3) census; needs n >= 3."""
-    require_valid(ap)
     if ap.n < 3:
         raise InvalidArcPresentation("chord types need at least 3 chords")
     uses = _point_uses(ap)
@@ -149,35 +150,20 @@ def classify(ap: ArcPresentation):
             nb.append((v if u == i - 1 else u) + 1)
         lesser = sum(1 for j in nb if j < i)
         types.append((ChordType.I, ChordType.II, ChordType.III)[lesser])
-    beta = BetaCounts(
-        sum(1 for t in types if t is ChordType.I),
-        sum(1 for t in types if t is ChordType.II),
-        sum(1 for t in types if t is ChordType.III),
-    )
-    return tuple(types), beta
+    return tuple(types), BetaCounts(*(types.count(t) for t in ChordType))
 
 
 def cyclic_shift(ap: ArcPresentation, k: int) -> ArcPresentation:
     """Relabel chord indices so that old chord 1+k becomes new chord 1."""
-    n = ap.n
-    k %= n
-    return ArcPresentation(tuple(ap.chords[(i + k) % n] for i in range(n)))
+    k %= ap.n
+    return ArcPresentation(ap.chords[k:] + ap.chords[:k])
 
 
 def normalize(ap: ArcPresentation):
     """Cyclic shift minimizing beta1; ties broken by smallest shift k >= 0."""
-    require_valid(ap)
-    if ap.n < 3:
-        raise InvalidArcPresentation("normalization needs at least 3 chords")
-    best = None
-    for k in range(ap.n):
-        cand = cyclic_shift(ap, k)
-        _, beta = classify(cand)
-        key = (beta.beta1, k)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    (b1, k), cand = best
-    return cand, k
+    shifts = [cyclic_shift(ap, k) for k in range(ap.n)]
+    k = min(range(ap.n), key=lambda j: classify(shifts[j])[1].beta1)
+    return shifts[k], k
 
 
 def destabilize_top(ap: ArcPresentation) -> Optional[ArcPresentation]:
@@ -187,10 +173,7 @@ def destabilize_top(ap: ArcPresentation) -> Optional[ArcPresentation]:
     relabeled to stay 1..n-1 in circular order), or None when the move does
     not apply or would create a degenerate chord.
     """
-    require_valid(ap)
     n = ap.n
-    if n < 3:
-        raise InvalidArcPresentation("destabilization needs at least 3 chords")
     types, _ = classify(ap)
     if types[n - 2] is not ChordType.II:
         return None
@@ -202,8 +185,6 @@ def destabilize_top(ap: ArcPresentation) -> Optional[ArcPresentation]:
     s = shared.pop()
     p = (sub - {s}).pop()
     q = (top - {s}).pop()
-    if p == q:
-        return None
 
     def relabel(x):
         return x - 1 if x > s else x
@@ -232,7 +213,6 @@ def chord_walk(ap: ArcPresentation) -> list:
     subsequent chord is entered through the point it shares with the previous
     one.  The exit of the last chord is the entry of the first.
     """
-    require_valid(ap)
     uses = _point_uses(ap)
     walk = []
     cur, entry = 0, ap.chords[0][0]
@@ -253,7 +233,6 @@ def layout(ap: ArcPresentation):
     Tries the canonical layout first, then the deterministic perturbation
     schedule, and fails loudly if 64 retries cannot separate a concurrence.
     """
-    require_valid(ap)
     pairs = crossing_pairs(ap)
     for retry in range(MAX_LAYOUT_RETRIES + 1):
         pts = binding_points(ap.n, retry)
@@ -391,9 +370,10 @@ def random_presentation(n: int, seed: int) -> ArcPresentation:
     slots = [p for p in range(1, n + 1) for _ in range(2)]
     for _ in range(1_000_000):
         rng.shuffle(slots)
-        ap = ArcPresentation(tuple((slots[2 * i], slots[2 * i + 1]) for i in range(n)))
-        if validate(ap).ok:
-            return ap
+        try:
+            return ArcPresentation(tuple(zip(slots[::2], slots[1::2])))
+        except InvalidArcPresentation:
+            continue
     raise InternalVerificationError(f"rejection sampling stalled for n={n}")
 
 

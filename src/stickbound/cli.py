@@ -50,9 +50,13 @@ CSV_COLUMNS = (
 
 def _read_text(path):
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise InvalidArcPresentation(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InvalidArcPresentation(
+            f"cannot read {path}: not UTF-8 text (byte {e.start})"
+        ) from None
 
 
 def _emit(text, out):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,7 +31,6 @@ from .arcpres import (
     diagram,
     layout,
     normalize,
-    require_valid,
 )
 from .bounds import theorem2_upper
 from .errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
@@ -55,6 +55,8 @@ ROLE_V = "vertical"
 ROLE_HYP = "hypotenuse"
 ROLE_EXT = "extension"
 ROLE_CONN = "connector"
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # str() of a Fraction
 
 
 @dataclass(frozen=True)
@@ -200,9 +202,6 @@ def assign_heights(ap: ArcPresentation) -> HeightAssignment:
     horizontal stick and the vertical to its anchor clears every earlier
     horizontal crossing it (strictly below the hypotenuse).
     """
-    require_valid(ap)
-    if ap.n < 3:
-        raise InvalidArcPresentation("height assignment needs at least 3 chords")
     pts, _ = layout(ap)
     return _assign_heights(ap, pts)
 
@@ -258,16 +257,12 @@ def _polygon(ap: ArcPresentation, z, pts) -> StickKnot:
 
 def build_k1(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization with chord i lifted flat to height i."""
-    require_valid(ap)
     pts, _ = layout(ap)
     return _polygon(ap, list(range(1, ap.n + 1)), pts)
 
 
 def build_k2(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization lifted to the reduction-ready heights."""
-    require_valid(ap)
-    if ap.n < 3:
-        raise InvalidArcPresentation("need at least 3 chords")
     pts, _ = layout(ap)
     return _polygon(ap, list(_assign_heights(ap, pts).z), pts)
 
@@ -352,7 +347,6 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
     not seen.  A pierced triangle means the height assignment is broken and
     raises.  Returns (knot, trace).
     """
-    require_valid(ap)
     if pts is None:
         pts, _ = layout(ap)
     if ha is None:
@@ -627,7 +621,6 @@ def build_full(ap: ArcPresentation, top: bool = True):
     with a generic projection of the output polygon (determinant and
     normalized Alexander polynomial); a mismatch is reported, not repaired.
     """
-    require_valid(ap)
     if ap.n < 3:
         raise InvalidArcPresentation("full build needs at least 3 chords")
     norm, shift = normalize(ap)
@@ -701,10 +694,16 @@ def polygon_json(cert: Certificate, knot: StickKnot) -> dict:
 
 
 def knot_from_json(d: dict) -> StickKnot:
-    """The polygon of a build's JSON; raises ValueError on a malformed vertex."""
+    """The polygon of a build's JSON; raises ValueError on a malformed vertex.
+
+    Each coordinate must be "p" or "p/q", as ``polygon_json`` writes it: no
+    exponents, since Fraction("1e10000000") alone takes seconds to build.
+    """
     for i, v in enumerate(d["vertices"]):
         if not isinstance(v, (list, tuple)) or len(v) != 3:
             raise ValueError(f"vertex {i} is not a list of three coordinates: {v!r}")
+        if not all(type(c) is str and _RATIONAL.fullmatch(c) for c in v):
+            raise ValueError(f"vertex {i} has a coordinate other than p or p/q: {v!r}")
     verts = tuple(tuple(Fraction(c) for c in v) for v in d["vertices"])
     roles = tuple(d.get("edge_roles", ["?"] * len(verts)))
     return StickKnot(verts, roles)

@@ -132,6 +132,37 @@ def test_verify_vertex_without_three_coordinates_exits_1(
     assert "malformed polygon JSON: vertex 1 is not a list of three coordinates" in err
 
 
+# coordinates not in the "p" or "p/q" form build writes: the JSON number 1e400
+# overflowed to a traceback, 0.5 and true were accepted, and an exponent makes
+# Fraction build a huge integer before any check
+@pytest.mark.parametrize("raw", ["1e400", "0.5", "true", '"1e400"', '"0.5"', '" 1"'])
+def test_verify_coordinate_not_in_build_form_exits_1(
+    trefoil_arc, tmp_path, capsys, raw
+):
+    def change(doc):
+        doc["vertices"][1][0] = "COORDINATE"
+
+    out = _tampered(trefoil_arc, tmp_path, change)
+    out.write_text(out.read_text().replace('"COORDINATE"', raw))
+    assert cli.main(["verify", str(trefoil_arc), str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "vertex 1 has a coordinate other than p or p/q" in err
+    assert err.startswith("error: malformed polygon JSON: ")
+
+
+def test_verify_invalid_arc_exits_1_before_the_polygon_checks(
+    trefoil_arc, tmp_path, capsys
+):
+    def change(doc):
+        doc["vertices"][2] = doc["vertices"][4]  # a polygon check would exit 2
+
+    out = _tampered(trefoil_arc, tmp_path, change)
+    bad = tmp_path / "loops.arc"
+    bad.write_text("3\n1 2\n1 2\n3 3\n")
+    assert cli.main(["verify", str(bad), str(out)]) == 1
+    assert "degenerate" in capsys.readouterr().err
+
+
 # stored fields of the wrong JSON type, each of which once coerced to a pass
 # (6.9 -> 6, "false" -> True) or to a confusing mismatch ("3" != 3)
 @pytest.mark.parametrize(
@@ -233,6 +264,35 @@ def test_batch_turns_bad_file_into_error_row(tmp_path, capsys):
     assert rows[0]["n"] == "" and rows[0]["bound_satisfied"] == "false"
     assert rows[1]["top_reduction"] == "applied"
     assert rows[2]["top_reduction"].startswith("error:InvalidArcPresentation: cannot read")
+
+
+def test_batch_invalid_presentation_row_has_empty_n(tmp_path, capsys):
+    bad = tmp_path / "loops.arc"
+    bad.write_text("3\n1 2\n1 2\n3 3\n")
+    assert cli.main(["batch", str(bad)]) == 0
+    row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert row["n"] == ""
+    assert row["top_reduction"].startswith("error:InvalidArcPresentation: ")
+    assert "degenerate" in row["top_reduction"]
+
+
+def _non_utf8_arc(tmp_path):
+    p = tmp_path / "bin.arc"
+    p.write_bytes(b"\xff\xfe5\n1 4\n")
+    return p
+
+
+def test_build_non_utf8_file_exits_1(tmp_path, capsys):
+    assert cli.main(["build", str(_non_utf8_arc(tmp_path))]) == 1
+    err = capsys.readouterr().err
+    assert "cannot read" in err and "not UTF-8" in err and "Traceback" not in err
+
+
+def test_batch_non_utf8_file_is_an_error_row(tmp_path, unknot_arc, capsys):
+    assert cli.main(["batch", str(_non_utf8_arc(tmp_path)), str(unknot_arc)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0]["top_reduction"].startswith("error:InvalidArcPresentation: cannot read")
+    assert rows[1]["top_reduction"] == "applied"
 
 
 def test_batch_error_row_carries_message(capsys):

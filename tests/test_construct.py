@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from stickbound import construct
+from stickbound import arcpres, construct
 from stickbound.arcpres import (
     ArcPresentation,
     classify,
@@ -212,6 +212,20 @@ def test_build_full_rejects_tiny_or_invalid():
         build_full(ArcPresentation([(1, 2), (1, 2)]))
     with pytest.raises(InvalidArcPresentation):
         build_full(ArcPresentation([(1, 2), (2, 3), (1, 3), (1, 3)]))
+
+
+def test_build_full_validates_only_the_shifts_it_constructs(monkeypatch):
+    ap = random_presentation(12, 5)
+    calls = []
+    original = arcpres.require_valid
+
+    def counted(p):
+        calls.append(p)
+        original(p)
+
+    monkeypatch.setattr(arcpres, "require_valid", counted)
+    build_full(ap)
+    assert 0 < len(calls) <= ap.n
 
 
 def test_stick_count_merges_collinear_runs():
