@@ -35,7 +35,13 @@ class ArcPresentation:
     chords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "chords", tuple(map(_sorted_pair, self.chords)))
+        try:
+            chords = tuple(map(_sorted_pair, self.chords))
+        except TypeError:  # not iterable
+            raise InvalidArcPresentation(
+                f"chords must be a sequence of label pairs, got {self.chords!r}"
+            ) from None
+        object.__setattr__(self, "chords", chords)
         require_valid(self)
 
     @property
@@ -232,26 +238,24 @@ def layout(ap: ArcPresentation):
 
     Tries the canonical layout first, then the deterministic perturbation
     schedule, and fails loudly if 64 retries cannot separate a concurrence.
+    Returns (pts, retry, crossings): ``crossings`` maps each pair (i, j) of
+    ``crossing_pairs`` to the (s, u, point) at which chord i meets chord j,
+    s and u measured along each chord from its smaller label.
     """
     pairs = crossing_pairs(ap)
     for retry in range(MAX_LAYOUT_RETRIES + 1):
         pts = binding_points(ap.n, retry)
-        seen = {}
-        ok = True
+        segs = [(pts[a - 1], pts[b - 1]) for a, b in ap.chords]
+        crossings = {}
+        seen = set()
         for i, j in pairs:
-            seg_i = (pts[ap.chords[i - 1][0] - 1], pts[ap.chords[i - 1][1] - 1])
-            seg_j = (pts[ap.chords[j - 1][0] - 1], pts[ap.chords[j - 1][1] - 1])
-            hit = seg2_line_intersection(seg_i, seg_j)
-            if hit is None:
-                ok = False  # crossing chords turned parallel: not generic
-                break
-            _, _, point = hit
-            if point in seen:
-                ok = False
-                break
-            seen[point] = (i, j)
-        if ok:
-            return pts, retry
+            hit = seg2_line_intersection(segs[i - 1], segs[j - 1])
+            if hit is None or hit[2] in seen:
+                break  # crossing chords turned parallel, or three meet: not generic
+            seen.add(hit[2])
+            crossings[i, j] = hit
+        else:
+            return pts, retry, crossings
     raise InternalVerificationError(
         f"no generic layout within {MAX_LAYOUT_RETRIES} perturbation retries"
     )
@@ -341,18 +345,22 @@ def _gauss_diagram(hits, segment, strands) -> Diagram:
 
 def diagram(ap: ArcPresentation) -> Diagram:
     """Exact planar diagram of ap; the smaller chord index goes under."""
-    pts, _ = layout(ap)
+    pts, _, crossings = layout(ap)
     walk = chord_walk(ap)
     oriented = {}
+    backward = set()  # chords the walk runs from their larger label
     for cur, entry, exit_pt in walk:
         oriented[cur + 1] = (pts[entry - 1], pts[exit_pt - 1])
+        if entry != ap.chords[cur][0]:
+            backward.add(cur + 1)
     hits = []
-    for i, j in crossing_pairs(ap):
-        s, u, point = seg2_line_intersection(oriented[i], oriented[j])
+    for (i, j), (s, u, point) in crossings.items():
         if not (0 < s < 1 and 0 < u < 1):
             raise InternalVerificationError(
                 f"interleaved chords {i},{j} failed to cross properly"
             )
+        s = 1 - s if i in backward else s
+        u = 1 - u if j in backward else u
         hits.append((j, i, u, s, point))
     return _gauss_diagram(hits, oriented.get, [cur + 1 for cur, _, _ in walk])
 

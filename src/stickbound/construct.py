@@ -27,7 +27,6 @@ from .arcpres import (
     _point_uses,
     chord_walk,
     classify,
-    crossing_pairs,
     diagram,
     layout,
     normalize,
@@ -42,7 +41,6 @@ from .geom import (
     bbox,
     boxes_apart,
     polygon_embedded,
-    seg2_line_intersection,
     seg_triangle_intersection,
     point_on_segment3,
     triangle_pierced,
@@ -123,33 +121,17 @@ def _anchor_and_apex(ap, uses, i):
     return best
 
 
-def _crossings_by_chord(ap, pts):
-    """For each chord i: list of (other chord k, crossing point)."""
-    segs = {
-        i + 1: (pts[a - 1], pts[b - 1]) for i, (a, b) in enumerate(ap.chords)
-    }
-    out = {i: [] for i in range(1, ap.n + 1)}
-    for i, j in crossing_pairs(ap):
-        hit = seg2_line_intersection(segs[i], segs[j])
-        if hit is None:
-            raise InternalVerificationError("crossing chords turned parallel")
-        out[i].append((j, hit[2]))
-        out[j].append((i, hit[2]))
-    return out
+def _crossed_from_apex(ap, crossings, i, apex):
+    """(k, t) for each chord k < i crossing chord i at fraction t from apex."""
+    hits = [(k, crossings[k, i][1]) for k in range(1, i) if (k, i) in crossings]
+    if apex == ap.chords[i - 1][0]:
+        return hits
+    return [(k, 1 - u) for k, u in hits]
 
 
-def _fraction_along(seg, point):
-    """Parameter t with point = P + t*(Q - P) for point on the segment's line."""
-    (p, q) = seg
-    if q[0] != p[0]:
-        return (point[0] - p[0]) / (q[0] - p[0])
-    return (point[1] - p[1]) / (q[1] - p[1])
-
-
-def _assign_heights(ap: ArcPresentation, pts) -> HeightAssignment:
+def _assign_heights(ap: ArcPresentation, crossings) -> HeightAssignment:
     types, _ = classify(ap)
     uses = _point_uses(ap)
-    crossings = _crossings_by_chord(ap, pts)
     n = ap.n
     z = [0] * (n + 1)
     z[1], z[2] = 1, 2
@@ -165,17 +147,11 @@ def _assign_heights(ap: ArcPresentation, pts) -> HeightAssignment:
             records.append(HeightRecord(i, types[i - 1], None, None, ()))
             continue
         j, apex = _anchor_and_apex(ap, uses, i)
-        a, b = ap.chords[i - 1]
-        far = b if apex == a else a
-        oriented = (pts[apex - 1], pts[far - 1])
         constraints = []
         worst = None
-        for k, point in crossings[i]:
-            if k >= i or k == j:
+        for k, t in _crossed_from_apex(ap, crossings, i, apex):
+            if k == j or z[k] <= z[j]:
                 continue
-            if z[k] <= z[j]:
-                continue
-            t = _fraction_along(oriented, point)
             if not 0 < t < 1:
                 raise InternalVerificationError(
                     f"crossing of chords {i},{k} off the open chord"
@@ -202,16 +178,17 @@ def assign_heights(ap: ArcPresentation) -> HeightAssignment:
     horizontal stick and the vertical to its anchor clears every earlier
     horizontal crossing it (strictly below the hypotenuse).
     """
-    pts, _ = layout(ap)
-    return _assign_heights(ap, pts)
+    _, _, crossings = layout(ap)
+    return _assign_heights(ap, crossings)
 
 
-def verify_heights(ap: ArcPresentation, ha: HeightAssignment, pts) -> None:
+def verify_heights(ap: ArcPresentation, ha: HeightAssignment, crossings) -> None:
     """Independent exact recheck of the height assignment's guarantees.
 
     Checks strict monotonicity and, for every type-II/III chord i with anchor
     j and apex P, that every chord k < i crossing chord i at fraction t from P
-    satisfies z_k < z_j + t*(z_i - z_j) strictly.  Raises on any violation.
+    satisfies z_k < z_j + t*(z_i - z_j) strictly; ``crossings`` is the third
+    value of ``layout``.  Raises on any violation.
     """
     types, _ = classify(ap)
     z = ha.z
@@ -220,7 +197,6 @@ def verify_heights(ap: ArcPresentation, ha: HeightAssignment, pts) -> None:
     if z[0] != 1 or z[1] != 2:
         raise InternalVerificationError("heights must start 1, 2")
     uses = _point_uses(ap)
-    crossings = _crossings_by_chord(ap, pts)
     for i in range(3, ap.n + 1):
         if types[i - 1] is ChordType.I:
             continue
@@ -228,13 +204,7 @@ def verify_heights(ap: ArcPresentation, ha: HeightAssignment, pts) -> None:
         rec = ha.records[i - 1]
         if rec.anchor != j or rec.apex != apex:
             raise InternalVerificationError(f"anchor record mismatch at chord {i}")
-        a, b = ap.chords[i - 1]
-        far = b if apex == a else a
-        oriented = (pts[apex - 1], pts[far - 1])
-        for k, point in crossings[i]:
-            if k >= i:
-                continue
-            t = _fraction_along(oriented, point)
+        for k, t in _crossed_from_apex(ap, crossings, i, apex):
             if not z[k - 1] < z[j - 1] + t * (z[i - 1] - z[j - 1]):
                 raise InternalVerificationError(
                     f"chord {k} touches or pierces the triangle of chord {i}"
@@ -257,14 +227,14 @@ def _polygon(ap: ArcPresentation, z, pts) -> StickKnot:
 
 def build_k1(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization with chord i lifted flat to height i."""
-    pts, _ = layout(ap)
+    pts, _, _ = layout(ap)
     return _polygon(ap, list(range(1, ap.n + 1)), pts)
 
 
 def build_k2(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization lifted to the reduction-ready heights."""
-    pts, _ = layout(ap)
-    return _polygon(ap, list(_assign_heights(ap, pts).z), pts)
+    pts, _, crossings = layout(ap)
+    return _polygon(ap, list(_assign_heights(ap, crossings).z), pts)
 
 
 @dataclass(frozen=True)
@@ -347,10 +317,10 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
     not seen.  A pierced triangle means the height assignment is broken and
     raises.  Returns (knot, trace).
     """
-    if pts is None:
-        pts, _ = layout(ap)
-    if ha is None:
-        ha = _assign_heights(ap, pts)
+    if pts is None or ha is None:
+        laid, _, crossings = layout(ap)
+        pts = laid if pts is None else pts
+        ha = _assign_heights(ap, crossings) if ha is None else ha
     triangles = reduction_triangles(ap, ha, pts)
     bad = sweep_triangles(k2, triangles)
     if bad:
@@ -624,9 +594,9 @@ def build_full(ap: ArcPresentation, top: bool = True):
     if ap.n < 3:
         raise InvalidArcPresentation("full build needs at least 3 chords")
     norm, shift = normalize(ap)
-    pts, retry = layout(norm)
-    ha = _assign_heights(norm, pts)
-    verify_heights(norm, ha, pts)
+    pts, retry, crossings = layout(norm)
+    ha = _assign_heights(norm, crossings)
+    verify_heights(norm, ha, crossings)
     _, beta = classify(norm)
     n = norm.n
     k2 = _polygon(norm, list(ha.z), pts)

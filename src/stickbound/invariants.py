@@ -370,32 +370,18 @@ class ProjectedDiagram:
     attempt: int
 
 
-def _on_open_segment2(p, a, b):
-    if orient2d(a, b, p) != 0:
-        return False
-    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-    length2 = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
-    return 0 < dot < length2
-
-
 def _project_once(verts, shadows):
-    """One projection attempt: a Diagram, or the name of the failed check."""
+    """One projection attempt: a Diagram, or the name of the failed check.
+
+    A zero-length edge shadow, or a vertex on a neighbouring edge's line,
+    makes a joint collinear.  Any other vertex on an edge, or two equal
+    vertex shadows, puts a parameter 0 or 1 on a pair of non-adjacent edges,
+    which the crossing loop rejects.
+    """
     m = len(verts)
-    for i in range(m):
-        if shadows[i] == shadows[(i + 1) % m]:
-            return None, "nonzero-edge-shadows"
     for i in range(m):
         if orient2d(shadows[i - 1], shadows[i], shadows[(i + 1) % m]) == 0:
             return None, "no-collinear-joints"
-    if len(set(shadows)) != m:
-        return None, "distinct-vertex-shadows"
-    for i in range(m):
-        p = shadows[i]
-        for j in range(m):
-            if i == j or i == (j + 1) % m:
-                continue
-            if _on_open_segment2(p, shadows[j], shadows[(j + 1) % m]):
-                return None, "no-vertex-on-edge"
     hits = []
     for i in range(m):
         a, b = shadows[i], shadows[(i + 1) % m]

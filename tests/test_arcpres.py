@@ -2,9 +2,12 @@ import math
 
 import pytest
 
+from stickbound import arcpres
 from stickbound.arcpres import (
     ArcPresentation,
     ChordType,
+    _gauss_diagram,
+    chord_walk,
     classify,
     crossing_pairs,
     cyclic_shift,
@@ -18,6 +21,7 @@ from stickbound.arcpres import (
     simplify,
 )
 from stickbound.errors import InvalidArcPresentation
+from stickbound.geom import seg2_line_intersection
 
 
 def test_validate_good():
@@ -42,7 +46,9 @@ def test_validate_good():
             f"chord 2 is not a pair of integer labels: {chord!r}",
         )
         for chord in [(1, 4, 5), (1.0, 4.0), ("1", "4"), ("1", 4), (True, 4), (1,), None]
-    ],
+    ]
+    # from chords12 on, the chords themselves are not iterable
+    + [(bad, "chords must be a sequence of label pairs") for bad in (None, 5, 1.5)],
 )
 def test_validate_bad(chords):
     bad, fragment = chords
@@ -146,13 +152,13 @@ def test_random_presentation_deterministic_and_valid():
 
 
 def test_layout_general_position(ap5):
-    pts, retry = layout(ap5)
+    pts, retry, _ = layout(ap5)
     assert retry == 0
     assert len(pts) == ap5.n and len(set(pts)) == ap5.n
 
 
 def test_layout_retries_past_concurrence(concurrence9):
-    pts, retry = layout(concurrence9)
+    pts, retry, _ = layout(concurrence9)
     assert retry >= 1
     # after the retry every interior crossing is a plain double point
     d = diagram(concurrence9)
@@ -186,3 +192,53 @@ def test_diagram_triangle_has_no_crossings(ap3):
 def test_math_consistency_of_fixture_sizes(ap3, ap5, ap6_fig8):
     for ap in (ap3, ap5, ap6_fig8):
         assert math.comb(ap.n, 2) >= len(crossing_pairs(ap))
+
+
+def _seeded_presentations(concurrence9):
+    # random_presentation(12, 4200) needs a layout retry too
+    seeded = [random_presentation(5 + k % 8, 4100 + k) for k in range(24)]
+    return [concurrence9, random_presentation(12, 4200)] + seeded
+
+
+def test_layout_crossings_are_the_direct_intersections(concurrence9):
+    for ap in _seeded_presentations(concurrence9):
+        pts, _, crossings = layout(ap)
+        assert list(crossings) == crossing_pairs(ap)
+        segs = [(pts[a - 1], pts[b - 1]) for a, b in ap.chords]  # from the smaller label
+        for i, j in crossing_pairs(ap):
+            assert crossings[i, j] == seg2_line_intersection(segs[i - 1], segs[j - 1])
+    assert layout(concurrence9)[1] > 0 and layout(random_presentation(12, 4200))[1] > 0
+
+
+def reintersecting_diagram(ap):
+    """The former diagram: each crossing pair intersected again, along the
+    chords as the walk orients them."""
+    pts = layout(ap)[0]
+    walk = chord_walk(ap)
+    oriented = {cur + 1: (pts[entry - 1], pts[exit_pt - 1]) for cur, entry, exit_pt in walk}
+    hits = []
+    for i, j in crossing_pairs(ap):
+        s, u, point = seg2_line_intersection(oriented[i], oriented[j])
+        assert 0 < s < 1 and 0 < u < 1
+        hits.append((j, i, u, s, point))
+    return _gauss_diagram(hits, oriented.get, [cur + 1 for cur, _, _ in walk])
+
+
+def test_diagram_matches_the_reintersecting_diagram(concurrence9, ap5, ap6_fig8):
+    for ap in [ap5, ap6_fig8] + _seeded_presentations(concurrence9):
+        assert diagram(ap) == reintersecting_diagram(ap)
+
+
+def test_diagram_intersects_each_crossing_pair_once(ap6_fig8, monkeypatch):
+    calls = []
+
+    def counted(s1, s2):
+        calls.append((s1, s2))
+        return seg2_line_intersection(s1, s2)
+
+    monkeypatch.setattr(arcpres, "seg2_line_intersection", counted)
+    for ap in (ap6_fig8, random_presentation(12, 4201)):
+        assert layout(ap)[1] == 0
+        calls.clear()
+        diagram(ap)
+        assert len(calls) == len(crossing_pairs(ap)) > 0

@@ -4,14 +4,16 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from stickbound import arcpres, construct
+from stickbound import arcpres, construct, geom, invariants
 from stickbound.arcpres import (
     ArcPresentation,
     classify,
+    crossing_pairs,
     layout,
     normalize,
     random_presentation,
@@ -49,28 +51,28 @@ def test_assign_heights_constraints(ap5):
     assert len(z) == ap5.n
     assert z[0] == 1 and z[1] == 2
     assert all(z[i] < z[i + 1] for i in range(len(z) - 1))
-    pts, _ = layout(ap5)
-    verify_heights(ap5, ha, pts)  # independent recheck must accept
+    _, _, crossings = layout(ap5)
+    verify_heights(ap5, ha, crossings)  # independent recheck must accept
 
 
 def test_verify_heights_rejects_nonmonotone(ap5):
     ha = assign_heights(ap5)
-    pts, _ = layout(ap5)
+    _, _, crossings = layout(ap5)
     bad = dataclasses.replace(ha, z=ha.z[:-1] + (ha.z[-2],))
     with pytest.raises(InternalVerificationError):
-        verify_heights(ap5, bad, pts)
+        verify_heights(ap5, bad, crossings)
 
 
 def test_verify_heights_rejects_squashed_clearance(ap5):
     # chord 4 must clear the chords crossing it; pulling it down to the bare
     # monotone minimum has to be caught by the visibility recheck
     ha = assign_heights(ap5)
-    pts, _ = layout(ap5)
+    _, _, crossings = layout(ap5)
     z = list(ha.z)
     assert z[3] > z[2] + 1, "fixture should actually need clearance"
     z[3] = z[2] + 1
     with pytest.raises(InternalVerificationError):
-        verify_heights(ap5, dataclasses.replace(ha, z=tuple(z)), pts)
+        verify_heights(ap5, dataclasses.replace(ha, z=tuple(z)), crossings)
 
 
 def test_build_k1_counts_and_embedding():
@@ -92,7 +94,7 @@ def test_build_k2_keeps_count(ap5):
 
 def test_reduction_triangle_shape(ap5):
     ha = assign_heights(ap5)
-    pts, _ = layout(ap5)
+    pts, _, _ = layout(ap5)
     infos = reduction_triangles(ap5, ha, pts)
     assert infos, "trefoil has type II/III chords"
     for info in infos:
@@ -480,7 +482,7 @@ def test_filtered_triangle_checks_agree_with_unfiltered_loops():
 def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     ap, _ = normalize(random_presentation(10, 3))
     k2 = build_k2(ap)
-    pts, _ = layout(ap)
+    pts, _, _ = layout(ap)
     infos = reduction_triangles(ap, assign_heights(ap), pts)
     for info in infos:
         assert _triangle_clear(k2.edges(), info) is None
@@ -565,7 +567,7 @@ def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
     for n in range(5, 9):
         for seed in range(8):
             ap, _ = normalize(random_presentation(n, seed))
-            pts, _ = layout(ap)
+            pts, _, _ = layout(ap)
             ha = assign_heights(ap)
             for z in _height_mutants(ha, rng):
                 hz = dataclasses.replace(ha, z=tuple(z))
@@ -606,7 +608,7 @@ def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
 
     monkeypatch.setattr(construct, "_triangle_clear", recorded)
     reduced, trace = triangle_reductions(ap, k2)
-    pts, _ = layout(ap)
+    pts, _, _ = layout(ap)
     swept = len(reduction_triangles(ap, assign_heights(ap), pts))
     assert len(trace.steps) >= 3
     assert seen[:swept] == [k2.edges()] * swept
@@ -627,3 +629,22 @@ def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
     build_full(ap6_fig8)
     assert len(sweeps) == 1
     assert stick_count(sweeps[0]) == 2 * ap6_fig8.n
+
+
+def test_build_full_intersects_chords_only_in_layout(ap6_fig8, monkeypatch):
+    callers = []
+    intersect = geom.seg2_line_intersection
+
+    def counted(s1, s2):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return intersect(s1, s2)
+
+    for module in (geom, arcpres, invariants, construct):
+        if hasattr(module, "seg2_line_intersection"):
+            monkeypatch.setattr(module, "seg2_line_intersection", counted)
+    assert layout(ap6_fig8)[1] == 0
+    callers.clear()
+    build_full(ap6_fig8)
+    # one layout of the normalized shift, one inside diagram(ap); no retries
+    assert callers.count("stickbound.arcpres") == 2 * len(crossing_pairs(ap6_fig8))
+    assert set(callers) == {"stickbound.arcpres", "stickbound.invariants"}

@@ -6,14 +6,18 @@ external oracle: the same relation matrix handed to sympy's symbolic
 determinant, plus frozen values for knots whose invariants are classical.
 """
 
+import random
+
 import pytest
 import sympy
 
-from stickbound.arcpres import Diagram, diagram, random_presentation
+from stickbound.arcpres import Diagram, _gauss_diagram, diagram, random_presentation
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.construct import build_full, build_k1
+from stickbound.geom import orient2d, seg2_line_intersection
 from stickbound.invariants import (
     LaurentPoly,
+    _project_once,
     alexander,
     determinant,
     match,
@@ -156,6 +160,116 @@ def test_projection_preserves_invariants(ap5, ap6_fig8):
     for ap in (ap5, ap6_fig8):
         rep = match(diagram(ap), project(build_k1(ap)))
         assert rep.ok
+
+
+def _on_open_segment2(p, a, b):
+    if orient2d(a, b, p) != 0:
+        return False
+    dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
+    length2 = (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+    return 0 < dot < length2
+
+
+def project_once_reference(verts, shadows):
+    """The former projection attempt, with separate checks for zero-length
+    edge shadows, equal vertex shadows and vertices on edges ahead of the
+    collinear-joint check and the crossing loop."""
+    m = len(verts)
+    for i in range(m):
+        if shadows[i] == shadows[(i + 1) % m]:
+            return None, "nonzero-edge-shadows"
+    for i in range(m):
+        if orient2d(shadows[i - 1], shadows[i], shadows[(i + 1) % m]) == 0:
+            return None, "no-collinear-joints"
+    if len(set(shadows)) != m:
+        return None, "distinct-vertex-shadows"
+    for i in range(m):
+        p = shadows[i]
+        for j in range(m):
+            if i == j or i == (j + 1) % m:
+                continue
+            if _on_open_segment2(p, shadows[j], shadows[(j + 1) % m]):
+                return None, "no-vertex-on-edge"
+    hits = []
+    for i in range(m):
+        a, b = shadows[i], shadows[(i + 1) % m]
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1:
+                continue
+            c, d = shadows[j], shadows[(j + 1) % m]
+            res = seg2_line_intersection((a, b), (c, d))
+            if res is None:
+                if orient2d(a, b, c) == 0:
+                    xs1 = sorted((a, b))
+                    xs2 = sorted((c, d))
+                    if max(xs1[0], xs2[0]) <= min(xs1[1], xs2[1]):
+                        return None, "no-parallel-overlap"
+                continue
+            s, u, point = res
+            if 0 < s < 1 and 0 < u < 1:
+                hits.append((i, j, s, u, point))
+            elif 0 <= s <= 1 and 0 <= u <= 1:
+                return None, "no-vertex-on-edge"
+    seen = set()
+    for _, _, _, _, point in hits:
+        if point in seen:
+            return None, "no-triple-points"
+        seen.add(point)
+    over_under = []
+    for i, j, s, u, point in hits:
+        zi = verts[i][2] + s * (verts[(i + 1) % m][2] - verts[i][2])
+        zj = verts[j][2] + u * (verts[(j + 1) % m][2] - verts[j][2])
+        if zi == zj:
+            raise InternalVerificationError("polygon edges meet in space")
+        over_under.append((i, j, s, u, point) if zi > zj else (j, i, u, s, point))
+    edges = {e: (shadows[e], shadows[(e + 1) % m]) for e in range(m)}
+    return _gauss_diagram(over_under, edges.get, range(m)), None
+
+
+def _attempt(project_once, verts):
+    """("accept", diagram), ("reject", None) or ("raise", None)."""
+    shadows = [v[:2] for v in verts]
+    try:
+        diag, _ = project_once(tuple(verts), shadows)
+    except InternalVerificationError:
+        return "raise", None
+    return ("accept", diag) if diag is not None else ("reject", None)
+
+
+def test_project_once_agrees_with_the_separate_checks():
+    # a 4 x 4 grid of shadows makes every kind of degeneracy common
+    rng = random.Random(2718)
+    outcomes = set()
+    for _ in range(6000):
+        m = rng.randint(3, 7)
+        verts = [
+            (rng.randrange(4), rng.randrange(4), rng.randrange(3)) for _ in range(m)
+        ]
+        got = _attempt(_project_once, verts)
+        assert got == _attempt(project_once_reference, verts), verts
+        outcomes.add(got[0])
+    assert outcomes == {"accept", "reject", "raise"}
+
+
+@pytest.mark.parametrize(
+    "shadows,former,now",
+    [
+        # vertex 3 on edge 0, which is not one of its own edges
+        ([(0, 0), (4, 0), (4, 4), (2, 0), (0, 4)], "no-vertex-on-edge", "no-vertex-on-edge"),
+        # vertices 1 and 4 have the same shadow
+        (
+            [(0, 0), (2, 1), (4, 0), (4, 3), (2, 1), (0, 2)],
+            "distinct-vertex-shadows",
+            "no-vertex-on-edge",
+        ),
+        # edge 1 has a zero-length shadow
+        ([(0, 0), (4, 0), (4, 0), (4, 4), (0, 4)], "nonzero-edge-shadows", "no-collinear-joints"),
+    ],
+)
+def test_project_once_still_rejects_what_the_deleted_checks_caught(shadows, former, now):
+    verts = tuple((x, y, 0) for x, y in shadows)
+    assert project_once_reference(verts, shadows) == (None, former)
+    assert _project_once(verts, shadows) == (None, now)
 
 
 # ---------------------------------------------------------------------- match
