@@ -1,8 +1,8 @@
 """Command-line front end: build, verify, simplify, random, batch, bounds.
 
-Exit codes: 0 success, 1 invalid input, 2 internal verification failure,
-3 invariant mismatch.  Identical inputs and flags produce byte-identical
-output.
+Exit codes: 0 success, 1 invalid input, 2 internal verification failure
+(including a ``ValueError`` from degenerate geometry), 3 invariant
+mismatch.  Identical inputs and flags produce byte-identical output.
 """
 
 import argparse
@@ -169,8 +169,9 @@ def cmd_random(args) -> int:
 def _batch_row(ident, source, seed, top) -> dict:
     """One CSV row for ``source``, an .arc path or a generated presentation.
 
-    An unreadable or unparsable file, like a failed build, yields an error
-    row rather than ending the batch.
+    An unreadable or unparsable file, like a failed build or a geometry
+    ``ValueError`` escaping one, yields an error row rather than ending the
+    batch.  A bad setting fails every row alike, so it ends the batch.
     """
     row = dict.fromkeys(CSV_COLUMNS, "")
     row["id"] = ident
@@ -179,7 +180,9 @@ def _batch_row(ident, source, seed, top) -> dict:
         ap = parse(_read_text(source)) if isinstance(source, str) else source
         row["n"] = ap.n
         knot, cert = build_full(ap, top=top)
-    except (InvalidArcPresentation, InternalVerificationError) as e:
+    except InvalidSetting:
+        raise
+    except (ValueError, InternalVerificationError) as e:
         row["top_reduction"] = f"error:{type(e).__name__}: {e}"
         row["bound_satisfied"] = _tf(False)
         row["embedded"] = _tf(False)
@@ -303,7 +306,7 @@ def main(argv=None) -> int:
     except (InvalidArcPresentation, InvalidSetting) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except InternalVerificationError as e:
+    except (InternalVerificationError, ValueError) as e:  # ValueError: bad geometry
         print(f"internal verification failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     except OSError as e:

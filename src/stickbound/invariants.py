@@ -5,7 +5,12 @@ from the crossing relation matrix (one row per crossing, one column per
 over-arc) with one row and one column deleted; it is defined up to units
 +-t^k, so results are normalized to lowest degree 0 with positive constant
 term.  The knot determinant is computed twice, by deliberately disjoint code
-paths, and the two values are compared whenever both are at hand.
+paths, and the two values are compared whenever both are at hand: as
+|Alexander(-1)|, and by integer elimination at t = -1 that first pivots away
+the +-1 entries (most of a crossing row is +-1 there) and then runs
+fraction-free Bareiss elimination on the small core left.  Both eliminations
+pick pivots by least fill-in.  A projection tests pairs of edge shadows for
+crossings only when their exact 2D bounding boxes are not strictly apart.
 """
 
 from __future__ import annotations
@@ -200,30 +205,26 @@ def _sparse_eliminate(rows):
     """Pivot away +-t^e entries; returns the remaining dense core matrix.
 
     Each step scales a row by a unit, which is harmless for a determinant
-    defined up to units.  Deterministic: candidate pivots are scanned in
-    sorted order and ranked by fill-in.
+    defined up to units.  Deterministic: among the unit-monomial entries,
+    kept as a candidate set that only rewritten rows update, the pivot is
+    the one of least fill-in, ties going to the smallest (row, col).
     """
     col_rows = {}
     for r, row in rows.items():
         for col in row:
             col_rows.setdefault(col, set()).add(r)
-    while True:
-        best = None
-        for r in sorted(rows):
-            for col in sorted(rows[r]):
-                if not _is_unit_monomial(rows[r][col]):
-                    continue
-                score = (len(rows[r]) - 1) * (len(col_rows[col]) - 1)
-                key = (score, r, col)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, r, col = best
+    units = {
+        (r, col) for r, row in rows.items() for col, p in row.items() if _is_unit_monomial(p)
+    }
+    while units:
+        _, r, col = min(
+            ((len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in units
+        )
         pivot_row = rows.pop(r)
         mono = pivot_row[col]
         for c2 in pivot_row:
             col_rows[c2].discard(r)
+            units.discard((r, c2))
         for r2 in sorted(col_rows.get(col, ())):
             f = rows[r2].pop(col)
             new = {c2: _mono_mul(p, mono) for c2, p in rows[r2].items()}
@@ -234,11 +235,15 @@ def _sparse_eliminate(rows):
             cleaned = {c2: p for c2, p in new.items() if p}
             if not cleaned:
                 raise InternalVerificationError("singular crossing relation matrix")
+            units.discard((r2, col))
             for c2 in rows[r2]:
+                units.discard((r2, c2))
                 if c2 not in cleaned:
                     col_rows[c2].discard(r2)
-            for c2 in cleaned:
+            for c2, p in cleaned.items():
                 col_rows.setdefault(c2, set()).add(r2)
+                if _is_unit_monomial(p):
+                    units.add((r2, c2))
             rows[r2] = cleaned
         col_rows.pop(col, None)
     cols = sorted({c for row in rows.values() for c in row})
@@ -311,26 +316,78 @@ def determinant(d) -> int:
     """Knot determinant by integer-only elimination.
 
     Deliberately shares no elimination code with :func:`alexander`: the
-    crossing relation rows are evaluated at t=-1 and reduced by integer
-    fraction-free elimination.  Cross-checked against |Alexander(-1)| in
-    :func:`match`.
+    crossing relation rows are evaluated at t=-1, their +-1 entries are
+    pivoted away by integer row operations (:func:`_unit_eliminate`), and
+    the small core left is reduced by fraction-free elimination.
+    Cross-checked against |Alexander(-1)| in :func:`match`.
     """
     diag = _as_diagram(d)
     c = len(diag.crossings)
     if c == 0:
         return 1
-    rows = _relation_rows(diag)
-    size = c - 1
-    m = [[0] * size for _ in range(size)]
+    relations = _relation_rows(diag)
+    rows = {}
     for rid in range(1, c):
-        for col, p in rows[rid].items():
-            if col == 0:
-                continue
-            m[rid - 1][col - 1] = sum(x * (-1) ** i for i, x in enumerate(p))
-    det = _int_bareiss(m)
+        rows[rid] = row = {}
+        for col, p in relations[rid].items():
+            value = sum(x * (-1) ** i for i, x in enumerate(p))
+            if col and value:
+                row[col] = value
+    core = _unit_eliminate(rows)
+    det = 0 if core is None else _int_bareiss(core)
     if det == 0:
         raise InternalVerificationError("determinant path produced 0")
     return abs(det)
+
+
+def _unit_eliminate(rows):
+    """Pivot away the +-1 entries of sparse integer rows {col: value}.
+
+    Returns the dense core left, whose determinant equals that of the whole
+    matrix up to sign, or None when the matrix is visibly singular: a row
+    empties or the core is not square.  A +-1 pivot divides nothing.  Each
+    pivot is the +-1 entry of least fill-in, ties going to the smallest
+    (row, col).
+    """
+    if not all(rows.values()):
+        return None
+    col_rows = {}
+    for r, row in rows.items():
+        for col in row:
+            col_rows.setdefault(col, set()).add(r)
+    units = {(r, col) for r, row in rows.items() for col, v in row.items() if v in (1, -1)}
+    while units:
+        _, r, col = min(
+            ((len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in units
+        )
+        pivot_row = rows.pop(r)
+        for c2 in pivot_row:
+            col_rows[c2].discard(r)
+            units.discard((r, c2))
+        p = pivot_row.pop(col)
+        for r2 in col_rows.pop(col):
+            row = rows[r2]
+            f = row.pop(col) * p
+            units.discard((r2, col))
+            for c2, v in pivot_row.items():
+                value = row.get(c2, 0) - f * v
+                if value:
+                    row[c2] = value
+                    col_rows[c2].add(r2)
+                    if value in (1, -1):
+                        units.add((r2, c2))
+                    else:
+                        units.discard((r2, c2))
+                elif c2 in row:
+                    del row[c2]
+                    col_rows[c2].discard(r2)
+                    units.discard((r2, c2))
+            if not row:
+                return None
+    cols = sorted({c for row in rows.values() for c in row})
+    if len(cols) != len(rows):
+        return None
+    return [[rows[r].get(c, 0) for c in cols] for r in sorted(rows)]
 
 
 def _int_bareiss(m):
@@ -376,18 +433,28 @@ def _project_once(verts, shadows):
     A zero-length edge shadow, or a vertex on a neighbouring edge's line,
     makes a joint collinear.  Any other vertex on an edge, or two equal
     vertex shadows, puts a parameter 0 or 1 on a pair of non-adjacent edges,
-    which the crossing loop rejects.
+    which the crossing loop rejects.  That loop skips a pair whose shadow
+    boxes are strictly apart on an axis, since such edges share no point;
+    boxes that touch still go through the full test.
     """
     m = len(verts)
     for i in range(m):
         if orient2d(shadows[i - 1], shadows[i], shadows[(i + 1) % m]) == 0:
             return None, "no-collinear-joints"
+    boxes = []
+    for i in range(m):
+        (ax, ay), (bx, by) = shadows[i], shadows[(i + 1) % m]
+        boxes.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
     hits = []
     for i in range(m):
         a, b = shadows[i], shadows[(i + 1) % m]
+        xi0, xi1, yi0, yi1 = boxes[i]
         for j in range(i + 2, m):
             if i == 0 and j == m - 1:
                 continue
+            xj0, xj1, yj0, yj1 = boxes[j]
+            if xi1 < xj0 or xj1 < xi0 or yi1 < yj0 or yj1 < yi0:
+                continue  # boxes strictly apart: the edges share no point
             c, d = shadows[j], shadows[(j + 1) % m]
             res = seg2_line_intersection((a, b), (c, d))
             if res is None:

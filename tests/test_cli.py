@@ -5,7 +5,7 @@ import json
 import pytest
 
 from stickbound import cli
-from stickbound.arcpres import serialize
+from stickbound.arcpres import random_presentation, serialize
 
 TREFOIL = "5\n1 4\n3 5\n2 4\n1 3\n2 5\n"
 UNKNOT3 = "3\n1 2\n2 3\n1 3\n"
@@ -302,6 +302,48 @@ def test_batch_error_row_carries_message(capsys):
     assert row["top_reduction"] == (
         "error:InvalidArcPresentation: full build needs at least 3 chords"
     )
+
+
+def test_verify_accepts_a_seeded_n48_build(tmp_path):
+    arc = tmp_path / "n48.arc"
+    arc.write_text(serialize(random_presentation(48, 900)))
+    poly = tmp_path / "n48.json"
+    assert cli.main(["build", str(arc), "--out", str(poly)]) == 0
+    assert cli.main(["verify", str(arc), str(poly)]) == 0
+
+
+def _raise_repeated_vertex(ap, top=True):
+    raise ValueError("repeated consecutive vertices at index 3")
+
+
+def test_build_geometry_value_error_exits_2(trefoil_arc, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_full", _raise_repeated_vertex)
+    assert cli.main(["build", str(trefoil_arc)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "internal verification failure: repeated consecutive vertices at index 3\n"
+    )
+
+
+def test_batch_geometry_value_error_is_an_error_row(
+    trefoil_arc, unknot_arc, monkeypatch, capsys
+):
+    real_build_full = cli.build_full
+
+    def build_full(ap, top=True):
+        if ap.n == 5:
+            _raise_repeated_vertex(ap, top)
+        return real_build_full(ap, top=top)
+
+    monkeypatch.setattr(cli, "build_full", build_full)
+    assert cli.main(["batch", str(trefoil_arc), str(unknot_arc)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["id"] for r in rows] == ["trefoil", "unknot3"]
+    assert rows[0]["top_reduction"] == (
+        "error:ValueError: repeated consecutive vertices at index 3"
+    )
+    assert rows[0]["n"] == "5" and rows[0]["embedded"] == "false"
+    assert rows[1]["top_reduction"] == "applied"
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])

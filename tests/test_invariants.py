@@ -6,7 +6,9 @@ external oracle: the same relation matrix handed to sympy's symbolic
 determinant, plus frozen values for knots whose invariants are classical.
 """
 
+import copy
 import random
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -15,9 +17,15 @@ from stickbound.arcpres import Diagram, _gauss_diagram, diagram, random_presenta
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.construct import build_full, build_k1
 from stickbound.geom import orient2d, seg2_line_intersection
+from stickbound import invariants
 from stickbound.invariants import (
     LaurentPoly,
+    _int_bareiss,
+    _mono_mul,
+    _pmul,
     _project_once,
+    _psub,
+    _relation_rows,
     alexander,
     determinant,
     match,
@@ -122,6 +130,148 @@ def test_alexander_self_checks_hold_broadly():
 
 def test_determinant_positive_odd(ap6_fig8):
     assert determinant(diagram(ap6_fig8)) % 2 == 1
+
+
+# (n, seed) of seeded presentations whose determinant is not prime
+COMPOSITE_DETERMINANTS = {(12, 9): 9, (20, 57): 25, (22, 38): 45}
+
+
+@pytest.fixture(scope="module")
+def seeded_diagrams():
+    """(n, seed, diagram): input and projected output diagrams of seeded
+    builds for n = 5..32, and of the composite-determinant presentations."""
+    cases = [(n, 7100 + n) for n in range(5, 33)] + sorted(COMPOSITE_DETERMINANTS)
+    out = []
+    for n, seed in cases:
+        ap = random_presentation(n, seed)
+        out.append((n, seed, diagram(ap)))
+        out.append((n, seed, project(build_full(ap)[0])))
+    return out
+
+
+def determinant_dense_reference(d):
+    """The former determinant: Bareiss on the full (c-1) x (c-1) matrix at t = -1."""
+    diag = getattr(d, "diagram", d)
+    c = len(diag.crossings)
+    if c == 0:
+        return 1
+    rows = _relation_rows(diag)
+    m = [[0] * (c - 1) for _ in range(c - 1)]
+    for rid in range(1, c):
+        for col, p in rows[rid].items():
+            if col:
+                m[rid - 1][col - 1] = sum(x * (-1) ** i for i, x in enumerate(p))
+    return abs(_int_bareiss(m))
+
+
+def test_determinant_matches_the_dense_reference(seeded_diagrams, ap3):
+    for n, seed, d in seeded_diagrams + [(3, None, diagram(ap3))]:
+        det = determinant(d)
+        assert det == determinant_dense_reference(d), (n, seed)
+        if (n, seed) in COMPOSITE_DETERMINANTS:
+            assert det == COMPOSITE_DETERMINANTS[n, seed]
+
+
+@pytest.mark.parametrize(
+    "relations",
+    [
+        # rows 1 and 2 are equal: elimination empties a row
+        [{}, {1: [0, 1], 2: [-1], 3: [1, -1]}, {1: [0, 1], 2: [-1], 3: [1, -1]}, {3: [1]}],
+        # no row has an entry in column 2: the core is not square
+        [{}, {1: [2], 3: [3]}, {1: [3], 3: [2]}, {1: [4], 3: [2]}],
+        # no +-1 entry at all, and two equal rows: Bareiss finds 0
+        [{}, {1: [2], 2: [1, -1]}, {1: [2], 2: [1, -1]}],
+    ],
+)
+def test_singular_rows_raise(relations, monkeypatch):
+    monkeypatch.setattr(invariants, "_relation_rows", lambda d: relations)
+    d = SimpleNamespace(crossings=(None,) * len(relations))
+    with pytest.raises(InternalVerificationError, match="determinant path produced 0"):
+        determinant(d)
+
+
+def sparse_eliminate_rescanning(rows):
+    """The former Alexander elimination, which rescans every entry per pivot."""
+    col_rows = {}
+    for r, row in rows.items():
+        for col in row:
+            col_rows.setdefault(col, set()).add(r)
+    while True:
+        best = None
+        for r in sorted(rows):
+            for col in sorted(rows[r]):
+                if not invariants._is_unit_monomial(rows[r][col]):
+                    continue
+                score = (len(rows[r]) - 1) * (len(col_rows[col]) - 1)
+                key = (score, r, col)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            break
+        _, r, col = best
+        pivot_row = rows.pop(r)
+        mono = pivot_row[col]
+        for c2 in pivot_row:
+            col_rows[c2].discard(r)
+        for r2 in sorted(col_rows.get(col, ())):
+            f = rows[r2].pop(col)
+            new = {c2: _mono_mul(p, mono) for c2, p in rows[r2].items()}
+            for c2, p in pivot_row.items():
+                if c2 == col:
+                    continue
+                new[c2] = _psub(new.get(c2, []), _pmul(f, p))
+            cleaned = {c2: p for c2, p in new.items() if p}
+            if not cleaned:
+                raise InternalVerificationError("singular crossing relation matrix")
+            for c2 in rows[r2]:
+                if c2 not in cleaned:
+                    col_rows[c2].discard(r2)
+            for c2 in cleaned:
+                col_rows.setdefault(c2, set()).add(r2)
+            rows[r2] = cleaned
+        col_rows.pop(col, None)
+    cols = sorted({c for row in rows.values() for c in row})
+    order = sorted(rows)
+    if len(order) != len(cols):
+        raise InternalVerificationError("crossing relation matrix lost squareness")
+    return [[list(rows[r].get(c, [])) for c in cols] for r in order]
+
+
+def _recording(monkeypatch, name):
+    """Route invariants.<name> through a recorder; returns the list of results,
+    copied before the caller can change them."""
+    real = getattr(invariants, name)
+    seen = []
+
+    def wrapper(*args):
+        out = real(*args)
+        seen.append(copy.deepcopy(out))
+        return out
+
+    monkeypatch.setattr(invariants, name, wrapper)
+    return seen
+
+
+def test_alexander_matches_the_rescanning_elimination(seeded_diagrams, monkeypatch):
+    cores = _recording(monkeypatch, "_sparse_eliminate")
+    fast = [alexander(d) for _, _, d in seeded_diagrams]
+    fast_cores = list(cores)
+    monkeypatch.setattr(invariants, "_sparse_eliminate", sparse_eliminate_rescanning)
+    cores = _recording(monkeypatch, "_sparse_eliminate")
+    slow = [alexander(d) for _, _, d in seeded_diagrams]
+    assert fast == slow
+    assert fast_cores == cores  # same pivots, so the same core
+
+
+def test_candidate_pivots_cut_unit_monomial_tests(monkeypatch):
+    d = diagram(random_presentation(24, 7124))
+    calls = _recording(monkeypatch, "_is_unit_monomial")
+    fast = alexander(d)
+    candidate_set = len(calls)
+    calls.clear()
+    monkeypatch.setattr(invariants, "_sparse_eliminate", sparse_eliminate_rescanning)
+    assert alexander(d) == fast
+    assert candidate_set * 4 < len(calls)
 
 
 def test_diagram_rejects_unbalanced_gauss():
@@ -236,15 +386,18 @@ def _attempt(project_once, verts):
     return ("accept", diag) if diag is not None else ("reject", None)
 
 
-def test_project_once_agrees_with_the_separate_checks():
-    # a 4 x 4 grid of shadows makes every kind of degeneracy common
-    rng = random.Random(2718)
-    outcomes = set()
-    for _ in range(6000):
+def _grid_polygons(seed, count):
+    """Seeded polygons on a 4 x 4 grid of shadows, where every kind of
+    degeneracy is common, with heights in 0..2."""
+    rng = random.Random(seed)
+    for _ in range(count):
         m = rng.randint(3, 7)
-        verts = [
-            (rng.randrange(4), rng.randrange(4), rng.randrange(3)) for _ in range(m)
-        ]
+        yield [(rng.randrange(4), rng.randrange(4), rng.randrange(3)) for _ in range(m)]
+
+
+def test_project_once_agrees_with_the_separate_checks():
+    outcomes = set()
+    for verts in _grid_polygons(2718, 6000):
         got = _attempt(_project_once, verts)
         assert got == _attempt(project_once_reference, verts), verts
         outcomes.add(got[0])
@@ -270,6 +423,98 @@ def test_project_once_still_rejects_what_the_deleted_checks_caught(shadows, form
     verts = tuple((x, y, 0) for x, y in shadows)
     assert project_once_reference(verts, shadows) == (None, former)
     assert _project_once(verts, shadows) == (None, now)
+
+
+def project_once_unfiltered(verts, shadows):
+    """The projection attempt without the box filter: every non-adjacent
+    pair of edge shadows goes through seg2_line_intersection."""
+    m = len(verts)
+    for i in range(m):
+        if orient2d(shadows[i - 1], shadows[i], shadows[(i + 1) % m]) == 0:
+            return None, "no-collinear-joints"
+    hits = []
+    for i in range(m):
+        a, b = shadows[i], shadows[(i + 1) % m]
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1:
+                continue
+            c, d = shadows[j], shadows[(j + 1) % m]
+            res = seg2_line_intersection((a, b), (c, d))
+            if res is None:
+                if orient2d(a, b, c) == 0:
+                    xs1 = sorted((a, b))
+                    xs2 = sorted((c, d))
+                    if max(xs1[0], xs2[0]) <= min(xs1[1], xs2[1]):
+                        return None, "no-parallel-overlap"
+                continue
+            s, u, point = res
+            if 0 < s < 1 and 0 < u < 1:
+                hits.append((i, j, s, u, point))
+            elif 0 <= s <= 1 and 0 <= u <= 1:
+                return None, "no-vertex-on-edge"
+    seen = set()
+    for _, _, _, _, point in hits:
+        if point in seen:
+            return None, "no-triple-points"
+        seen.add(point)
+    over_under = []
+    for i, j, s, u, point in hits:
+        zi = verts[i][2] + s * (verts[(i + 1) % m][2] - verts[i][2])
+        zj = verts[j][2] + u * (verts[(j + 1) % m][2] - verts[j][2])
+        if zi == zj:
+            raise InternalVerificationError("polygon edges meet in space")
+        over_under.append((i, j, s, u, point) if zi > zj else (j, i, u, s, point))
+    edges = {e: (shadows[e], shadows[(e + 1) % m]) for e in range(m)}
+    return _gauss_diagram(over_under, edges.get, range(m)), None
+
+
+def _named_attempt(project_once, verts):
+    """("accept", diagram), ("reject", failure name) or ("raise", message)."""
+    shadows = [v[:2] for v in verts]
+    try:
+        diag, failed = project_once(tuple(verts), shadows)
+    except InternalVerificationError as e:
+        return "raise", str(e)
+    return ("accept", diag) if diag is not None else ("reject", failed)
+
+
+def test_box_filter_agrees_with_the_unfiltered_loop():
+    outcomes = set()
+    for verts in _grid_polygons(3141, 6000):
+        got = _named_attempt(_project_once, verts)
+        assert got == _named_attempt(project_once_unfiltered, verts), verts
+        outcomes.add(got if got[0] == "reject" else got[0])
+    assert outcomes == {
+        "accept",
+        "raise",
+        ("reject", "no-collinear-joints"),
+        ("reject", "no-parallel-overlap"),
+        ("reject", "no-vertex-on-edge"),
+        ("reject", "no-triple-points"),
+    }
+
+
+@pytest.mark.parametrize(
+    "shadows,failed",
+    [
+        # vertex 4 repeats vertex 1, the end of edge 0; edges 0 and 3, the
+        # first pair to meet there, have boxes that share only that corner
+        ([(0, 1), (2, 2), (0, 4), (4, 4), (2, 2), (4, 0)], "no-vertex-on-edge"),
+        # vertex 4 lies inside the horizontal edge 0, at the lower corner of
+        # the boxes of edges 3 and 4, which touch edge 0's box on its side
+        ([(0, 0), (4, 0), (4, 3), (3, 2), (2, 0), (1, 2), (0, 3)], "no-vertex-on-edge"),
+        # edges 0 and 4 are collinear and meet end to end at (2, 0); their
+        # boxes share only that point of their sides
+        (
+            [(0, 0), (2, 0), (1, 2), (3, 2), (4, 0), (2, 0), (3, -2), (0, -2)],
+            "no-parallel-overlap",
+        ),
+    ],
+)
+def test_box_filter_keeps_touching_boxes(shadows, failed):
+    verts = tuple((x, y, 0) for x, y in shadows)
+    assert project_once_unfiltered(verts, shadows) == (None, failed)
+    assert _project_once(verts, shadows) == (None, failed)
 
 
 # ---------------------------------------------------------------------- match
