@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -40,6 +40,7 @@ from .geom import (
     _sub3,
     bbox,
     boxes_apart,
+    lattice,
     polygon_embedded,
     seg_triangle_intersection,
     point_on_segment3,
@@ -315,29 +316,44 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
     against the hypotenuses laid down before it: a collapse keeps every other
     stick, so those are the only sticks of the current polygon the sweep has
     not seen.  A pierced triangle means the height assignment is broken and
-    raises.  Returns (knot, trace).
+    raises.  Both checks run on one :func:`lattice` image of k2 and the
+    triangle corners (which are vertices of k2); the polygon, the steps and
+    the messages stay in true coordinates.  Returns (knot, trace).
     """
     if pts is None or ha is None:
         laid, _, crossings = layout(ap)
         pts = laid if pts is None else pts
         ha = _assign_heights(ap, crossings) if ha is None else ha
     triangles = reduction_triangles(ap, ha, pts)
-    bad = sweep_triangles(k2, triangles)
+    points = list(k2.vertices) + [c for t in triangles for c in t.triangle]
+    _, image = lattice(points)
+    m = len(k2.vertices)
+    lifted = [
+        replace(t, triangle=tuple(image[m + 3 * i : m + 3 * i + 3]))
+        for i, t in enumerate(triangles)
+    ]
+
+    def true_stick(stick):
+        back = dict(zip(image, points))
+        return (back[stick[0]], back[stick[1]])
+
+    bad = sweep_triangles(StickKnot(tuple(image[:m]), k2.roles), lifted)
     if bad:
         info, hit = bad[0]
         raise InternalVerificationError(
-            f"triangle of chord {info.chord} not empty in lifted polygon: {hit}"
+            f"triangle of chord {info.chord} not empty in lifted polygon: "
+            f"{true_stick(hit)}"
         )
     knot = k2
     steps = []
-    hypotenuses = []
-    for info in triangles:
+    hypotenuses = []  # lattice images of the hypotenuses laid down so far
+    for info, on_lattice in zip(triangles, lifted):
         if info.chord >= ap.n or info.chord < 2:
             continue
-        hit = _triangle_clear(hypotenuses, info)
+        hit = _triangle_clear(hypotenuses, on_lattice)
         if hit is not None:
             raise InternalVerificationError(
-                f"triangle of chord {info.chord} pierced by stick {hit}"
+                f"triangle of chord {info.chord} pierced by stick {true_stick(hit)}"
             )
         a, b, c = info.triangle
         verts = list(knot.vertices)
@@ -353,7 +369,7 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
         roles[idx - 1] = ROLE_HYP
         del roles[idx]
         knot = StickKnot(tuple(verts), tuple(roles))
-        hypotenuses.append((a, c))
+        hypotenuses.append((on_lattice.triangle[0], on_lattice.triangle[2]))
         steps.append(ReductionStep(info.chord, info.anchor, b, (a, c)))
     return knot, ReductionTrace(ap, ha, tuple(steps))
 
@@ -534,14 +550,17 @@ def _certify_top(rot_v, cand_v, t_a, t_b):
     one side at a time through a certified-embedded intermediate polygon
     (these survive the configurations where the two extension rays cross in
     the shadow, since the lower extension passes under the other side's
-    swing triangle).
+    swing triangle).  Every check runs on the :func:`lattice` image of the
+    candidate's points.
     """
+    m = len(rot_v)
+    _, image = lattice(rot_v + [t_a, t_b] + cand_v)
+    rot_v, (t_a, t_b), cand_v = image[:m], image[m : m + 2], image[m + 2 :]
     emb = polygon_embedded(cand_v)
     if not emb.ok:
         return False, f"result-not-embedded:{emb.failures[0]}"
     corners = (*rot_v[:4], t_a, t_b)
     # sticks off the old path: the chain f_b .. f_a, then f_a-j_a and j_b-f_b
-    m = len(rot_v)
     outside = [(rot_v[i], rot_v[i + 1]) for i in range(4, m - 1)]
     outside += [(rot_v[-1], rot_v[0]), (rot_v[3], rot_v[4])]
     for interim, steps in _DISKS:

@@ -15,12 +15,12 @@ crossings only when their exact 2D bounding boxes are not strictly apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arcpres import Diagram, _gauss_diagram
 from .errors import InternalVerificationError
-from .geom import orient2d, seg2_line_intersection
+from .geom import lattice, orient2d, seg2_line_intersection
 
 PROJECTION_ATTEMPTS = 65
 
@@ -490,19 +490,26 @@ def project(knot) -> ProjectedDiagram:
 
     Larger z is the over strand.  Every genericity condition is checked
     exactly; a failed check moves to the next direction, and running out of
-    directions raises.
+    directions raises.  The checks run on the vertices' :func:`lattice`
+    image, scale D: with a = 7+m and b = 11+2m the shadows
+    (b(aX - Z), a(bY - Z)) of the image points (X, Y, Z) are the true
+    shadows times D*a*b, and each crossing point is divided back.
     """
     verts = getattr(knot, "vertices", knot)
+    scale, lifted = lattice(verts)
     last = "no directions tried"
     for attempt in range(PROJECTION_ATTEMPTS):
-        dx = Fraction(1, 7 + attempt)
-        dy = Fraction(1, 11 + 2 * attempt)
-        shadows = [(v[0] - v[2] * dx, v[1] - v[2] * dy) for v in verts]
-        diag, failed = _project_once(tuple(verts), shadows)
+        a, b = 7 + attempt, 11 + 2 * attempt
+        shadows = [(b * (a * x - z), a * (b * y - z)) for x, y, z in lifted]
+        diag, failed = _project_once(lifted, shadows)
         if diag is not None:
+            k = scale * a * b
+            crossings = tuple(
+                replace(c, point=(c.point[0] / k, c.point[1] / k)) for c in diag.crossings
+            )
             return ProjectedDiagram(
-                diagram=diag,
-                direction=(dx, dy, Fraction(1)),
+                diagram=replace(diag, crossings=crossings),
+                direction=(Fraction(1, a), Fraction(1, b), Fraction(1)),
                 attempt=attempt,
             )
         last = failed

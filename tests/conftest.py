@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from stickbound.arcpres import ArcPresentation, random_presentation
@@ -48,3 +51,18 @@ def make_instances(count, n_lo, n_hi, master_seed):
 @pytest.fixture(scope="session")
 def instances100():
     return make_instances(100, 4, 10, 7)
+
+
+def capped_polygon(seed, bits=64):
+    """48 vertices near the parabola y = x^2, each coordinate off by 1/q with q
+    a seeded ``bits``-bit integer, so that the lcm of the denominators runs to
+    thousands of bits.  The perturbations are far below the parabola's
+    curvature, so the polygon is convex in its shadow: an embedded unknot."""
+    rng = random.Random(seed)
+
+    def jitter():
+        return Fraction(1, rng.randrange(1 << (bits - 1), 1 << bits))
+
+    return [
+        (k + jitter(), k * k + jitter(), jitter()) for k in range(48)
+    ]

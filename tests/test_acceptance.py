@@ -45,8 +45,8 @@ def built200(corpus200):
 
 @pytest.fixture(scope="module")
 def full500():
-    """500 deterministic full builds, n cycling 5..12 (criteria 5 and 6)."""
-    instances = make_instances(500, 5, 12, 424242)
+    """500 deterministic full builds, n cycling 5..20 (criteria 5 and 6)."""
+    instances = make_instances(500, 5, 20, 424242)
     t0 = time.perf_counter()
     results = [(ap, *build_full(ap)) for _, ap in instances]
     return results, time.perf_counter() - t0

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from conftest import capped_polygon
 from stickbound import cli
 from stickbound.arcpres import random_presentation, serialize
+from stickbound.construct import StickKnot, stick_count
 
 TREFOIL = "5\n1 4\n3 5\n2 4\n1 3\n2 5\n"
 UNKNOT3 = "3\n1 2\n2 3\n1 3\n"
@@ -310,6 +312,32 @@ def test_verify_accepts_a_seeded_n48_build(tmp_path):
     poly = tmp_path / "n48.json"
     assert cli.main(["build", str(arc), "--out", str(poly)]) == 0
     assert cli.main(["verify", str(arc), str(poly)]) == 0
+
+
+def _capped_json(verts):
+    sticks = stick_count(StickKnot(tuple(verts), ("?",) * len(verts)))
+    return json.dumps({
+        "vertices": [[str(c) for c in v] for v in verts],
+        "sticks": sticks,
+        "bound_satisfied": sticks <= 3,
+        "determinant": 1,
+    })
+
+
+def test_verify_past_the_lattice_cap(unknot_arc, tmp_path, capsys):
+    # 64-bit denominators put the polygon's lattice past LATTICE_MAX_BITS:
+    # verify runs the same checks on the fractions and reaches the same verdicts
+    verts = capped_polygon(48)
+    poly = tmp_path / "capped.json"
+    poly.write_text(_capped_json(verts))
+    assert cli.main(["verify", str(unknot_arc), str(poly)]) == 0
+    # edge 0 through the midpoint of edge 30
+    mid = tuple((x + y) / 2 for x, y in zip(verts[30], verts[31]))
+    verts[1] = tuple(2 * y - x for x, y in zip(verts[0], mid))
+    poly.write_text(_capped_json(verts))
+    capsys.readouterr()
+    assert cli.main(["verify", str(unknot_arc), str(poly)]) == 2
+    assert "not embedded: (0, 30, 'improper')" in capsys.readouterr().err
 
 
 def _raise_repeated_vertex(ap, top=True):

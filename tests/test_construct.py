@@ -21,12 +21,14 @@ from stickbound.arcpres import (
 from stickbound.construct import (
     _DISKS,
     _OLD_PATH,
+    _certify_top,
     ReductionStep,
     StickKnot,
     TriangleInfo,
     _disk_avoids,
     _disk_parts,
     _nondegenerate,
+    _surface_clean,
     _triangle_clear,
     assign_heights,
     build_full,
@@ -42,7 +44,7 @@ from stickbound.construct import (
     verify_heights,
 )
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
-from stickbound.geom import polygon_embedded, triangle_pierced
+from stickbound.geom import lattice, polygon_embedded, triangle_pierced
 
 
 def test_assign_heights_constraints(ap5):
@@ -611,10 +613,11 @@ def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
     pts, _, _ = layout(ap)
     swept = len(reduction_triangles(ap, assign_heights(ap), pts))
     assert len(trace.steps) >= 3
-    assert seen[:swept] == [k2.edges()] * swept
-    assert seen[swept:] == [
-        [s.new_edge for s in trace.steps[:k]] for k in range(len(trace.steps))
-    ]
+    # both checks run on the lattice image of k2
+    img = dict(zip(k2.vertices, lattice(k2.vertices)[1]))
+    assert seen[:swept] == [[(img[p], img[q]) for p, q in k2.edges()]] * swept
+    hyps = [(img[p], img[q]) for p, q in (s.new_edge for s in trace.steps)]
+    assert seen[swept:] == [hyps[:k] for k in range(len(trace.steps))]
 
 
 def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
@@ -648,3 +651,92 @@ def test_build_full_intersects_chords_only_in_layout(ap6_fig8, monkeypatch):
     # one layout of the normalized shift, one inside diagram(ap); no retries
     assert callers.count("stickbound.arcpres") == 2 * len(crossing_pairs(ap6_fig8))
     assert set(callers) == {"stickbound.arcpres", "stickbound.invariants"}
+
+
+def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):
+    """The former _certify_top, which runs every check on the points as
+    given; called with the lattice cap at 0, so nothing is scaled."""
+    emb = polygon_embedded(cand_v)
+    if not emb.ok:
+        return False, f"result-not-embedded:{emb.failures[0]}"
+    corners = (*rot_v[:4], t_a, t_b)
+    m = len(rot_v)
+    outside = [(rot_v[i], rot_v[i + 1]) for i in range(4, m - 1)]
+    outside += [(rot_v[-1], rot_v[0]), (rot_v[3], rot_v[4])]
+    for interim, steps in _DISKS:
+        if interim is not None:
+            if not polygon_embedded([corners[i] for i in interim] + rot_v[4:]).ok:
+                reason = "interim-polygon-not-embedded"
+                continue
+        for before, tris in zip((_OLD_PATH, interim), steps):
+            disk, shared, rim, kept = _disk_parts(corners, before, tris)
+            if not all(map(_nondegenerate, disk)) or not _surface_clean(disk, shared):
+                reason = "self-intersecting-spanning-surface"
+                break
+            if not _disk_avoids(disk, rim, outside + kept):
+                reason = "stationary-stick-meets-spanning-surface"
+                break
+        else:
+            return True, ""
+    return False, reason
+
+
+def _top_moves(count, seed):
+    """(rot_v, j_a, d_a, j_b, d_b) of the top move of seeded builds, read off
+    the first candidate top_reduction certifies: tip = j + L * d."""
+    rng = random.Random(seed)
+    moves = []
+    for _ in range(count):
+        ap = random_presentation(rng.randint(5, 14), rng.randrange(1 << 30))
+        norm, _ = normalize(ap)
+        reduced, trace = triangle_reductions(norm, build_k2(norm))
+        calls = []
+
+        def first_call(rot_v, cand_v, t_a, t_b):
+            calls.append((rot_v, t_a, t_b))
+            return True, ""
+
+        construct._certify_top, real = first_call, construct._certify_top
+        try:
+            top_reduction(reduced, trace)
+        finally:
+            construct._certify_top = real
+        rot_v, t_a, t_b = calls[0]
+        j_a, j_b = rot_v[0], rot_v[3]
+        d_a = tuple((t - j) / 4 for t, j in zip(t_a, j_a))
+        d_b = tuple((t - j) / 4 for t, j in zip(t_b, j_b))
+        moves.append((rot_v, j_a, d_a, j_b, d_b))
+    return moves
+
+
+def test_certify_top_on_the_lattice_matches_the_fraction_checks(monkeypatch):
+    # (L_a, L_b): the doubling search's lengths, shorter ones, and asymmetric
+    # pairs with one tip pulled back along its stick
+    half, eighth = Fraction(1, 2), Fraction(1, 8)
+    pairs = [(x, x) for x in (eighth, half, 1, 2, 4, 1 << 10)]
+    pairs += [(2, -half), (-half, 2), (4, -eighth)]
+    reasons = set()
+    for rot_v, j_a, d_a, j_b, d_b in _top_moves(28, 1203):
+        cands = []
+        for la, lb in pairs:
+            t_a = tuple(j + la * d for j, d in zip(j_a, d_a))
+            t_b = tuple(j + lb * d for j, d in zip(j_b, d_b))
+            cands.append((t_a, t_b))
+        # pinched: tip b on a vertex of the unchanged chain
+        cands.append((cands[4][0], rot_v[len(rot_v) // 2 + 2]))
+        for t_a, t_b in cands:
+            cand_v = [t_a, t_b] + rot_v[4:]
+            got = _certify_top(rot_v, cand_v, t_a, t_b)
+            with monkeypatch.context() as m:
+                m.setattr(geom, "LATTICE_MAX_BITS", 0)
+                assert geom.lattice(rot_v)[0] == 1
+                want = certify_top_on_fractions(rot_v, cand_v, t_a, t_b)
+            assert got == want
+            reasons.add(got[1].split(":")[0])
+    assert reasons == {
+        "",
+        "result-not-embedded",
+        "interim-polygon-not-embedded",
+        "self-intersecting-spanning-surface",
+        "stationary-stick-meets-spanning-surface",
+    }

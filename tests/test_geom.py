@@ -1,10 +1,13 @@
 """Exact predicate layer: every verdict here is load-bearing for certificates."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import capped_polygon
+from stickbound import geom
 from stickbound.arcpres import random_presentation
 from stickbound.construct import build_full
 from stickbound.geom import (
@@ -14,6 +17,7 @@ from stickbound.geom import (
     bbox,
     binding_points,
     boxes_apart,
+    lattice,
     orient2d,
     point_on_segment3,
     polygon_embedded,
@@ -259,3 +263,178 @@ def test_crossing_two_edges_is_rejected_by_both_loops():
     assert not rep.ok
     assert (0, k, IMPROPER) in rep.failures
     assert rep.failures == embedded_reference(verts)
+
+
+# ------------------------------------------------------------ integer lattice
+
+
+def seg3_relation_dividing(s1, s2):
+    """The former seg3_relation, which divides the parameters out."""
+    a, b = s1
+    c, d = s2
+    w1 = geom._sub3(b, a)
+    w2 = geom._sub3(d, c)
+    r = geom._sub3(c, a)
+    n = geom._cross3(w1, w2)
+    if n != (0, 0, 0):
+        if geom._dot3(r, n) != 0:
+            return DISJOINT
+        nn = geom._dot3(n, n)
+        s = Fraction(geom._dot3(geom._cross3(r, w2), n)) / nn
+        u = Fraction(geom._dot3(geom._cross3(r, w1), n)) / nn
+        if 0 <= s <= 1 and 0 <= u <= 1:
+            if (s == 0 or s == 1) and (u == 0 or u == 1):
+                return SHARED_ENDPOINT
+            return IMPROPER
+        return DISJOINT
+    if geom._cross3(r, w1) != (0, 0, 0):
+        return DISJOINT
+    ww = geom._dot3(w1, w1)
+    tc = Fraction(geom._dot3(r, w1)) / ww
+    td = Fraction(geom._dot3(geom._sub3(d, a), w1)) / ww
+    lo = max(min(tc, td), Fraction(0))
+    hi = min(max(tc, td), Fraction(1))
+    if lo > hi:
+        return DISJOINT
+    if lo == hi:
+        return SHARED_ENDPOINT
+    return IMPROPER
+
+
+def _on_line(a, b, t):
+    return tuple(x + t * (y - x) for x, y in zip(a, b))
+
+
+def _segment_pairs(rng, count):
+    """(kind, s1, s2) on a half-integer grid; the second segment shares an
+    endpoint, ends inside the first, lies on its line, or is free."""
+    kinds = ("free", "shared", "t-contact", "collinear")
+    out = []
+    while len(out) < count:
+        kind = kinds[len(out) % 4]
+        a, b, c = (_grid_point3(rng) for _ in range(3))
+        if kind == "shared":
+            d = rng.choice((a, b))
+        elif kind == "t-contact":
+            d = _on_line(a, b, F(rng.randint(1, 3), 4))
+        elif kind == "collinear":
+            c, d = (_on_line(a, b, F(rng.randint(-2, 6), 4)) for _ in range(2))
+        else:
+            d = _grid_point3(rng)
+        if a != b and c != d:
+            out.append((kind, (a, b), rng.choice(((c, d), (d, c)))))
+    return out
+
+
+def _grid_point3(rng):
+    return tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(3))
+
+
+def test_undivided_seg3_relation_matches_the_dividing_one():
+    rng = random.Random(1512_03592)
+    seen = set()
+    for kind, s1, s2 in _segment_pairs(rng, 4000):
+        want = seg3_relation_dividing(s1, s2)
+        assert seg3_relation(s1, s2) == want
+        _, img = lattice(s1 + s2)
+        i1, i2 = tuple(img[:2]), tuple(img[2:])
+        assert seg3_relation(i1, i2) == want
+        assert seg3_relation_dividing(i1, i2) == want
+        seen.add((kind, want))
+    assert seen >= {
+        ("shared", SHARED_ENDPOINT),
+        ("shared", IMPROPER),  # the second segment folds back along the first
+        ("t-contact", IMPROPER),
+        ("collinear", IMPROPER),  # overlap
+        ("collinear", SHARED_ENDPOINT),  # end to end
+        ("collinear", DISJOINT),
+        ("free", DISJOINT),
+        ("free", IMPROPER),
+    }
+
+
+def test_seg3_relation_does_not_round_a_600_bit_miss():
+    # A segment from c ends at the midpoint p of (o, b), or one unit beside it
+    # on c's side.  The second misses the first by a parameter near 2**-1200,
+    # which a float quotient rounds to the contact.
+    rng = random.Random(600)
+    x, y = (rng.getrandbits(600) | 1 << 599 for _ in range(2))
+
+    def lift(u, v):  # an integer shear of the plane z = 0 into 3-space
+        return (u, v, u + v)
+
+    o, b, p = lift(0, 0), lift(2 * x, 2 * y), lift(x, y)
+    c = lift(x - y, y + x)
+    miss = lift(x, y + 1)
+    assert seg3_relation((o, b), (c, p)) == IMPROPER
+    assert seg3_relation((o, b), (c, miss)) == DISJOINT
+    assert float(x) == float(x + 1)  # the trap: floats cannot tell them apart
+
+
+def _lcm_by_divisibility(coords):
+    """Least D > 0 with every D * c an integer, checked against each prime
+    factor of D: dropping any one of them leaves some c non-integral."""
+    d = 1
+    for c in coords:
+        d *= F(c).denominator // math.gcd(d, F(c).denominator)
+    assert all((d * F(c)).denominator == 1 for c in coords)
+    k, primes = d, set()
+    f = 2
+    while f * f <= k:
+        while k % f == 0:
+            primes.add(f)
+            k //= f
+        f += 1
+    primes |= {k} - {1}
+    for q in primes:
+        assert any((d // q * F(c)).denominator != 1 for c in coords)
+    return d
+
+
+def test_lattice_scales_to_distinct_integer_points():
+    rng = random.Random(2015)
+    for _ in range(200):
+        pts = list({
+            tuple(F(rng.randint(-40, 40), rng.randint(1, 30)) for _ in range(3))
+            for _ in range(rng.randint(1, 12))
+        })
+        pts += rng.sample(pts, len(pts) // 2)  # repeated points map alike
+        scale, img = lattice(pts)
+        assert scale == _lcm_by_divisibility([c for p in pts for c in p])
+        assert len(img) == len(pts)
+        assert len(set(img)) == len(set(pts))
+        for p, q in zip(pts, img):
+            assert all(type(c) is int for c in q)
+            assert q == tuple(scale * c for c in p)
+
+
+def test_scaled_copies_get_equal_embedding_reports():
+    rng = random.Random(3592)
+    polygons = [_random_polygon(rng) for _ in range(150)]
+    polygons.append(list(build_full(random_presentation(11, 5))[0].vertices))
+    verdicts = set()
+    for verts in polygons:
+        rep = polygon_embedded(verts)
+        lam = F(rng.randint(1, 97), rng.randint(1, 97))
+        assert polygon_embedded([tuple(lam * c for c in v) for v in verts]) == rep
+        verdicts.add(rep.ok)
+    assert verdicts == {True, False}
+
+
+def test_lattice_past_the_cap_keeps_the_points():
+    verts = capped_polygon(48)
+    scale, img = lattice(verts)
+    assert scale == 1
+    assert all(q is p for p, q in zip(verts, img, strict=True))
+    assert math.lcm(*(c.denominator for v in verts for c in v)).bit_length() > (
+        geom.LATTICE_MAX_BITS
+    )
+    rep = polygon_embedded(verts)
+    assert rep.ok and rep.failures == embedded_reference(verts)
+    # edge 0 through the midpoint of edge 30
+    pulled = list(verts)
+    mid = tuple((x + y) / 2 for x, y in zip(verts[30], verts[31]))
+    pulled[1] = tuple(2 * y - x for x, y in zip(verts[0], mid))
+    rep = polygon_embedded(pulled)
+    assert (0, 30, IMPROPER) in rep.failures
+    assert rep.failures == embedded_reference(pulled)

@@ -8,6 +8,7 @@ determinant, plus frozen values for knots whose invariants are classical.
 
 import copy
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -310,6 +311,54 @@ def test_projection_preserves_invariants(ap5, ap6_fig8):
     for ap in (ap5, ap6_fig8):
         rep = match(diagram(ap), project(build_k1(ap)))
         assert rep.ok
+
+
+def project_reference(knot):
+    """The former project, which runs every check on the Fraction shadows."""
+    verts = getattr(knot, "vertices", knot)
+    for attempt in range(invariants.PROJECTION_ATTEMPTS):
+        dx = Fraction(1, 7 + attempt)
+        dy = Fraction(1, 11 + 2 * attempt)
+        shadows = [(v[0] - v[2] * dx, v[1] - v[2] * dy) for v in verts]
+        diag, _ = _project_once(tuple(verts), shadows)
+        if diag is not None:
+            return invariants.ProjectedDiagram(diag, (dx, dy, Fraction(1)), attempt)
+    raise InternalVerificationError("no generic projection direction found")
+
+
+def _projection(project_fn, poly):
+    try:
+        return project_fn(poly)
+    except InternalVerificationError:
+        return None
+
+
+def test_project_on_the_lattice_matches_the_fraction_projection():
+    rng = random.Random(1203)
+    polygons = []
+    for _ in range(24):
+        ap = random_presentation(rng.randint(5, 16), rng.randrange(1 << 30))
+        polygons.append(build_full(ap)[0])
+    # a vertex whose shadow along (1/7, 1/11, 1) lands on edge 0
+    polygons.append([(0, 0, 0), (4, 0, 0), (4, 4, 0), (3, Fraction(7, 11), 7), (0, 4, 0)])
+    # grid polygons, stretched off the integers, fail attempts and raise too
+    for verts in _grid_polygons(1203, 400):
+        polygons.append([(Fraction(x, 2), Fraction(y, 3), z) for x, y, z in verts])
+    attempts = set()
+    for poly in polygons:
+        got, want = _projection(project, poly), _projection(project_reference, poly)
+        if want is None:
+            assert got is None
+            attempts.add(None)
+            continue
+        assert got.direction == want.direction
+        assert got.attempt == want.attempt
+        assert got.diagram.gauss == want.diagram.gauss
+        assert len(got.diagram.crossings) == len(want.diagram.crossings)
+        for c, w in zip(got.diagram.crossings, want.diagram.crossings):
+            assert c == w and c.point == w.point
+        attempts.add(got.attempt)
+    assert {None, 0, 1} <= attempts
 
 
 def _on_open_segment2(p, a, b):
