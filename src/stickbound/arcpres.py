@@ -7,11 +7,14 @@ as height: at every crossing the chord with the smaller index passes under.
 
 This module owns the combinatorics (validation, crossing pairs, chord types),
 the moves (cyclic shift, top destabilization), the text format, random
-generation, and the exact planar diagram of a presentation.
+generation, and the exact planar diagram of a presentation.  The layout
+runs on the binding points' integer lattice, or on the ``Fraction``s past
+``geom.LATTICE_MAX_BITS``; ``diagram`` can reuse a caller's layout.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalVerificationError, InvalidArcPresentation
-from .geom import binding_points, orient2d, seg2_line_intersection
+from .geom import binding_points, lattice, orient2d
 
 MAX_LAYOUT_RETRIES = 64
 
@@ -233,6 +236,18 @@ def chord_walk(ap: ArcPresentation) -> list:
     return walk
 
 
+def _point_key(x, y, w):
+    """The point (x/w, y/w) as a gcd-reduced integer triple with w > 0.
+
+    Fractions (past the lattice cap) are first cleared of their denominators.
+    """
+    if type(w) is not int:
+        d = math.lcm(x.denominator, y.denominator, w.denominator)
+        x, y, w = int(x * d), int(y * d), int(w * d)
+    g = math.gcd(x, y, w) if w > 0 else -math.gcd(x, y, w)
+    return x // g, y // g, w // g
+
+
 def layout(ap: ArcPresentation):
     """Generic circle layout for ap: binding points with no chord concurrence.
 
@@ -240,20 +255,34 @@ def layout(ap: ArcPresentation):
     schedule, and fails loudly if 64 retries cannot separate a concurrence.
     Returns (pts, retry, crossings): ``crossings`` maps each pair (i, j) of
     ``crossing_pairs`` to the (s, u, point) at which chord i meets chord j,
-    s and u measured along each chord from its smaller label.
+    s and u measured along each chord from its smaller label.  The chords
+    meet on the points' :func:`lattice` image, a triple point shows as a
+    repeated :func:`_point_key`, and past the lattice cap the same code runs
+    on the ``Fraction``s.
     """
     pairs = crossing_pairs(ap)
     for retry in range(MAX_LAYOUT_RETRIES + 1):
         pts = binding_points(ap.n, retry)
-        segs = [(pts[a - 1], pts[b - 1]) for a, b in ap.chords]
+        scale, image = lattice(pts)
+        chords = [(image[a - 1], image[b - 1]) for a, b in ap.chords]
         crossings = {}
         seen = set()
         for i, j in pairs:
-            hit = seg2_line_intersection(segs[i - 1], segs[j - 1])
-            if hit is None or hit[2] in seen:
-                break  # crossing chords turned parallel, or three meet: not generic
-            seen.add(hit[2])
-            crossings[i, j] = hit
+            (ax, ay), (bx, by) = chords[i - 1]
+            (cx, cy), (dx, dy) = chords[j - 1]
+            abx, aby, cdx, cdy = bx - ax, by - ay, dx - cx, dy - cy
+            den = abx * cdy - aby * cdx
+            if den == 0:
+                break  # crossing chords turned parallel: not generic
+            rx, ry = cx - ax, cy - ay
+            sn = rx * cdy - ry * cdx
+            key = _point_key(ax * den + sn * abx, ay * den + sn * aby, den)
+            if key in seen:
+                break  # three chords meet: not generic
+            seen.add(key)
+            x, y, w = key  # the crossing point is (x, y) / (w * scale)
+            point = (Fraction(x, w * scale), Fraction(y, w * scale))
+            crossings[i, j] = (Fraction(sn, den), Fraction(rx * aby - ry * abx, den), point)
         else:
             return pts, retry, crossings
     raise InternalVerificationError(
@@ -343,9 +372,13 @@ def _gauss_diagram(hits, segment, strands) -> Diagram:
     return Diagram(tuple(crossings), tuple(gauss))
 
 
-def diagram(ap: ArcPresentation) -> Diagram:
-    """Exact planar diagram of ap; the smaller chord index goes under."""
-    pts, _, crossings = layout(ap)
+def diagram(ap: ArcPresentation, laid=None) -> Diagram:
+    """Exact planar diagram of ap; the smaller chord index goes under.
+
+    ``laid`` is ap's layout as :func:`layout` returns it, when the caller
+    already has one; without it, diagram lays ap out itself.
+    """
+    pts, _, crossings = layout(ap) if laid is None else laid
     walk = chord_walk(ap)
     oriented = {}
     backward = set()  # chords the walk runs from their larger label

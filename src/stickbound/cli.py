@@ -229,6 +229,9 @@ def cmd_batch(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    if args.cmax < args.cmin:
+        print(f"error: bounds --cmax {args.cmax} is below --cmin {args.cmin}", file=sys.stderr)
+        return EXIT_INVALID
     header = (
         f"{'c':>4} {'lower':>7} {'lower~':>9} {'negami_upper':>13} "
         f"{'arc_upper':>10} {'stick_upper':>12}"
@@ -301,6 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "count", 0) < 0:  # random and batch
+        print(f"error: {args.command} --count {args.count} is negative", file=sys.stderr)
+        return EXIT_INVALID
     try:
         return args.func(args)
     except (InvalidArcPresentation, InvalidSetting) as e:

@@ -65,12 +65,12 @@ def binding_points(n: int, retry: int = 0) -> list:
         raise ValueError("retry counter must be nonnegative")
     pts = []
     for k in range(1, n + 1):
-        t = Fraction(2 * k - (n + 1), 2)
+        p, q = 2 * k - (n + 1), 2  # t = p / q
         if retry:
             weight = k * k if retry <= 32 else k * k * k
-            t += Fraction(weight, 100 + retry)
-        den = 1 + t * t
-        pts.append(((1 - t * t) / den, 2 * t / den))
+            p, q = p * (100 + retry) + 2 * weight, 2 * (100 + retry)
+        den = q * q + p * p
+        pts.append((Fraction(q * q - p * p, den), Fraction(2 * p * q, den)))
     return pts
 
 

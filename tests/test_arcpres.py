@@ -1,6 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stickbound import arcpres
 from stickbound.arcpres import (
@@ -21,7 +24,7 @@ from stickbound.arcpres import (
     simplify,
 )
 from stickbound.errors import InvalidArcPresentation
-from stickbound.geom import seg2_line_intersection
+from stickbound.geom import binding_points, lattice, seg2_line_intersection
 
 
 def test_validate_good():
@@ -230,15 +233,72 @@ def test_diagram_matches_the_reintersecting_diagram(concurrence9, ap5, ap6_fig8)
 
 
 def test_diagram_intersects_each_crossing_pair_once(ap6_fig8, monkeypatch):
+    """One concurrence key per crossing pair, so one intersection each; none
+    when the caller passes its layout in."""
     calls = []
+    key = arcpres._point_key
 
-    def counted(s1, s2):
-        calls.append((s1, s2))
-        return seg2_line_intersection(s1, s2)
+    def counted(x, y, w):
+        calls.append((x, y, w))
+        return key(x, y, w)
 
-    monkeypatch.setattr(arcpres, "seg2_line_intersection", counted)
+    monkeypatch.setattr(arcpres, "_point_key", counted)
     for ap in (ap6_fig8, random_presentation(12, 4201)):
-        assert layout(ap)[1] == 0
+        laid = layout(ap)
+        assert laid[1] == 0
         calls.clear()
-        diagram(ap)
+        assert diagram(ap, laid) == diagram(ap)
         assert len(calls) == len(crossing_pairs(ap)) > 0
+
+
+def layout_on_fractions(ap):
+    """The former layout: each crossing pair intersected on the Fraction
+    points, concurrence found by hashing the Fraction crossing points."""
+    pairs = crossing_pairs(ap)
+    for retry in range(arcpres.MAX_LAYOUT_RETRIES + 1):
+        pts = binding_points(ap.n, retry)
+        segs = [(pts[a - 1], pts[b - 1]) for a, b in ap.chords]
+        crossings = {}
+        seen = set()
+        for i, j in pairs:
+            hit = seg2_line_intersection(segs[i - 1], segs[j - 1])
+            if hit is None or hit[2] in seen:
+                break
+            seen.add(hit[2])
+            crossings[i, j] = hit
+        else:
+            return pts, retry, crossings
+    raise AssertionError("no generic layout")
+
+
+def test_integer_layout_matches_the_fraction_layout(concurrence9):
+    aps = [random_presentation(n, 9100 * n + s) for n in range(5, 33) for s in range(4)]
+    aps += [concurrence9, random_presentation(12, 4200)]
+    aps.append(random_presentation(96, 1))
+    retries = []
+    for ap in aps:
+        laid = layout(ap)
+        assert laid == layout_on_fractions(ap)
+        retries.append(laid[1])
+    assert sum(r > 0 for r in retries) >= 20
+    # n = 96 after a retry: the lattice passes the cap, so the layout ran on Fractions
+    assert retries[-1] >= 1 and lattice(binding_points(96, retries[-1]))[0] == 1
+    # the concurrence key names the point (x/w, y/w): multiples and Fractions agree
+    for x, y, w in ((3, -6, 9), (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7))):
+        assert arcpres._point_key(-2 * x, -2 * y, -2 * w) == arcpres._point_key(x, y, w)
+        assert arcpres._point_key(x, y, w)[2] > 0
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 39))
+def test_layout_is_shift_invariant(n, seed, k):
+    """A cyclic shift renumbers the chords: same points, same retry, and each
+    crossing of the shift is the crossing of the chords it renumbers."""
+    ap = random_presentation(n, seed)
+    pts, retry, crossings = layout(ap)
+    spts, sretry, scrossings = layout(cyclic_shift(ap, k))
+    assert (spts, sretry) == (pts, retry)
+    assert len(scrossings) == len(crossings)
+    for (i, j), (s, u, point) in scrossings.items():
+        i, j = (i - 1 + k) % n + 1, (j - 1 + k) % n + 1
+        assert crossings[min(i, j), max(i, j)] == ((s, u, point) if i < j else (u, s, point))

@@ -252,6 +252,28 @@ def test_batch_without_inputs_errors(capsys):
     assert cli.main(["batch"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["random", "--n", "3", "--count", "-1"], "--count -1"),
+        (["batch", "--n", "9", "--count", "-1"], "--count -1"),
+        (["bounds", "--cmin", "5", "--cmax", "3"], "--cmax 3"),
+    ],
+)
+def test_bad_count_or_range_exits_1_naming_the_flag(argv, flag, capsys):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
+def test_count_zero_keeps_its_behaviour(capsys):
+    assert cli.main(["random", "--n", "3", "--count", "0"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert cli.main(["batch", "--n", "9", "--count", "0"]) == 1
+    assert "batch needs .arc paths" in capsys.readouterr().err
+
+
 def test_batch_turns_bad_file_into_error_row(tmp_path, capsys):
     good = tmp_path / "good.arc"
     good.write_text(UNKNOT3)

@@ -13,7 +13,6 @@ from stickbound import arcpres, construct, geom, invariants
 from stickbound.arcpres import (
     ArcPresentation,
     classify,
-    crossing_pairs,
     layout,
     normalize,
     random_presentation,
@@ -634,23 +633,52 @@ def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
     assert stick_count(sweeps[0]) == 2 * ap6_fig8.n
 
 
-def test_build_full_intersects_chords_only_in_layout(ap6_fig8, monkeypatch):
-    callers = []
-    intersect = geom.seg2_line_intersection
+def test_build_full_intersects_chords_only_in_layout(ap6_fig8, concurrence9, monkeypatch):
+    layouts, callers = [], []
+    intersect, lay_out = geom.seg2_line_intersection, arcpres.layout
 
     def counted(s1, s2):
         callers.append(sys._getframe(1).f_globals["__name__"])
         return intersect(s1, s2)
 
+    def counted_layout(ap):
+        layouts.append(ap)
+        return lay_out(ap)
+
     for module in (geom, arcpres, invariants, construct):
         if hasattr(module, "seg2_line_intersection"):
             monkeypatch.setattr(module, "seg2_line_intersection", counted)
-    assert layout(ap6_fig8)[1] == 0
-    callers.clear()
-    build_full(ap6_fig8)
-    # one layout of the normalized shift, one inside diagram(ap); no retries
-    assert callers.count("stickbound.arcpres") == 2 * len(crossing_pairs(ap6_fig8))
-    assert set(callers) == {"stickbound.arcpres", "stickbound.invariants"}
+    monkeypatch.setattr(arcpres, "layout", counted_layout)
+    monkeypatch.setattr(construct, "layout", counted_layout)
+    for ap in (ap6_fig8, concurrence9):
+        layouts.clear()
+        callers.clear()
+        build_full(ap)
+        # one layout, of the normalized shift; diagram(ap) reuses it
+        assert layouts == [normalize(ap)[0]]
+        assert set(callers) == {"stickbound.invariants"}
+
+
+def test_build_full_diagram_is_the_diagram_of_the_input(concurrence9, monkeypatch):
+    """The diagram build_full derives from the normalized layout equals
+    diagram(ap), which lays the input out itself."""
+    derived = []
+    draw = arcpres.diagram
+
+    def kept(ap, laid=None):
+        derived.append(draw(ap, laid))
+        return derived[-1]
+
+    monkeypatch.setattr(construct, "diagram", kept)
+    shifts, retries = set(), set()
+    aps = [concurrence9] + [random_presentation(5 + k % 10, 8800 + k) for k in range(30)]
+    for ap in aps:
+        derived.clear()
+        _, cert = build_full(ap)
+        assert derived == [draw(ap)]
+        shifts.add(cert.shift > 0)
+        retries.add(cert.layout_retry > 0)
+    assert shifts == retries == {False, True}
 
 
 def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):

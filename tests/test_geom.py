@@ -51,6 +51,23 @@ def test_binding_points_rational():
         assert isinstance(x, Fraction) and isinstance(y, Fraction)
 
 
+def binding_points_on_fractions(n, retry):
+    """The former binding_points: t and the circle map on Fractions."""
+    pts = []
+    for k in range(1, n + 1):
+        t = Fraction(2 * k - (n + 1), 2)
+        if retry:
+            t += Fraction(k * k if retry <= 32 else k * k * k, 100 + retry)
+        pts.append(((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)))
+    return pts
+
+
+def test_binding_points_match_the_fraction_circle_map():
+    for n in range(2, 41):
+        for retry in (0, 1, 2, 7, 32, 33, 64):
+            assert binding_points(n, retry) == binding_points_on_fractions(n, retry)
+
+
 @pytest.mark.parametrize(
     "s1,s2,want",
     [
