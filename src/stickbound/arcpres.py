@@ -169,10 +169,23 @@ def cyclic_shift(ap: ArcPresentation, k: int) -> ArcPresentation:
 
 
 def normalize(ap: ArcPresentation):
-    """Cyclic shift minimizing beta1; ties broken by smallest shift k >= 0."""
-    shifts = [cyclic_shift(ap, k) for k in range(ap.n)]
-    k = min(range(ap.n), key=lambda j: classify(shifts[j])[1].beta1)
-    return shifts[k], k
+    """Cyclic shift minimizing beta1; ties broken by smallest shift k >= 0.
+
+    Shift k renumbers chord c (0-based) as (c - k) % n, so c is type I under
+    it iff (x - k) % n > (c - k) % n for both neighbour chords x, that is iff
+    (c - k) % n < (c - x) % n.  Only the chosen shift is built.
+    """
+    n = ap.n
+    if n < 3:
+        raise InvalidArcPresentation("chord types need at least 3 chords")
+    uses = _point_uses(ap)
+    # u + v - c is the other chord through a point of chord c
+    reach = [
+        min((c - (u + v - c)) % n for u, v in map(uses.get, chord))
+        for c, chord in enumerate(ap.chords)
+    ]
+    k = min(range(n), key=lambda j: sum((c - j) % n < r for c, r in enumerate(reach)))
+    return cyclic_shift(ap, k), k
 
 
 def destabilize_top(ap: ArcPresentation) -> Optional[ArcPresentation]:

@@ -551,8 +551,12 @@ def _certify_top(rot_v, cand_v, t_a, t_b):
     (these survive the configurations where the two extension rays cross in
     the shadow, since the lower extension passes under the other side's
     swing triangle).  Every check runs on the :func:`lattice` image of the
-    candidate's points.
+    candidate's points.  Coinciding tips reject the candidate, and an interim
+    path with a repeated corner rejects its shape, before either reaches
+    ``polygon_embedded``, which refuses repeated consecutive vertices.
     """
+    if t_a == t_b:
+        return False, "extension-tips-coincide"
     m = len(rot_v)
     _, image = lattice(rot_v + [t_a, t_b] + cand_v)
     rot_v, (t_a, t_b), cand_v = image[:m], image[m : m + 2], image[m + 2 :]
@@ -565,7 +569,8 @@ def _certify_top(rot_v, cand_v, t_a, t_b):
     outside += [(rot_v[-1], rot_v[0]), (rot_v[3], rot_v[4])]
     for interim, steps in _DISKS:
         if interim is not None:
-            if not polygon_embedded([corners[i] for i in interim] + rot_v[4:]).ok:
+            path = [corners[i] for i in interim]
+            if len(set(path)) < 4 or not polygon_embedded(path + rot_v[4:]).ok:
                 reason = "interim-polygon-not-embedded"
                 continue
         for before, tris in zip((_OLD_PATH, interim), steps):

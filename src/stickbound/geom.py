@@ -12,6 +12,9 @@ parameter, so the predicates give the same verdicts on Python ints at a
 fraction of the cost of ``Fraction`` arithmetic.  Past
 ``LATTICE_MAX_BITS`` bits the big ints cost more than the fractions, so the
 batch keeps its own coordinates (scale 1) and the same predicates run on them.
+A segment crossing a triangle's plane is tested as the homogeneous point X / w,
+so only a contact strictly inside a segment builds a ``Fraction``; a contact
+at a segment's end returns the caller's own point tuple.
 
 Loops over many segment/segment or segment/triangle pairs first compare
 exact axis-aligned bounding boxes (:func:`bbox`, :func:`boxes_apart`).  Two
@@ -106,6 +109,11 @@ def _lerp3(p, q, t):
         p[1] + t * (q[1] - p[1]),
         p[2] + t * (q[2] - p[2]),
     )
+
+
+def _point_at(p, q, t):
+    """The point at parameter t of segment pq: p or q itself at an end."""
+    return p if t == 0 else q if t == 1 else _lerp3(p, q, t)
 
 
 def bbox(points) -> tuple:
@@ -216,7 +224,10 @@ def _orient_val(a, b, c):
 def seg_triangle_intersection(t: Triangle3, s: Segment3):
     """Exact intersection of a segment with a closed triangle.
 
-    Returns None, ("point", p) or ("segment", p, q).
+    Returns None, ("point", p) or ("segment", p, q).  A crossing of the
+    plane is the point X / w, X = h0 * q - h1 * p and w = h0 - h1 > 0 for the
+    ends' signed heights h, and the edge tests are orientations scaled by w.
+    Only a point strictly inside the segment is divided out.
     """
     a, b, c = t
     nrm = _cross3(_sub3(b, a), _sub3(c, a))
@@ -229,18 +240,16 @@ def seg_triangle_intersection(t: Triangle3, s: Segment3):
     h1 = _dot3(nrm, _sub3(q, a))
     if (h0 > 0 and h1 > 0) or (h0 < 0 and h1 < 0):
         return None
-    ax = _drop_axis(nrm)
-    a2 = (a[ax[0]], a[ax[1]])
-    b2 = (b[ax[0]], b[ax[1]])
-    c2 = (c[ax[0]], c[ax[1]])
+    i, j = _drop_axis(nrm)
+    a2, b2, c2 = (a[i], a[j]), (b[i], b[j]), (c[i], c[j])
     if _orient_val(a2, b2, c2) < 0:
         b2, c2 = c2, b2
+    edges = ((a2, b2), (b2, c2), (c2, a2))
     if h0 == 0 and h1 == 0:
         # coplanar: clip the segment's parameter interval by the three edges
-        p2 = (p[ax[0]], p[ax[1]])
-        q2 = (q[ax[0]], q[ax[1]])
-        lo, hi = Fraction(0), Fraction(1)
-        for u, v in ((a2, b2), (b2, c2), (c2, a2)):
+        p2, q2 = (p[i], p[j]), (q[i], q[j])
+        lo, hi = 0, 1
+        for u, v in edges:
             f0 = _orient_val(u, v, p2)
             f1 = _orient_val(u, v, q2)
             if f0 < 0 and f1 < 0:
@@ -254,20 +263,22 @@ def seg_triangle_intersection(t: Triangle3, s: Segment3):
                 hi = min(hi, tstar)
             if lo > hi:
                 return None
-        pl = _lerp3(p, q, lo)
         if lo == hi:
-            return ("point", pl)
-        return ("segment", pl, _lerp3(p, q, hi))
-    tau = Fraction(h0, h0 - h1)
-    x = _lerp3(p, q, tau)
-    x2 = (x[ax[0]], x[ax[1]])
-    if (
-        _orient_val(a2, b2, x2) >= 0
-        and _orient_val(b2, c2, x2) >= 0
-        and _orient_val(c2, a2, x2) >= 0
-    ):
-        return ("point", x)
-    return None
+            return ("point", _point_at(p, q, lo))
+        return ("segment", _point_at(p, q, lo), _point_at(p, q, hi))
+    if h0 == 0 or h1 == 0:  # the end on the plane is the only candidate
+        x = p if h0 == 0 else q
+        x0, x1, w = x[i], x[j], 1
+    else:
+        if h0 < h1:
+            h0, h1 = -h0, -h1
+        w = h0 - h1
+        x0, x1 = h0 * q[i] - h1 * p[i], h0 * q[j] - h1 * p[j]
+        x = None
+    for u, v in edges:
+        if (v[0] - u[0]) * (x1 - u[1] * w) - (v[1] - u[1]) * (x0 - u[0] * w) < 0:
+            return None
+    return ("point", x if x is not None else _lerp3(p, q, Fraction(h0, w)))
 
 
 def triangle_pierced(t: Triangle3, s: Segment3, ignore=frozenset()) -> bool:

@@ -96,6 +96,17 @@ def test_normalize_bound_and_minimality():
         assert cyclic_shift(ap, k).chords == norm.chords
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
+def test_normalize_builds_the_first_shift_of_least_beta1(n, seed):
+    """normalize scores the shifts without building them; the reference
+    builds and classifies every shift."""
+    ap = random_presentation(n, seed)
+    shifts = [cyclic_shift(ap, k) for k in range(n)]
+    k = min(range(n), key=lambda j: classify(shifts[j])[1].beta1)
+    assert normalize(ap) == (shifts[k], k)
+
+
 def test_cyclic_shift_identity(ap5):
     assert cyclic_shift(ap5, 0).chords == ap5.chords
     assert cyclic_shift(ap5, ap5.n).chords == ap5.chords

@@ -709,32 +709,44 @@ def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):
     return False, reason
 
 
+def _top_move(ap):
+    """(rot_v, j_a, d_a, j_b, d_b) of the top move of ap's build, read off the
+    first candidate top_reduction certifies: tip = j + L * d."""
+    norm, _ = normalize(ap)
+    reduced, trace = triangle_reductions(norm, build_k2(norm))
+    calls = []
+
+    def first_call(rot_v, cand_v, t_a, t_b):
+        calls.append((rot_v, t_a, t_b))
+        return True, ""
+
+    construct._certify_top, real = first_call, construct._certify_top
+    try:
+        top_reduction(reduced, trace)
+    finally:
+        construct._certify_top = real
+    rot_v, t_a, t_b = calls[0]
+    j_a, j_b = rot_v[0], rot_v[3]
+    d_a = tuple((t - j) / 4 for t, j in zip(t_a, j_a))
+    d_b = tuple((t - j) / 4 for t, j in zip(t_b, j_b))
+    return rot_v, j_a, d_a, j_b, d_b
+
+
 def _top_moves(count, seed):
-    """(rot_v, j_a, d_a, j_b, d_b) of the top move of seeded builds, read off
-    the first candidate top_reduction certifies: tip = j + L * d."""
+    """_top_move of seeded random presentations with 5..14 chords."""
     rng = random.Random(seed)
-    moves = []
-    for _ in range(count):
-        ap = random_presentation(rng.randint(5, 14), rng.randrange(1 << 30))
-        norm, _ = normalize(ap)
-        reduced, trace = triangle_reductions(norm, build_k2(norm))
-        calls = []
+    return [
+        _top_move(random_presentation(rng.randint(5, 14), rng.randrange(1 << 30)))
+        for _ in range(count)
+    ]
 
-        def first_call(rot_v, cand_v, t_a, t_b):
-            calls.append((rot_v, t_a, t_b))
-            return True, ""
 
-        construct._certify_top, real = first_call, construct._certify_top
-        try:
-            top_reduction(reduced, trace)
-        finally:
-            construct._certify_top = real
-        rot_v, t_a, t_b = calls[0]
-        j_a, j_b = rot_v[0], rot_v[3]
-        d_a = tuple((t - j) / 4 for t, j in zip(t_a, j_a))
-        d_b = tuple((t - j) / 4 for t, j in zip(t_b, j_b))
-        moves.append((rot_v, j_a, d_a, j_b, d_b))
-    return moves
+def _tips(move, la, lb):
+    """The tips of a _top_move at lengths L_a = la and L_b = lb."""
+    _, j_a, d_a, j_b, d_b = move
+    t_a = tuple(j + la * d for j, d in zip(j_a, d_a))
+    t_b = tuple(j + lb * d for j, d in zip(j_b, d_b))
+    return t_a, t_b
 
 
 def test_certify_top_on_the_lattice_matches_the_fraction_checks(monkeypatch):
@@ -744,12 +756,9 @@ def test_certify_top_on_the_lattice_matches_the_fraction_checks(monkeypatch):
     pairs = [(x, x) for x in (eighth, half, 1, 2, 4, 1 << 10)]
     pairs += [(2, -half), (-half, 2), (4, -eighth)]
     reasons = set()
-    for rot_v, j_a, d_a, j_b, d_b in _top_moves(28, 1203):
-        cands = []
-        for la, lb in pairs:
-            t_a = tuple(j + la * d for j, d in zip(j_a, d_a))
-            t_b = tuple(j + lb * d for j, d in zip(j_b, d_b))
-            cands.append((t_a, t_b))
+    for move in _top_moves(28, 1203):
+        rot_v = move[0]
+        cands = [_tips(move, la, lb) for la, lb in pairs]
         # pinched: tip b on a vertex of the unchanged chain
         cands.append((cands[4][0], rot_v[len(rot_v) // 2 + 2]))
         for t_a, t_b in cands:
@@ -768,3 +777,25 @@ def test_certify_top_on_the_lattice_matches_the_fraction_checks(monkeypatch):
         "self-intersecting-spanning-surface",
         "stationary-stick-meets-spanning-surface",
     }
+
+
+def test_coinciding_top_move_corners_reject_without_raising():
+    # the two extensions of this move meet at L = 1/2; L = 1/4 certifies
+    move = _top_move(random_presentation(7, 601702067))
+    rot_v = move[0]
+    t_a, t_b = _tips(move, Fraction(1, 2), Fraction(1, 2))
+    assert t_a == t_b
+    got = _certify_top(rot_v, [t_a, t_b] + rot_v[4:], t_a, t_b)
+    assert got == (False, "extension-tips-coincide")
+    t_a, t_b = _tips(move, Fraction(1, 4), Fraction(1, 4))
+    assert _certify_top(rot_v, [t_a, t_b] + rot_v[4:], t_a, t_b) == (True, "")
+    # a tip on the other side's top corner repeats a corner of an interim
+    # path: two-step-b's when t_b = top_a, two-step-a's when t_a = top_b
+    moves = _top_moves(10, 1203)
+    t_a, _ = _tips(moves[0], 4, 4)
+    rot_v = moves[0][0]
+    assert _certify_top(rot_v, [t_a, rot_v[1]] + rot_v[4:], t_a, rot_v[1]) == (True, "")
+    _, t_b = _tips(moves[9], 4, 4)
+    rot_v = moves[9][0]
+    got = _certify_top(rot_v, [rot_v[2], t_b] + rot_v[4:], rot_v[2], t_b)
+    assert got == (False, "interim-polygon-not-embedded")

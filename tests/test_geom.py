@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import capped_polygon
 from stickbound import geom
@@ -455,3 +457,120 @@ def test_lattice_past_the_cap_keeps_the_points():
     rep = polygon_embedded(pulled)
     assert (0, 30, IMPROPER) in rep.failures
     assert rep.failures == embedded_reference(pulled)
+
+
+# ------------------------------------------------- segment/triangle on ints
+
+
+def seg_triangle_on_fractions(t, s):
+    """The former seg_triangle_intersection, which divides out the crossing
+    parameter and builds every point it returns from ``Fraction``s."""
+    a, b, c = t
+    nrm = geom._cross3(geom._sub3(b, a), geom._sub3(c, a))
+    if nrm == (0, 0, 0):
+        raise ValueError("degenerate triangle")
+    p, q = s
+    if p == q:
+        raise ValueError("degenerate segment")
+    h0 = geom._dot3(nrm, geom._sub3(p, a))
+    h1 = geom._dot3(nrm, geom._sub3(q, a))
+    if (h0 > 0 and h1 > 0) or (h0 < 0 and h1 < 0):
+        return None
+    ax = geom._drop_axis(nrm)
+    a2 = (a[ax[0]], a[ax[1]])
+    b2 = (b[ax[0]], b[ax[1]])
+    c2 = (c[ax[0]], c[ax[1]])
+    if geom._orient_val(a2, b2, c2) < 0:
+        b2, c2 = c2, b2
+    if h0 == 0 and h1 == 0:
+        p2 = (p[ax[0]], p[ax[1]])
+        q2 = (q[ax[0]], q[ax[1]])
+        lo, hi = Fraction(0), Fraction(1)
+        for u, v in ((a2, b2), (b2, c2), (c2, a2)):
+            f0 = geom._orient_val(u, v, p2)
+            f1 = geom._orient_val(u, v, q2)
+            if f0 < 0 and f1 < 0:
+                return None
+            if f0 >= 0 and f1 >= 0:
+                continue
+            tstar = Fraction(f0, f0 - f1)
+            if f0 < 0:
+                lo = max(lo, tstar)
+            else:
+                hi = min(hi, tstar)
+            if lo > hi:
+                return None
+        pl = geom._lerp3(p, q, lo)
+        if lo == hi:
+            return ("point", pl)
+        return ("segment", pl, geom._lerp3(p, q, hi))
+    tau = Fraction(h0, h0 - h1)
+    x = geom._lerp3(p, q, tau)
+    x2 = (x[ax[0]], x[ax[1]])
+    if (
+        geom._orient_val(a2, b2, x2) >= 0
+        and geom._orient_val(b2, c2, x2) >= 0
+        and geom._orient_val(c2, a2, x2) >= 0
+    ):
+        return ("point", x)
+    return None
+
+
+@st.composite
+def _triangle_and_segment(draw):
+    """A triangle with corners on the lattice 3Z^3 and a segment whose ends
+    are free small lattice points or lattice points of the triangle's plane
+    (a + (i(b - a) + j(c - a)) / 3: corners, edge and inner points, and points
+    outside), so that touching and coplanar cases are common."""
+    t = tuple(tuple(3 * draw(st.integers(-2, 2)) for _ in range(3)) for _ in range(3))
+    a, b, c = t
+
+    def end():
+        if draw(st.booleans()):
+            return tuple(draw(st.integers(-6, 6)) for _ in range(3))
+        i, j = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+        return tuple(x + i * (y - x) // 3 + j * (z - x) // 3 for x, y, z in zip(a, b, c))
+
+    return t, (end(), end())
+
+
+def _seg_triangle_outcome(fn, t, s):
+    try:
+        return fn(t, s)
+    except ValueError as exc:
+        return str(exc)
+
+
+_FLAT = ((0, 0, 0), (6, 0, 0), (0, 6, 0))
+
+
+@settings(derandomize=True, database=None, max_examples=1500, deadline=None)
+@given(case=_triangle_and_segment(), den=st.integers(1, 7))
+@example(case=(_FLAT, ((1, 1, 0), (1, 1, 3))), den=2)  # an end inside the triangle
+@example(case=(_FLAT, ((1, 1, 3), (1, 1, -3))), den=3)  # crossing downwards
+@example(case=(_FLAT, ((-3, 1, 0), (9, 1, 0))), den=5)  # coplanar, clipped twice
+def test_integer_seg_triangle_matches_the_fraction_reference(case, den):
+    scaled = tuple(tuple(tuple(F(c, den) for c in x) for x in y) for y in case)
+    for t, s in (case, scaled):
+        got = _seg_triangle_outcome(seg_triangle_intersection, t, s)
+        want = _seg_triangle_outcome(seg_triangle_on_fractions, t, s)
+        assert got == want and hash(got) == hash(want)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(case=_triangle_and_segment())
+@example(case=(_FLAT, ((0, 0, -1), (0, 0, 1))))  # through a corner
+@example(case=(_FLAT, ((1, 1, 2), (1, 1, 0))))  # an end on the face
+@example(case=(_FLAT, ((1, 1, 0), (2, 2, 0))))  # coplanar, inside
+@example(case=(_FLAT, ((5, 5, 0), (1, 1, 0))))  # coplanar, one end clipped
+def test_seg_triangle_returns_the_callers_ends(case):
+    """On int input a miss or a contact at an end of the segment builds no
+    ``Fraction``: the result holds the caller's own end tuples."""
+    t, s = case
+    hit = _seg_triangle_outcome(seg_triangle_intersection, t, s)
+    if hit is None or isinstance(hit, str):
+        return
+    for x in hit[1:]:
+        if x in s:
+            assert x is s[0] or x is s[1]
+            assert all(type(c) is int for c in x)
