@@ -76,8 +76,9 @@ class StickKnot:
 
 
 def stick_count(knot: StickKnot) -> int:
-    """Number of maximal straight runs of the polygon (collinear runs merge)."""
-    v = knot.vertices
+    """Number of maximal straight runs of the polygon (collinear runs merge),
+    counted on the vertices' :func:`lattice` image."""
+    _, v = lattice(knot.vertices)
     m = len(v)
     count = 0
     for i in range(m):

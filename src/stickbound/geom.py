@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 Point2 = tuple  # (x, y)
 Point3 = tuple  # (x, y, z)
@@ -348,22 +348,3 @@ def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
             if rel != want:
                 failures.append((i, j, rel))
     return EmbeddingReport(not failures, tuple(failures))
-
-
-def seg2_line_intersection(s1, s2) -> Optional[tuple]:
-    """Intersection of the supporting lines of two 2D segments.
-
-    Returns (s, u, point) with the point at parameter s along s1 and u along
-    s2, or None when the lines are parallel.  Callers check the parameter
-    ranges themselves.
-    """
-    (a, b), (c, d) = s1, s2
-    ab = (b[0] - a[0], b[1] - a[1])
-    cd = (d[0] - c[0], d[1] - c[1])
-    den = ab[0] * cd[1] - ab[1] * cd[0]
-    if den == 0:
-        return None
-    r = (c[0] - a[0], c[1] - a[1])
-    s = Fraction(r[0] * cd[1] - r[1] * cd[0], den)
-    u = Fraction(r[0] * ab[1] - r[1] * ab[0], den)
-    return s, u, (a[0] + s * ab[0], a[1] + s * ab[1])

@@ -4,44 +4,41 @@ All computation is exact over the integers.  The Alexander polynomial comes
 from the crossing relation matrix (one row per crossing, one column per
 over-arc) with one row and one column deleted; it is defined up to units
 +-t^k, so results are normalized to lowest degree 0 with positive constant
-term.  The knot determinant is computed twice, by deliberately disjoint code
-paths, and the two values are compared whenever both are at hand: as
-|Alexander(-1)|, and by integer elimination at t = -1 that first pivots away
-the +-1 entries (most of a crossing row is +-1 there) and then runs
-fraction-free Bareiss elimination on the small core left.  Both eliminations
-pick pivots by least fill-in.  A projection tests pairs of edge shadows for
-crossings only when their exact 2D bounding boxes are not strictly apart.
+term.  The knot determinant is computed twice, by code paths that share the
+relation rows and the pivot rule but none of the arithmetic, and the two
+values are compared whenever both are at hand: as |Alexander(-1)|, and by
+integer elimination at t = -1 that first pivots away the +-1 entries (most of
+a crossing row is +-1 there) and then runs fraction-free Bareiss elimination
+on the small core left.  Both eliminations take each pivot of least fill-in
+from one heap (:class:`_Pivots`), the pivot a full rescan would pick.  The
+Alexander path keeps each polynomial as an offset pair (lo, coeffs), t^lo
+times coeffs, so a unit factor t^e never pads it with zeros.  A projection
+tests pairs of edge shadows for crossings only when their exact 2D bounding
+boxes are not strictly apart, and tests them on integer numerators.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .arcpres import Diagram, _gauss_diagram
+from .arcpres import Diagram, _gauss_diagram, _point_key
 from .errors import InternalVerificationError
-from .geom import lattice, orient2d, seg2_line_intersection
+from .geom import lattice, orient2d
 
 PROJECTION_ATTEMPTS = 65
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials (dense lists, lowest degree first)
+# integer polynomials: dense lists, lowest degree first, and offset pairs
+# (lo, coeffs) for t^lo * coeffs with no zero at either end of coeffs
 
 
 def _pstrip(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _padd(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _pstrip(out)
 
 
 def _psub(a, b):
@@ -62,6 +59,29 @@ def _pmul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _pstrip(out)
+
+
+_ZERO = (0, [])
+
+
+def _offset(p):
+    """The offset pair of a dense polynomial."""
+    lo = next((i for i, c in enumerate(p) if c), 0)
+    return lo, p[lo:]
+
+
+def _osub(a, b):
+    (la, ca), (lb, cb) = a, b
+    if not cb:
+        return a
+    lo = min(la, lb) if ca else lb
+    out = _psub([0] * (la - lo) + ca, [0] * (lb - lo) + cb)
+    k = next((i for i, c in enumerate(out) if c), 0)
+    return lo + k, out[k:]
+
+
+def _omul(a, b):
+    return a[0] + b[0], _pmul(a[1], b[1])
 
 
 def _pdivexact(num, den):
@@ -174,111 +194,187 @@ def _relation_rows(d: Diagram):
         b = (a + 1) % c
         o = d.arcs[pos_over[cid]]
         ent = {}
-
-        def add(col, poly):
-            ent[col] = _padd(ent.get(col, []), poly)
-
-        if cr.sign > 0:
-            add(a, [0, 1])
-            add(b, [-1])
-            add(o, [1, -1])
+        if cr.sign > 0:  # (column, coefficient of 1, coefficient of t)
+            terms = ((a, 0, 1), (b, -1, 0), (o, 1, -1))
         else:
-            add(a, [1])
-            add(b, [0, -1])
-            add(o, [-1, 1])
-        rows.append({k: v for k, v in ent.items() if v})
+            terms = ((a, 1, 0), (b, 0, -1), (o, -1, 1))
+        for col, c0, c1 in terms:
+            acc = ent.setdefault(col, [0, 0])
+            acc[0] += c0
+            acc[1] += c1
+        rows.append({k: v for k, v in ent.items() if _pstrip(v)})
     return rows
 
 
 def _is_unit_monomial(p):
-    nz = [i for i, c in enumerate(p) if c]
-    return len(nz) == 1 and abs(p[nz[0]]) == 1
+    """True iff the offset polynomial p is +-t^lo."""
+    return len(p[1]) == 1 and p[1][0] in (1, -1)
 
 
-def _mono_mul(p, mono):
-    e = len(mono) - 1
-    s = mono[-1]
-    return [0] * e + [s * c for c in p]
+class _Pivots:
+    """Least fill-in pivots among the unit entries of sparse rows {r: {col: entry}}.
+
+    A heap holds keys (fill-in, row, col), fill-in being the Markowitz count
+    (row length - 1) * (column length - 1).  An entry's fill-in falls only
+    when its row shrinks or its column loses a row, and both push the entry
+    again, as does an entry that turns into a unit; so each unit entry keeps
+    a key no larger than its fill-in.  The least key whose fill-in holds is
+    then the pivot a full rescan picks, the least (fill-in, row, col) over
+    all unit entries.  A popped key that has grown is pushed back, one of an
+    entry that is no longer a unit dropped.
+    """
+
+    def __init__(self, rows, is_unit):
+        self.rows, self.is_unit = rows, is_unit
+        self.col_rows = {}
+        for r, row in rows.items():
+            for col in row:
+                self.col_rows.setdefault(col, set()).add(r)
+        self.units = {(r, col) for r, row in rows.items() for col, p in row.items() if is_unit(p)}
+        self.heap = [(self._fill(r, col), r, col) for r, col in self.units]
+        heapq.heapify(self.heap)
+
+    def _fill(self, r, col):
+        return (len(self.rows[r]) - 1) * (len(self.col_rows[col]) - 1)
+
+    def push_col(self, col):
+        """Push again the unit entries of a column that lost a row."""
+        for r in self.col_rows[col]:
+            if (r, col) in self.units:
+                heapq.heappush(self.heap, (self._fill(r, col), r, col))
+
+    def pop(self):
+        """The next pivot (row, col), or None when no unit entry is left."""
+        while self.heap:
+            fill, r, col = heapq.heappop(self.heap)
+            if (r, col) in self.units:
+                now = self._fill(r, col)
+                if now == fill:
+                    return r, col
+                heapq.heappush(self.heap, (now, r, col))
+        return None
+
+    def set_row(self, r, new, changed=()):
+        """Replace row r by new, or remove it if new is None; returns the old row.
+
+        Outside the columns ``changed``, new holds the old entries times a unit.
+        """
+        old = self.rows.pop(r)
+        for col in old:
+            if new is None or col not in new:
+                self.col_rows[col].discard(r)
+                self.units.discard((r, col))
+        if new is None:
+            return old
+        self.rows[r] = new
+        shrank = len(new) < len(old)
+        for col, p in new.items():
+            if col in changed:
+                self.col_rows.setdefault(col, set()).add(r)
+                if not self.is_unit(p):
+                    self.units.discard((r, col))
+                    continue
+                self.units.add((r, col))
+            elif not shrank or (r, col) not in self.units:
+                continue
+            heapq.heappush(self.heap, (self._fill(r, col), r, col))
+        return old
+
+
+def _eliminate(rows, is_unit, rewrite):
+    """Pivot away the unit entries of sparse rows {r: {col: entry}}, in place.
+
+    Each pivot is the unit entry of least fill-in, ties going to the
+    smallest (row, col); ``rewrite(row, col, pivot_row)`` clears column col
+    of a row with the pivot row, changing only the pivot row's columns
+    beyond a unit factor.  Returns False as soon as a row empties.
+    """
+    pivots = _Pivots(rows, is_unit)
+    while (pick := pivots.pop()) is not None:
+        r, col = pick
+        pivot_row = pivots.set_row(r, None)
+        lost = set(pivot_row)
+        for r2 in sorted(pivots.col_rows[col]):
+            new = rewrite(rows[r2], col, pivot_row)
+            if not new:
+                return False
+            lost.update(c for c in rows[r2] if c not in new)
+            pivots.set_row(r2, new, pivot_row)
+        for c in lost:
+            pivots.push_col(c)
+    return True
+
+
+def _core(rows, zero):
+    """The dense matrix of rows over their columns, or None if it is not square."""
+    cols = sorted({c for row in rows.values() for c in row})
+    if len(cols) != len(rows):
+        return None
+    return [[rows[r].get(c, zero) for c in cols] for r in sorted(rows)]
+
+
+def _poly_rewrite(row, col, pivot_row):
+    """+-t^e * row - row[col] * pivot_row, the pivot entry being +-t^e."""
+    e, (s,) = pivot_row[col]
+    f = row[col]
+    new = {
+        c: (lo + e, cs if s == 1 else [-x for x in cs])
+        for c, (lo, cs) in row.items()
+        if c != col
+    }
+    for c, p in pivot_row.items():
+        if c != col:
+            new[c] = _osub(new.get(c, _ZERO), _omul(f, p))
+    return {c: p for c, p in new.items() if p[1]}
 
 
 def _sparse_eliminate(rows):
     """Pivot away +-t^e entries; returns the remaining dense core matrix.
 
     Each step scales a row by a unit, which is harmless for a determinant
-    defined up to units.  Deterministic: among the unit-monomial entries,
-    kept as a candidate set that only rewritten rows update, the pivot is
-    the one of least fill-in, ties going to the smallest (row, col).
+    defined up to units.  The polynomials are worked as offset pairs, so a
+    unit factor t^e only moves their offset.
     """
-    col_rows = {}
-    for r, row in rows.items():
-        for col in row:
-            col_rows.setdefault(col, set()).add(r)
-    units = {
-        (r, col) for r, row in rows.items() for col, p in row.items() if _is_unit_monomial(p)
-    }
-    while units:
-        _, r, col = min(
-            ((len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in units
-        )
-        pivot_row = rows.pop(r)
-        mono = pivot_row[col]
-        for c2 in pivot_row:
-            col_rows[c2].discard(r)
-            units.discard((r, c2))
-        for r2 in sorted(col_rows.get(col, ())):
-            f = rows[r2].pop(col)
-            new = {c2: _mono_mul(p, mono) for c2, p in rows[r2].items()}
-            for c2, p in pivot_row.items():
-                if c2 == col:
-                    continue
-                new[c2] = _psub(new.get(c2, []), _pmul(f, p))
-            cleaned = {c2: p for c2, p in new.items() if p}
-            if not cleaned:
-                raise InternalVerificationError("singular crossing relation matrix")
-            units.discard((r2, col))
-            for c2 in rows[r2]:
-                units.discard((r2, c2))
-                if c2 not in cleaned:
-                    col_rows[c2].discard(r2)
-            for c2, p in cleaned.items():
-                col_rows.setdefault(c2, set()).add(r2)
-                if _is_unit_monomial(p):
-                    units.add((r2, c2))
-            rows[r2] = cleaned
-        col_rows.pop(col, None)
-    cols = sorted({c for row in rows.values() for c in row})
-    order = sorted(rows)
-    if len(order) != len(cols):
+    rows = {r: {c: _offset(p) for c, p in row.items()} for r, row in rows.items()}
+    if not _eliminate(rows, _is_unit_monomial, _poly_rewrite):
+        raise InternalVerificationError("singular crossing relation matrix")
+    core = _core(rows, _ZERO)
+    if core is None:
         raise InternalVerificationError("crossing relation matrix lost squareness")
-    return [[list(rows[r].get(c, [])) for c in cols] for r in order]
+    return [[[0] * lo + cs for lo, cs in row] for row in core]
 
 
 def _poly_bareiss(m):
-    """Exact fraction-free determinant of a dense matrix over Z[t]."""
+    """Exact fraction-free determinant of a dense matrix over Z[t].
+
+    The entries are worked as offset pairs; each exact division divides
+    coefficient lists with nonzero constant terms and subtracts offsets.
+    """
     k = len(m)
     if k == 0:
         return [1]
-    sign = 1
-    prev = [1]
+    m = [[_offset(p) for p in row] for row in m]
+    sign, prev = 1, (0, [1])
     for col in range(k - 1):
-        piv = next((r for r in range(col, k) if m[r][col]), None)
+        piv = next((r for r in range(col, k) if m[r][col][1]), None)
         if piv is None:
             raise InternalVerificationError("singular crossing relation matrix")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             sign = -sign
+        top = m[col]
         for r in range(col + 1, k):
+            row = m[r]
             for c2 in range(col + 1, k):
-                num = _psub(_pmul(m[r][c2], m[col][col]), _pmul(m[r][col], m[col][c2]))
-                m[r][c2] = _pdivexact(num, prev)
-            m[r][col] = []
-        prev = m[col][col]
-    res = m[k - 1][k - 1]
-    return [sign * c for c in res]
+                num = _osub(_omul(row[c2], top[col]), _omul(row[col], top[c2]))
+                row[c2] = (num[0] - prev[0], _pdivexact(num[1], prev[1])) if num[1] else _ZERO
+        prev = top[col]
+    lo, res = m[k - 1][k - 1]
+    return [0] * lo + [sign * c for c in res]
 
 
-def alexander(d) -> LaurentPoly:
-    """Normalized Alexander polynomial of a diagram.
+def alexander(d, rows=None) -> LaurentPoly:
+    """Normalized Alexander polynomial of a diagram; ``rows``, if given, are its relation rows.
 
     Every call self-checks the result: value +-1 at t=1, palindromic up to
     units, odd absolute value at t=-1.  Failures raise rather than return.
@@ -287,10 +383,10 @@ def alexander(d) -> LaurentPoly:
     c = len(diag.crossings)
     if c == 0:
         return LaurentPoly((1,))
-    rows = _relation_rows(diag)
+    rows = _relation_rows(diag) if rows is None else rows
     sparse = {}
     for rid in range(1, c):
-        row = {col: list(p) for col, p in rows[rid].items() if col != 0}
+        row = {col: p for col, p in rows[rid].items() if col != 0}
         if not row:
             raise InternalVerificationError("singular crossing relation matrix")
         sparse[rid] = row
@@ -312,20 +408,21 @@ def alexander(d) -> LaurentPoly:
     return poly
 
 
-def determinant(d) -> int:
+def determinant(d, rows=None) -> int:
     """Knot determinant by integer-only elimination.
 
-    Deliberately shares no elimination code with :func:`alexander`: the
-    crossing relation rows are evaluated at t=-1, their +-1 entries are
+    Shares the crossing relation rows (``rows``, when the caller has them)
+    and the pivot rule (:func:`_eliminate`) with :func:`alexander`, but none
+    of its arithmetic: the rows are evaluated at t=-1, their +-1 entries are
     pivoted away by integer row operations (:func:`_unit_eliminate`), and
-    the small core left is reduced by fraction-free elimination.
+    the small core left is reduced by integer fraction-free elimination.
     Cross-checked against |Alexander(-1)| in :func:`match`.
     """
     diag = _as_diagram(d)
     c = len(diag.crossings)
     if c == 0:
         return 1
-    relations = _relation_rows(diag)
+    relations = _relation_rows(diag) if rows is None else rows
     rows = {}
     for rid in range(1, c):
         rows[rid] = row = {}
@@ -340,54 +437,25 @@ def determinant(d) -> int:
     return abs(det)
 
 
+def _int_rewrite(row, col, pivot_row):
+    """row - row[col] * p * pivot_row, the pivot entry being p = +-1."""
+    f = row[col] * pivot_row[col]
+    new = dict(row)
+    for c, v in pivot_row.items():
+        new[c] = new.get(c, 0) - f * v
+    return {c: v for c, v in new.items() if v}
+
+
 def _unit_eliminate(rows):
     """Pivot away the +-1 entries of sparse integer rows {col: value}.
 
     Returns the dense core left, whose determinant equals that of the whole
     matrix up to sign, or None when the matrix is visibly singular: a row
-    empties or the core is not square.  A +-1 pivot divides nothing.  Each
-    pivot is the +-1 entry of least fill-in, ties going to the smallest
-    (row, col).
+    empties or the core is not square.  A +-1 pivot divides nothing.
     """
-    if not all(rows.values()):
+    if not all(rows.values()) or not _eliminate(rows, lambda v: v in (1, -1), _int_rewrite):
         return None
-    col_rows = {}
-    for r, row in rows.items():
-        for col in row:
-            col_rows.setdefault(col, set()).add(r)
-    units = {(r, col) for r, row in rows.items() for col, v in row.items() if v in (1, -1)}
-    while units:
-        _, r, col = min(
-            ((len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in units
-        )
-        pivot_row = rows.pop(r)
-        for c2 in pivot_row:
-            col_rows[c2].discard(r)
-            units.discard((r, c2))
-        p = pivot_row.pop(col)
-        for r2 in col_rows.pop(col):
-            row = rows[r2]
-            f = row.pop(col) * p
-            units.discard((r2, col))
-            for c2, v in pivot_row.items():
-                value = row.get(c2, 0) - f * v
-                if value:
-                    row[c2] = value
-                    col_rows[c2].add(r2)
-                    if value in (1, -1):
-                        units.add((r2, c2))
-                    else:
-                        units.discard((r2, c2))
-                elif c2 in row:
-                    del row[c2]
-                    col_rows[c2].discard(r2)
-                    units.discard((r2, c2))
-            if not row:
-                return None
-    cols = sorted({c for row in rows.values() for c in row})
-    if len(cols) != len(rows):
-        return None
-    return [[rows[r].get(c, 0) for c in cols] for r in sorted(rows)]
+    return _core(rows, 0)
 
 
 def _int_bareiss(m):
@@ -435,7 +503,10 @@ def _project_once(verts, shadows):
     vertex shadows, puts a parameter 0 or 1 on a pair of non-adjacent edges,
     which the crossing loop rejects.  That loop skips a pair whose shadow
     boxes are strictly apart on an axis, since such edges share no point;
-    boxes that touch still go through the full test.
+    boxes that touch still go through the full test.  It tests the pair's
+    parameters as numerators sn, un over their common denominator den > 0,
+    finds a triple point as a repeated :func:`_point_key`, compares heights
+    times den, and builds ``Fraction``s only for the crossings it keeps.
     """
     m = len(verts)
     for i in range(m):
@@ -448,6 +519,7 @@ def _project_once(verts, shadows):
     hits = []
     for i in range(m):
         a, b = shadows[i], shadows[(i + 1) % m]
+        abx, aby = b[0] - a[0], b[1] - a[1]
         xi0, xi1, yi0, yi1 = boxes[i]
         for j in range(i + 2, m):
             if i == 0 and j == m - 1:
@@ -456,30 +528,33 @@ def _project_once(verts, shadows):
             if xi1 < xj0 or xj1 < xi0 or yi1 < yj0 or yj1 < yi0:
                 continue  # boxes strictly apart: the edges share no point
             c, d = shadows[j], shadows[(j + 1) % m]
-            res = seg2_line_intersection((a, b), (c, d))
-            if res is None:
+            cdx, cdy = d[0] - c[0], d[1] - c[1]
+            den = abx * cdy - aby * cdx
+            if den == 0:
                 if orient2d(a, b, c) == 0:
                     xs1 = sorted((a, b))
                     xs2 = sorted((c, d))
                     if max(xs1[0], xs2[0]) <= min(xs1[1], xs2[1]):
                         return None, "no-parallel-overlap"
                 continue
-            s, u, point = res
-            if 0 < s < 1 and 0 < u < 1:
-                hits.append((i, j, s, u, point))
-            elif 0 <= s <= 1 and 0 <= u <= 1:
+            rx, ry = c[0] - a[0], c[1] - a[1]
+            sn, un = rx * cdy - ry * cdx, rx * aby - ry * abx
+            if den < 0:
+                den, sn, un = -den, -sn, -un
+            if 0 < sn < den and 0 < un < den:
+                key = _point_key(a[0] * den + sn * abx, a[1] * den + sn * aby, den)
+                hits.append((i, j, sn, un, den, key))
+            elif 0 <= sn <= den and 0 <= un <= den:
                 return None, "no-vertex-on-edge"
-    seen = set()
-    for _, _, _, _, point in hits:
-        if point in seen:
-            return None, "no-triple-points"
-        seen.add(point)
+    if len({hit[5] for hit in hits}) != len(hits):
+        return None, "no-triple-points"
     over_under = []
-    for i, j, s, u, point in hits:
-        zi = verts[i][2] + s * (verts[(i + 1) % m][2] - verts[i][2])
-        zj = verts[j][2] + u * (verts[(j + 1) % m][2] - verts[j][2])
+    for i, j, sn, un, den, (x, y, w) in hits:
+        zi = verts[i][2] * den + sn * (verts[(i + 1) % m][2] - verts[i][2])
+        zj = verts[j][2] * den + un * (verts[(j + 1) % m][2] - verts[j][2])
         if zi == zj:
             raise InternalVerificationError("polygon edges meet in space")
+        s, u, point = Fraction(sn, den), Fraction(un, den), (Fraction(x, w), Fraction(y, w))
         over_under.append((i, j, s, u, point) if zi > zj else (j, i, u, s, point))
     edges = {e: (shadows[e], shadows[(e + 1) % m]) for e in range(m)}
     return _gauss_diagram(over_under, edges.get, range(m)), None
@@ -539,10 +614,12 @@ def match(d1, d2) -> MatchReport:
 
     The Alexander comparison allows the t -> 1/t substitution, which a change
     of traversal orientation induces.  As a side effect the two determinant
-    code paths are cross-checked against each other on both diagrams.
+    code paths are cross-checked against each other on both diagrams.  Each
+    diagram's relation rows are built once, for both invariants.
     """
-    a1, a2 = alexander(d1), alexander(d2)
-    n1, n2 = determinant(d1), determinant(d2)
+    r1, r2 = (_relation_rows(_as_diagram(d)) for d in (d1, d2))
+    a1, a2 = alexander(d1, r1), alexander(d2, r2)
+    n1, n2 = determinant(d1, r1), determinant(d2, r2)
     for a, n in ((a1, n1), (a2, n2)):
         if abs(a(-1)) != n:
             raise InternalVerificationError(

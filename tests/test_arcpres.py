@@ -24,7 +24,8 @@ from stickbound.arcpres import (
     simplify,
 )
 from stickbound.errors import InvalidArcPresentation
-from stickbound.geom import binding_points, lattice, seg2_line_intersection
+from stickbound.geom import binding_points, lattice
+from test_invariants import seg2_line_intersection
 
 
 def test_validate_good():

@@ -336,6 +336,16 @@ def test_verify_accepts_a_seeded_n48_build(tmp_path):
     assert cli.main(["verify", str(arc), str(poly)]) == 0
 
 
+def test_build_and_verify_the_n48_presentation_of_random_seed_7(tmp_path):
+    """`stickbound random --n 48 --seed 7` writes random_presentation(48,
+    7000021); its Alexander core is 11 x 11, with entries of high degree."""
+    arc = tmp_path / "seed7.arc"
+    arc.write_text(serialize(random_presentation(48, 7 * 1_000_003)))
+    poly = tmp_path / "seed7.json"
+    assert cli.main(["build", str(arc), "--out", str(poly)]) == 0
+    assert cli.main(["verify", str(arc), str(poly)]) == 0
+
+
 def _capped_json(verts):
     sticks = stick_count(StickKnot(tuple(verts), ("?",) * len(verts)))
     return json.dumps({

@@ -23,7 +23,6 @@ from stickbound.geom import (
     orient2d,
     point_on_segment3,
     polygon_embedded,
-    seg2_line_intersection,
     seg3_relation,
     seg_triangle_intersection,
     triangle_pierced,
@@ -162,12 +161,6 @@ def test_polygon_embedded_flags_crossing():
 def test_polygon_embedded_rejects_too_short():
     with pytest.raises(ValueError):
         polygon_embedded([(0, 0, 0), (1, 0, 0)])
-
-
-def test_seg2_line_intersection():
-    s, u, p = seg2_line_intersection(((0, 0), (2, 2)), ((0, 2), (2, 0)))
-    assert (s, u, p) == (F(1, 2), F(1, 2), (1, 1))
-    assert seg2_line_intersection(((0, 0), (1, 0)), ((0, 1), (1, 1))) is None
 
 
 def test_seg_triangle_rejects_degenerate():

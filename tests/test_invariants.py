@@ -8,21 +8,24 @@ determinant, plus frozen values for knots whose invariants are classical.
 
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from stickbound.arcpres import Diagram, _gauss_diagram, diagram, random_presentation
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.construct import build_full, build_k1
-from stickbound.geom import orient2d, seg2_line_intersection
+from stickbound.geom import orient2d
 from stickbound import invariants
 from stickbound.invariants import (
     LaurentPoly,
     _int_bareiss,
-    _mono_mul,
+    _pdivexact,
     _pmul,
     _project_once,
     _psub,
@@ -191,8 +194,20 @@ def test_singular_rows_raise(relations, monkeypatch):
         determinant(d)
 
 
+def is_unit_dense(p):
+    nz = [i for i, c in enumerate(p) if c]
+    return len(nz) == 1 and abs(p[nz[0]]) == 1
+
+
+def _mono_mul(p, mono):
+    e = len(mono) - 1
+    s = mono[-1]
+    return [0] * e + [s * c for c in p]
+
+
 def sparse_eliminate_rescanning(rows):
-    """The former Alexander elimination, which rescans every entry per pivot."""
+    """The former Alexander elimination, which rescans every entry per pivot
+    and keeps each polynomial as a dense list padded with zeros."""
     col_rows = {}
     for r, row in rows.items():
         for col in row:
@@ -201,7 +216,7 @@ def sparse_eliminate_rescanning(rows):
         best = None
         for r in sorted(rows):
             for col in sorted(rows[r]):
-                if not invariants._is_unit_monomial(rows[r][col]):
+                if not is_unit_dense(rows[r][col]):
                     continue
                 score = (len(rows[r]) - 1) * (len(col_rows[col]) - 1)
                 key = (score, r, col)
@@ -265,14 +280,146 @@ def test_alexander_matches_the_rescanning_elimination(seeded_diagrams, monkeypat
 
 
 def test_candidate_pivots_cut_unit_monomial_tests(monkeypatch):
+    """The heap tests each entry for a unit once per rewrite of its row; the
+    rescan tests every entry at every step."""
     d = diagram(random_presentation(24, 7124))
     calls = _recording(monkeypatch, "_is_unit_monomial")
     fast = alexander(d)
-    candidate_set = len(calls)
-    calls.clear()
+    heap_tests = len(calls)
+    rescan_tests, real = [], is_unit_dense
+
+    def counted(p):
+        rescan_tests.append(p)
+        return real(p)
+
+    monkeypatch.setitem(globals(), "is_unit_dense", counted)
     monkeypatch.setattr(invariants, "_sparse_eliminate", sparse_eliminate_rescanning)
     assert alexander(d) == fast
-    assert candidate_set * 4 < len(calls)
+    assert 0 < heap_tests and heap_tests * 4 < len(rescan_tests)
+
+
+def rescanning_pivots(rows, is_unit, rewrite):
+    """Pivots of a full rescan that scores every unit entry afresh at each
+    step, eliminating in place as invariants._eliminate does."""
+    order = []
+    while True:
+        col_len = Counter(c for row in rows.values() for c in row)
+        keys = [
+            ((len(row) - 1) * (col_len[c] - 1), r, c)
+            for r, row in rows.items()
+            for c, v in row.items()
+            if is_unit(v)
+        ]
+        if not keys:
+            return order
+        _, r, col = min(keys)
+        order.append((r, col))
+        pivot_row = rows.pop(r)
+        for r2 in sorted(r2 for r2, row in rows.items() if col in row):
+            rows[r2] = rewrite(rows[r2], col, pivot_row)
+            if not rows[r2]:
+                return order
+
+
+# entry palette, unit test and row rewrite of the integer and the Z[t] elimination
+ELIMINATIONS = {
+    "int": ([1, -1, 1, -1, 2, -2, 3], lambda v: v in (1, -1), invariants._int_rewrite),
+    "poly": (
+        [[1], [-1], [0, 1], [0, -1], [1, -1], [-1, 1], [2], [0, 0, 1], [1, 1]],
+        invariants._is_unit_monomial,
+        invariants._poly_rewrite,
+    ),
+}
+
+
+def random_rows(rng, palette):
+    """Sparse rows, many of them near-copies of an earlier row so that
+    elimination cancels entries and shrinks rows and columns."""
+    k = rng.randint(2, 9)
+    rows = {}
+    for r in range(k):
+        row = dict(rows[rng.choice(list(rows))]) if rows and rng.random() < 0.5 else {}
+        for _ in range(rng.randint(1, 3)):
+            row[rng.randrange(k + 1)] = rng.choice(palette)
+        rows[r] = row
+    return rows
+
+
+def pivot_orders(rng, kind, pivots=invariants._Pivots):
+    """(heap pivots, rescanning pivots) on one random matrix of the kind."""
+    palette, is_unit, rewrite = ELIMINATIONS[kind]
+    rows = random_rows(rng, palette)
+    if kind == "poly":
+        rows = {r: {c: invariants._offset(p) for c, p in row.items()} for r, row in rows.items()}
+    order = []
+
+    class Recording(pivots):
+        def pop(self):
+            pick = super().pop()
+            if pick is not None:
+                order.append(pick)
+            return pick
+
+    with mock.patch.object(invariants, "_Pivots", Recording):
+        invariants._eliminate(copy.deepcopy(rows), is_unit, rewrite)
+    return order, rescanning_pivots(rows, is_unit, rewrite)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(sorted(ELIMINATIONS)))
+def test_pivot_heap_picks_the_rescanning_order(rng, kind):
+    heap, rescan = pivot_orders(rng, kind)
+    assert heap == rescan
+
+
+def test_pivot_heap_needs_the_column_pushes():
+    """Without pushing the unit entries of a column that lost a row, the heap
+    misses pivots whose fill-in fell."""
+
+    class NoColumnPush(invariants._Pivots):
+        def push_col(self, col):
+            pass
+
+    missed = set()
+    for seed in range(300):
+        for kind in ELIMINATIONS:
+            heap, rescan = pivot_orders(random.Random(seed), kind, NoColumnPush)
+            if heap != rescan:
+                missed.add(kind)
+    assert missed == set(ELIMINATIONS)
+
+
+def poly_bareiss_dense(m):
+    """The former polynomial Bareiss, on dense lists padded with zeros."""
+    k = len(m)
+    if k == 0:
+        return [1]
+    sign = 1
+    prev = [1]
+    for col in range(k - 1):
+        piv = next((r for r in range(col, k) if m[r][col]), None)
+        if piv is None:
+            raise InternalVerificationError("singular crossing relation matrix")
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            sign = -sign
+        for r in range(col + 1, k):
+            for c2 in range(col + 1, k):
+                num = _psub(_pmul(m[r][c2], m[col][col]), _pmul(m[r][col], m[col][c2]))
+                m[r][c2] = _pdivexact(num, prev)
+            m[r][col] = []
+        prev = m[col][col]
+    return [sign * c for c in m[k - 1][k - 1]]
+
+
+def test_offset_bareiss_matches_the_dense_bareiss(seeded_diagrams, monkeypatch):
+    cores = _recording(monkeypatch, "_sparse_eliminate")
+    for _, _, d in seeded_diagrams:
+        alexander(d)
+    assert max(len(core) for core in cores) >= 3
+    for core in cores:
+        want = poly_bareiss_dense(copy.deepcopy(core))
+        assert invariants._poly_bareiss(copy.deepcopy(core)) == want
 
 
 def test_diagram_rejects_unbalanced_gauss():
@@ -359,6 +506,31 @@ def test_project_on_the_lattice_matches_the_fraction_projection():
             assert c == w and c.point == w.point
         attempts.add(got.attempt)
     assert {None, 0, 1} <= attempts
+
+
+def seg2_line_intersection(s1, s2):
+    """Intersection of the supporting lines of two 2D segments.
+
+    Returns (s, u, point) with the point at parameter s along s1 and u along
+    s2, or None when the lines are parallel.  Callers check the parameter
+    ranges themselves.
+    """
+    (a, b), (c, d) = s1, s2
+    ab = (b[0] - a[0], b[1] - a[1])
+    cd = (d[0] - c[0], d[1] - c[1])
+    den = ab[0] * cd[1] - ab[1] * cd[0]
+    if den == 0:
+        return None
+    r = (c[0] - a[0], c[1] - a[1])
+    s = Fraction(r[0] * cd[1] - r[1] * cd[0], den)
+    u = Fraction(r[0] * ab[1] - r[1] * ab[0], den)
+    return s, u, (a[0] + s * ab[0], a[1] + s * ab[1])
+
+
+def test_seg2_line_intersection():
+    s, u, p = seg2_line_intersection(((0, 0), (2, 2)), ((0, 2), (2, 0)))
+    assert (s, u, p) == (Fraction(1, 2), Fraction(1, 2), (1, 1))
+    assert seg2_line_intersection(((0, 0), (1, 0)), ((0, 1), (1, 1))) is None
 
 
 def _on_open_segment2(p, a, b):
