@@ -9,7 +9,8 @@ This module owns the combinatorics (validation, crossing pairs, chord types),
 the moves (cyclic shift, top destabilization), the text format, random
 generation, and the exact planar diagram of a presentation.  The layout
 runs on the binding points' integer lattice, or on the ``Fraction``s past
-``geom.LATTICE_MAX_BITS``; ``diagram`` can reuse a caller's layout.
+``geom.LATTICE_MAX_BITS``; ``diagram`` reads each crossing's sign from the
+chord labels and can reuse a caller's layout crossings.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalVerificationError, InvalidArcPresentation
-from .geom import binding_points, lattice, orient2d
+from .geom import binding_points, lattice
 
 MAX_LAYOUT_RETRIES = 64
 
@@ -267,16 +268,16 @@ def layout(ap: ArcPresentation):
     Tries the canonical layout first, then the deterministic perturbation
     schedule, and fails loudly if 64 retries cannot separate a concurrence.
     Returns (pts, retry, crossings): ``crossings`` maps each pair (i, j) of
-    ``crossing_pairs`` to the (s, u, point) at which chord i meets chord j,
-    s and u measured along each chord from its smaller label.  The chords
-    meet on the points' :func:`lattice` image, a triple point shows as a
-    repeated :func:`_point_key`, and past the lattice cap the same code runs
-    on the ``Fraction``s.
+    ``crossing_pairs`` to the (s, u) at which chord i meets chord j, s and u
+    measured along each chord from its smaller label.  The chords meet on
+    the points' :func:`lattice` image, a triple point shows as a repeated
+    :func:`_point_key`, and past the lattice cap the same code runs on the
+    ``Fraction``s.
     """
     pairs = crossing_pairs(ap)
     for retry in range(MAX_LAYOUT_RETRIES + 1):
         pts = binding_points(ap.n, retry)
-        scale, image = lattice(pts)
+        _, image = lattice(pts)
         chords = [(image[a - 1], image[b - 1]) for a, b in ap.chords]
         crossings = {}
         seen = set()
@@ -293,9 +294,7 @@ def layout(ap: ArcPresentation):
             if key in seen:
                 break  # three chords meet: not generic
             seen.add(key)
-            x, y, w = key  # the crossing point is (x, y) / (w * scale)
-            point = (Fraction(x, w * scale), Fraction(y, w * scale))
-            crossings[i, j] = (Fraction(sn, den), Fraction(rx * aby - ry * abx, den), point)
+            crossings[i, j] = (Fraction(sn, den), Fraction(rx * aby - ry * abx, den))
         else:
             return pts, retry, crossings
     raise InternalVerificationError(
@@ -308,17 +307,14 @@ class Crossing:
     """One transversal crossing of a planar diagram.
 
     ``over``/``under`` index the two strands (1-based chords for diagrams of
-    arc presentations, 0-based polygon edges for projections); ``sign`` is the
-    orientation sign of (over direction, under direction); ``point`` is the
-    exact 2D crossing point; the params locate it along each oriented strand.
+    arc presentations, 0-based polygon edges for projections); ``sign`` is
+    the orientation sign of (over direction, under direction), +1 when the
+    under strand runs counterclockwise of the over strand.
     """
 
     over: int
     under: int
     sign: int
-    point: tuple
-    param_over: Fraction
-    param_under: Fraction
 
 
 @dataclass(frozen=True)
@@ -332,7 +328,7 @@ class Diagram:
 
     crossings: tuple
     gauss: tuple
-    arcs: tuple = field(default=())
+    arcs: tuple = field(init=False)
 
     def __post_init__(self):
         n_under = sum(1 for _, over in self.gauss if not over)
@@ -340,8 +336,7 @@ class Diagram:
             raise InvalidArcPresentation(
                 "gauss sequence must visit every crossing once over, once under"
             )
-        if not self.arcs:
-            object.__setattr__(self, "arcs", _arc_ids(self.gauss))
+        object.__setattr__(self, "arcs", _arc_ids(self.gauss))
 
 
 def _arc_ids(gauss) -> tuple:
@@ -357,24 +352,17 @@ def _arc_ids(gauss) -> tuple:
     return tuple(ids)
 
 
-def _gauss_diagram(hits, segment, strands) -> Diagram:
-    """Diagram of ``hits``, crossings as (over, under, param_over, param_under, point).
+def _gauss_diagram(hits, strands) -> Diagram:
+    """Diagram of ``hits``, crossings as (over, under, sign, p_over, p_under).
 
-    ``segment(strand)`` is a strand's oriented 2D segment, whose direction
-    gives each crossing's sign; the Gauss code walks ``strands`` in order and
-    each strand's crossings by their parameter along it.
+    The Gauss code walks ``strands`` in order and each strand's crossings by
+    their parameter along it; the parameters serve only as sort keys.
     """
-
-    def direction(strand):
-        (x0, y0), (x1, y1) = segment(strand)
-        return (x1 - x0, y1 - y0)
-
     crossings = []
     by_strand = {}
-    for over, under, p_over, p_under, point in hits:
+    for over, under, sign, p_over, p_under in hits:
         cid = len(crossings)
-        sign = orient2d((0, 0), direction(over), direction(under))
-        crossings.append(Crossing(over, under, sign, point, p_over, p_under))
+        crossings.append(Crossing(over, under, sign))
         by_strand.setdefault(over, []).append((p_over, cid, True))
         by_strand.setdefault(under, []).append((p_under, cid, False))
     gauss = [
@@ -385,30 +373,32 @@ def _gauss_diagram(hits, segment, strands) -> Diagram:
     return Diagram(tuple(crossings), tuple(gauss))
 
 
-def diagram(ap: ArcPresentation, laid=None) -> Diagram:
+def diagram(ap: ArcPresentation, crossings=None) -> Diagram:
     """Exact planar diagram of ap; the smaller chord index goes under.
 
-    ``laid`` is ap's layout as :func:`layout` returns it, when the caller
-    already has one; without it, diagram lays ap out itself.
+    ``crossings`` is ap's layout crossings, as :func:`layout` returns them,
+    if the caller has them.  The binding points sit on the circle in label
+    order, so interleaved chords a < b and c < d have cross(b - a, d - c) > 0
+    iff a < c; a chord the walk runs from its larger label flips the sign.
     """
-    pts, _, crossings = layout(ap) if laid is None else laid
+    if crossings is None:
+        crossings = layout(ap)[2]
     walk = chord_walk(ap)
-    oriented = {}
-    backward = set()  # chords the walk runs from their larger label
-    for cur, entry, exit_pt in walk:
-        oriented[cur + 1] = (pts[entry - 1], pts[exit_pt - 1])
-        if entry != ap.chords[cur][0]:
-            backward.add(cur + 1)
+    # +1 for a chord the walk runs from its smaller label, -1 otherwise
+    sense = {cur + 1: 1 if entry == ap.chords[cur][0] else -1 for cur, entry, _ in walk}
     hits = []
-    for (i, j), (s, u, point) in crossings.items():
+    for (i, j), (s, u) in crossings.items():
         if not (0 < s < 1 and 0 < u < 1):
             raise InternalVerificationError(
                 f"interleaved chords {i},{j} failed to cross properly"
             )
-        s = 1 - s if i in backward else s
-        u = 1 - u if j in backward else u
-        hits.append((j, i, u, s, point))
-    return _gauss_diagram(hits, oriented.get, [cur + 1 for cur, _, _ in walk])
+        # chord j is over: sign = cross(dir_j, dir_i) = -cross(b - a, d - c)
+        a, c = ap.chords[i - 1][0], ap.chords[j - 1][0]
+        sign = (-1 if a < c else 1) * sense[i] * sense[j]
+        s = s if sense[i] > 0 else 1 - s
+        u = u if sense[j] > 0 else 1 - u
+        hits.append((j, i, sign, u, s))
+    return _gauss_diagram(hits, [cur + 1 for cur, _, _ in walk])
 
 
 def random_presentation(n: int, seed: int) -> ArcPresentation:

@@ -650,11 +650,11 @@ def build_full(ap: ArcPresentation, top: bool = True):
     bound = theorem2_upper(n)
     # norm's chord i is the input's chord (i - 1 + shift) % n + 1, on the same points
     unshifted = {}
-    for (i, j), (s, u, point) in crossings.items():
+    for (i, j), (s, u) in crossings.items():
         i, j = (i - 1 + shift) % n + 1, (j - 1 + shift) % n + 1
-        unshifted[min(i, j), max(i, j)] = (s, u, point) if i < j else (u, s, point)
-    laid = (pts, retry, dict(sorted(unshifted.items())))
-    rep = invariants.match(diagram(ap, laid), invariants.project(final))
+        unshifted[min(i, j), max(i, j)] = (s, u) if i < j else (u, s)
+    unshifted = dict(sorted(unshifted.items()))
+    rep = invariants.match(diagram(ap, unshifted), invariants.project(final))
     cert = Certificate(
         n=n,
         shift=shift,

@@ -14,13 +14,14 @@ from one heap (:class:`_Pivots`), the pivot a full rescan would pick.  The
 Alexander path keeps each polynomial as an offset pair (lo, coeffs), t^lo
 times coeffs, so a unit factor t^e never pads it with zeros.  A projection
 tests pairs of edge shadows for crossings only when their exact 2D bounding
-boxes are not strictly apart, and tests them on integer numerators.
+boxes are not strictly apart, and tests them on integer numerators whose
+denominator's sign gives the crossing's sign.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arcpres import Diagram, _gauss_diagram, _point_key
@@ -505,8 +506,9 @@ def _project_once(verts, shadows):
     boxes are strictly apart on an axis, since such edges share no point;
     boxes that touch still go through the full test.  It tests the pair's
     parameters as numerators sn, un over their common denominator den > 0,
+    keeping the sign den had, the crossing's sign when edge i is over;
     finds a triple point as a repeated :func:`_point_key`, compares heights
-    times den, and builds ``Fraction``s only for the crossings it keeps.
+    times den, and builds ``Fraction``s only as the kept crossings' sort keys.
     """
     m = len(verts)
     for i in range(m):
@@ -539,25 +541,25 @@ def _project_once(verts, shadows):
                 continue
             rx, ry = c[0] - a[0], c[1] - a[1]
             sn, un = rx * cdy - ry * cdx, rx * aby - ry * abx
+            sign = 1
             if den < 0:
-                den, sn, un = -den, -sn, -un
+                sign, den, sn, un = -1, -den, -sn, -un
             if 0 < sn < den and 0 < un < den:
                 key = _point_key(a[0] * den + sn * abx, a[1] * den + sn * aby, den)
-                hits.append((i, j, sn, un, den, key))
+                hits.append((i, j, sign, sn, un, den, key))
             elif 0 <= sn <= den and 0 <= un <= den:
                 return None, "no-vertex-on-edge"
-    if len({hit[5] for hit in hits}) != len(hits):
+    if len({hit[6] for hit in hits}) != len(hits):
         return None, "no-triple-points"
     over_under = []
-    for i, j, sn, un, den, (x, y, w) in hits:
+    for i, j, sign, sn, un, den, _ in hits:
         zi = verts[i][2] * den + sn * (verts[(i + 1) % m][2] - verts[i][2])
         zj = verts[j][2] * den + un * (verts[(j + 1) % m][2] - verts[j][2])
         if zi == zj:
             raise InternalVerificationError("polygon edges meet in space")
-        s, u, point = Fraction(sn, den), Fraction(un, den), (Fraction(x, w), Fraction(y, w))
-        over_under.append((i, j, s, u, point) if zi > zj else (j, i, u, s, point))
-    edges = {e: (shadows[e], shadows[(e + 1) % m]) for e in range(m)}
-    return _gauss_diagram(over_under, edges.get, range(m)), None
+        s, u = Fraction(sn, den), Fraction(un, den)
+        over_under.append((i, j, sign, s, u) if zi > zj else (j, i, -sign, u, s))
+    return _gauss_diagram(over_under, range(m)), None
 
 
 def project(knot) -> ProjectedDiagram:
@@ -568,22 +570,18 @@ def project(knot) -> ProjectedDiagram:
     directions raises.  The checks run on the vertices' :func:`lattice`
     image, scale D: with a = 7+m and b = 11+2m the shadows
     (b(aX - Z), a(bY - Z)) of the image points (X, Y, Z) are the true
-    shadows times D*a*b, and each crossing point is divided back.
+    shadows times D*a*b, a positive factor.
     """
     verts = getattr(knot, "vertices", knot)
-    scale, lifted = lattice(verts)
+    _, lifted = lattice(verts)
     last = "no directions tried"
     for attempt in range(PROJECTION_ATTEMPTS):
         a, b = 7 + attempt, 11 + 2 * attempt
         shadows = [(b * (a * x - z), a * (b * y - z)) for x, y, z in lifted]
         diag, failed = _project_once(lifted, shadows)
         if diag is not None:
-            k = scale * a * b
-            crossings = tuple(
-                replace(c, point=(c.point[0] / k, c.point[1] / k)) for c in diag.crossings
-            )
             return ProjectedDiagram(
-                diagram=replace(diag, crossings=crossings),
+                diagram=diag,
                 direction=(Fraction(1, a), Fraction(1, b), Fraction(1)),
                 attempt=attempt,
             )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from stickbound.arcpres import (
     simplify,
 )
 from stickbound.errors import InvalidArcPresentation
-from stickbound.geom import binding_points, lattice
+from stickbound.geom import binding_points, lattice, orient2d
 from test_invariants import seg2_line_intersection
 
 
@@ -173,12 +174,12 @@ def test_layout_general_position(ap5):
 
 
 def test_layout_retries_past_concurrence(concurrence9):
-    pts, retry, _ = layout(concurrence9)
+    pts, retry, crossings = layout(concurrence9)
     assert retry >= 1
     # after the retry every interior crossing is a plain double point
-    d = diagram(concurrence9)
-    points = [c.point for c in d.crossings]
-    assert len(points) == len(set(points))
+    segs = [(pts[a - 1], pts[b - 1]) for a, b in concurrence9.chords]
+    points = [seg2_line_intersection(segs[i - 1], segs[j - 1])[2] for i, j in crossings]
+    assert len(points) == len(set(points)) == len(crossing_pairs(concurrence9))
 
 
 def test_diagram_trefoil(ap5):
@@ -189,7 +190,7 @@ def test_diagram_trefoil(ap5):
     for c in d.crossings:
         assert c.under < c.over  # lower chord always passes under
         assert c.sign in (-1, 1)
-        assert 0 < c.param_over < 1 and 0 < c.param_under < 1
+    assert all(0 < s < 1 and 0 < u < 1 for s, u in layout(ap5)[2].values())
 
 
 def test_diagram_crossing_pairs_match(ap5):
@@ -221,27 +222,57 @@ def test_layout_crossings_are_the_direct_intersections(concurrence9):
         assert list(crossings) == crossing_pairs(ap)
         segs = [(pts[a - 1], pts[b - 1]) for a, b in ap.chords]  # from the smaller label
         for i, j in crossing_pairs(ap):
-            assert crossings[i, j] == seg2_line_intersection(segs[i - 1], segs[j - 1])
+            assert crossings[i, j] == seg2_line_intersection(segs[i - 1], segs[j - 1])[:2]
     assert layout(concurrence9)[1] > 0 and layout(random_presentation(12, 4200))[1] > 0
 
 
 def reintersecting_diagram(ap):
     """The former diagram: each crossing pair intersected again, along the
-    chords as the walk orients them."""
+    chords as the walk orients them, each sign the orientation of the
+    over and under chords' Fraction directions."""
     pts = layout(ap)[0]
     walk = chord_walk(ap)
     oriented = {cur + 1: (pts[entry - 1], pts[exit_pt - 1]) for cur, entry, exit_pt in walk}
+
+    def direction(chord):
+        (x0, y0), (x1, y1) = oriented[chord]
+        return x1 - x0, y1 - y0
+
     hits = []
     for i, j in crossing_pairs(ap):
-        s, u, point = seg2_line_intersection(oriented[i], oriented[j])
+        s, u, _ = seg2_line_intersection(oriented[i], oriented[j])
         assert 0 < s < 1 and 0 < u < 1
-        hits.append((j, i, u, s, point))
-    return _gauss_diagram(hits, oriented.get, [cur + 1 for cur, _, _ in walk])
+        hits.append((j, i, orient2d((0, 0), direction(j), direction(i)), u, s))
+    return _gauss_diagram(hits, [cur + 1 for cur, _, _ in walk])
 
 
 def test_diagram_matches_the_reintersecting_diagram(concurrence9, ap5, ap6_fig8):
     for ap in [ap5, ap6_fig8] + _seeded_presentations(concurrence9):
         assert diagram(ap) == reintersecting_diagram(ap)
+
+
+def _sign_rule_mutants(ap):
+    """diagram(ap) with its label sign rule broken: the walk direction
+    ignored, and a > c read for a < c."""
+    d = diagram(ap)
+    sense = {cur + 1: 1 if entry == ap.chords[cur][0] else -1 for cur, entry, _ in chord_walk(ap)}
+    for flip in (lambda c: sense[c.over] * sense[c.under], lambda c: -1):
+        yield dataclasses.replace(
+            d, crossings=tuple(dataclasses.replace(c, sign=c.sign * flip(c)) for c in d.crossings)
+        )
+
+
+def test_reintersecting_diagram_catches_sign_rule_mutants(concurrence9):
+    """Each broken rule gives the seeded presentations other diagrams, so
+    the comparison with reintersecting_diagram fails on them; only a
+    presentation whose crossings all join chords walked the same way keeps
+    its diagram under the first."""
+    aps = _seeded_presentations(concurrence9)
+    caught = [
+        [mutant != reintersecting_diagram(ap) for mutant in _sign_rule_mutants(ap)] for ap in aps
+    ]
+    assert caught[0] == [True, True]  # concurrence9, laid out after a retry
+    assert [sum(col) for col in zip(*caught)] == [len(aps) - 1, len(aps)]
 
 
 def test_diagram_intersects_each_crossing_pair_once(ap6_fig8, monkeypatch):
@@ -259,13 +290,14 @@ def test_diagram_intersects_each_crossing_pair_once(ap6_fig8, monkeypatch):
         laid = layout(ap)
         assert laid[1] == 0
         calls.clear()
-        assert diagram(ap, laid) == diagram(ap)
+        assert diagram(ap, laid[2]) == diagram(ap)
         assert len(calls) == len(crossing_pairs(ap)) > 0
 
 
 def layout_on_fractions(ap):
     """The former layout: each crossing pair intersected on the Fraction
-    points, concurrence found by hashing the Fraction crossing points."""
+    points, concurrence found by hashing the Fraction crossing points; each
+    crossing kept as its (s, u)."""
     pairs = crossing_pairs(ap)
     for retry in range(arcpres.MAX_LAYOUT_RETRIES + 1):
         pts = binding_points(ap.n, retry)
@@ -277,7 +309,7 @@ def layout_on_fractions(ap):
             if hit is None or hit[2] in seen:
                 break
             seen.add(hit[2])
-            crossings[i, j] = hit
+            crossings[i, j] = hit[:2]
         else:
             return pts, retry, crossings
     raise AssertionError("no generic layout")
@@ -311,6 +343,6 @@ def test_layout_is_shift_invariant(n, seed, k):
     spts, sretry, scrossings = layout(cyclic_shift(ap, k))
     assert (spts, sretry) == (pts, retry)
     assert len(scrossings) == len(crossings)
-    for (i, j), (s, u, point) in scrossings.items():
+    for (i, j), (s, u) in scrossings.items():
         i, j = (i - 1 + k) % n + 1, (j - 1 + k) % n + 1
-        assert crossings[min(i, j), max(i, j)] == ((s, u, point) if i < j else (u, s, point))
+        assert crossings[min(i, j), max(i, j)] == ((s, u) if i < j else (u, s))

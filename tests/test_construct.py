@@ -659,8 +659,8 @@ def test_build_full_diagram_is_the_diagram_of_the_input(concurrence9, monkeypatc
     derived = []
     draw = arcpres.diagram
 
-    def kept(ap, laid=None):
-        derived.append(draw(ap, laid))
+    def kept(ap, crossings=None):
+        derived.append(draw(ap, crossings))
         return derived[-1]
 
     monkeypatch.setattr(construct, "diagram", kept)
