@@ -105,7 +105,7 @@ def cmd_verify(args) -> int:
         stored_det = _stored(data, "determinant", int, type(None))
     except InvalidArcPresentation:
         raise
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as e:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as e:
         print(f"error: malformed polygon JSON: {e}", file=sys.stderr)
         return EXIT_INVALID
 
@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
     if (sticks <= theorem2_upper(ap.n)) != stored_bound_ok:
         print("error: stored bound verdict does not match recount", file=sys.stderr)
         return EXIT_INTERNAL
-    report = match(diagram(ap), project(knot))
+    report = match(ap, diagram(ap), project(knot))
     if stored_det is not None and report.det2 != stored_det:
         print(
             f"error: stored determinant {stored_det} but polygon has {report.det2}",

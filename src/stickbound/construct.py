@@ -94,16 +94,13 @@ class HeightRecord:
     """Why chord i received its height.
 
     For type-II/III chords: the anchor chord j (the larger smaller-index
-    neighbor), the apex binding point shared with it, and the exact crossing
-    constraints (k, t_k) that were binding candidates (chords k < i crossing
-    chord i at fraction t_k from the apex with z_k > z_j).
+    neighbor) and the apex binding point shared with it.
     """
 
     chord: int
     ctype: ChordType
     anchor: Optional[int]
     apex: Optional[int]
-    constraints: tuple
 
 
 @dataclass(frozen=True)
@@ -137,19 +134,18 @@ def _assign_heights(ap: ArcPresentation, crossings) -> HeightAssignment:
     n = ap.n
     z = [0] * (n + 1)
     z[1], z[2] = 1, 2
-    records = [HeightRecord(1, types[0], None, None, ())]
+    records = [HeightRecord(1, types[0], None, None)]
     if types[1] is ChordType.I:
-        records.append(HeightRecord(2, types[1], None, None, ()))
+        records.append(HeightRecord(2, types[1], None, None))
     else:
         j, p = _anchor_and_apex(ap, uses, 2)
-        records.append(HeightRecord(2, types[1], j, p, ()))
+        records.append(HeightRecord(2, types[1], j, p))
     for i in range(3, n + 1):
         if types[i - 1] is ChordType.I:
             z[i] = z[i - 1] + 1
-            records.append(HeightRecord(i, types[i - 1], None, None, ()))
+            records.append(HeightRecord(i, types[i - 1], None, None))
             continue
         j, apex = _anchor_and_apex(ap, uses, i)
-        constraints = []
         worst = None
         for k, t in _crossed_from_apex(ap, crossings, i, apex):
             if k == j or z[k] <= z[j]:
@@ -158,7 +154,6 @@ def _assign_heights(ap: ArcPresentation, crossings) -> HeightAssignment:
                 raise InternalVerificationError(
                     f"crossing of chords {i},{k} off the open chord"
                 )
-            constraints.append((k, t))
             val = z[j] + Fraction(z[k] - z[j]) / t
             if worst is None or val > worst:
                 worst = val
@@ -166,9 +161,7 @@ def _assign_heights(ap: ArcPresentation, crossings) -> HeightAssignment:
         if worst is not None:
             cand = max(cand, 1 + math.floor(worst))
         z[i] = cand
-        records.append(
-            HeightRecord(i, types[i - 1], j, apex, tuple(sorted(constraints)))
-        )
+        records.append(HeightRecord(i, types[i - 1], j, apex))
     return HeightAssignment(tuple(z[1:]), tuple(records))
 
 
@@ -654,7 +647,7 @@ def build_full(ap: ArcPresentation, top: bool = True):
         i, j = (i - 1 + shift) % n + 1, (j - 1 + shift) % n + 1
         unshifted[min(i, j), max(i, j)] = (s, u) if i < j else (u, s)
     unshifted = dict(sorted(unshifted.items()))
-    rep = invariants.match(diagram(ap, unshifted), invariants.project(final))
+    rep = invariants.match(ap, diagram(ap, unshifted), invariants.project(final))
     cert = Certificate(
         n=n,
         shift=shift,

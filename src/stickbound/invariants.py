@@ -1,21 +1,20 @@
-"""Diagram invariants: Alexander polynomial, determinant, projections.
+"""Knot invariants: Alexander polynomial, determinant, projections.
 
 All computation is exact over the integers.  The Alexander polynomial comes
-from the crossing relation matrix (one row per crossing, one column per
-over-arc) with one row and one column deleted; it is defined up to units
-+-t^k, so results are normalized to lowest degree 0 with positive constant
-term.  The knot determinant is computed twice, by code paths that share the
-relation rows and the pivot rule but none of the arithmetic, and the two
-values are compared whenever both are at hand: as |Alexander(-1)|, and by
-integer elimination at t = -1 that first pivots away the +-1 entries (most of
-a crossing row is +-1 there) and then runs fraction-free Bareiss elimination
-on the small core left.  Both eliminations take each pivot of least fill-in
-from one heap (:class:`_Pivots`), the pivot a full rescan would pick.  The
-Alexander path keeps each polynomial as an offset pair (lo, coeffs), t^lo
-times coeffs, so a unit factor t^e never pads it with zeros.  A projection
-tests pairs of edge shadows for crossings only when their exact 2D bounding
-boxes are not strictly apart, and tests them on integer numerators whose
-denominator's sign gives the crossing's sign.
+from the crossing relation matrix of a diagram (one row per crossing, one
+column per over-arc) with one row and one column deleted; it is defined up
+to units +-t^k, so results are normalized to lowest degree 0 with positive
+constant term.  Its sparse elimination pivots away the +-t^e entries, each
+the one of least fill-in from a heap (:class:`_Pivots`), and runs
+fraction-free Bareiss elimination on the dense core left; every polynomial
+is kept as an offset pair (lo, coeffs), t^lo times coeffs, so a unit factor
+t^e never pads it with zeros.  The determinant of an arc presentation is
+read from its grid instead, by code that shares nothing with diagrams or
+relation rows, and :func:`match` checks it against |Alexander(-1)| of the
+presentation's diagram.  A projection tests pairs of edge shadows for
+crossings only when their exact 2D bounding boxes are not strictly apart,
+and tests them on integer numerators whose denominator's sign gives the
+crossing's sign.
 """
 
 from __future__ import annotations
@@ -123,10 +122,8 @@ class LaurentPoly:
 
     @staticmethod
     def normalized(coeffs) -> "LaurentPoly":
-        c = list(coeffs)
-        while c and c[0] == 0:
-            c.pop(0)
-        _pstrip(c)
+        c = _pstrip(list(coeffs))
+        c = c[next((i for i, x in enumerate(c) if x), 0) :]
         if not c:
             raise InternalVerificationError("zero polynomial cannot be unit-normalized")
         if c[0] < 0:
@@ -213,7 +210,7 @@ def _is_unit_monomial(p):
 
 
 class _Pivots:
-    """Least fill-in pivots among the unit entries of sparse rows {r: {col: entry}}.
+    """Least fill-in pivots among the +-t^e entries of sparse rows {r: {col: entry}}.
 
     A heap holds keys (fill-in, row, col), fill-in being the Markowitz count
     (row length - 1) * (column length - 1).  An entry's fill-in falls only
@@ -225,13 +222,15 @@ class _Pivots:
     entry that is no longer a unit dropped.
     """
 
-    def __init__(self, rows, is_unit):
-        self.rows, self.is_unit = rows, is_unit
+    def __init__(self, rows):
+        self.rows = rows
         self.col_rows = {}
         for r, row in rows.items():
             for col in row:
                 self.col_rows.setdefault(col, set()).add(r)
-        self.units = {(r, col) for r, row in rows.items() for col, p in row.items() if is_unit(p)}
+        self.units = {
+            (r, col) for r, row in rows.items() for col, p in row.items() if _is_unit_monomial(p)
+        }
         self.heap = [(self._fill(r, col), r, col) for r, col in self.units]
         heapq.heapify(self.heap)
 
@@ -272,7 +271,7 @@ class _Pivots:
         for col, p in new.items():
             if col in changed:
                 self.col_rows.setdefault(col, set()).add(r)
-                if not self.is_unit(p):
+                if not _is_unit_monomial(p):
                     self.units.discard((r, col))
                     continue
                 self.units.add((r, col))
@@ -282,21 +281,21 @@ class _Pivots:
         return old
 
 
-def _eliminate(rows, is_unit, rewrite):
-    """Pivot away the unit entries of sparse rows {r: {col: entry}}, in place.
+def _eliminate(rows):
+    """Pivot away the +-t^e entries of sparse rows {r: {col: entry}}, in place.
 
     Each pivot is the unit entry of least fill-in, ties going to the
-    smallest (row, col); ``rewrite(row, col, pivot_row)`` clears column col
-    of a row with the pivot row, changing only the pivot row's columns
-    beyond a unit factor.  Returns False as soon as a row empties.
+    smallest (row, col); :func:`_poly_rewrite` clears column col of a row
+    with the pivot row, changing only the pivot row's columns beyond a unit
+    factor.  Returns False as soon as a row empties.
     """
-    pivots = _Pivots(rows, is_unit)
+    pivots = _Pivots(rows)
     while (pick := pivots.pop()) is not None:
         r, col = pick
         pivot_row = pivots.set_row(r, None)
         lost = set(pivot_row)
         for r2 in sorted(pivots.col_rows[col]):
-            new = rewrite(rows[r2], col, pivot_row)
+            new = _poly_rewrite(rows[r2], col, pivot_row)
             if not new:
                 return False
             lost.update(c for c in rows[r2] if c not in new)
@@ -304,14 +303,6 @@ def _eliminate(rows, is_unit, rewrite):
         for c in lost:
             pivots.push_col(c)
     return True
-
-
-def _core(rows, zero):
-    """The dense matrix of rows over their columns, or None if it is not square."""
-    cols = sorted({c for row in rows.values() for c in row})
-    if len(cols) != len(rows):
-        return None
-    return [[rows[r].get(c, zero) for c in cols] for r in sorted(rows)]
 
 
 def _poly_rewrite(row, col, pivot_row):
@@ -334,27 +325,27 @@ def _sparse_eliminate(rows):
 
     Each step scales a row by a unit, which is harmless for a determinant
     defined up to units.  The polynomials are worked as offset pairs, so a
-    unit factor t^e only moves their offset.
+    unit factor t^e only moves their offset, and the core holds offset pairs.
     """
     rows = {r: {c: _offset(p) for c, p in row.items()} for r, row in rows.items()}
-    if not _eliminate(rows, _is_unit_monomial, _poly_rewrite):
+    if not _eliminate(rows):
         raise InternalVerificationError("singular crossing relation matrix")
-    core = _core(rows, _ZERO)
-    if core is None:
+    cols = sorted({c for row in rows.values() for c in row})
+    if len(cols) != len(rows):
         raise InternalVerificationError("crossing relation matrix lost squareness")
-    return [[[0] * lo + cs for lo, cs in row] for row in core]
+    return [[rows[r].get(c, _ZERO) for c in cols] for r in sorted(rows)]
 
 
 def _poly_bareiss(m):
-    """Exact fraction-free determinant of a dense matrix over Z[t].
+    """Exact fraction-free determinant of a dense matrix of offset pairs over Z[t].
 
-    The entries are worked as offset pairs; each exact division divides
-    coefficient lists with nonzero constant terms and subtracts offsets.
+    Returns an offset pair; each exact division divides coefficient lists
+    with nonzero constant terms and subtracts offsets.
     """
     k = len(m)
     if k == 0:
-        return [1]
-    m = [[_offset(p) for p in row] for row in m]
+        return 0, [1]
+    m = [list(row) for row in m]
     sign, prev = 1, (0, [1])
     for col in range(k - 1):
         piv = next((r for r in range(col, k) if m[r][col][1]), None)
@@ -371,11 +362,11 @@ def _poly_bareiss(m):
                 row[c2] = (num[0] - prev[0], _pdivexact(num[1], prev[1])) if num[1] else _ZERO
         prev = top[col]
     lo, res = m[k - 1][k - 1]
-    return [0] * lo + [sign * c for c in res]
+    return lo, [sign * c for c in res]
 
 
-def alexander(d, rows=None) -> LaurentPoly:
-    """Normalized Alexander polynomial of a diagram; ``rows``, if given, are its relation rows.
+def alexander(d) -> LaurentPoly:
+    """Normalized Alexander polynomial of a diagram.
 
     Every call self-checks the result: value +-1 at t=1, palindromic up to
     units, odd absolute value at t=-1.  Failures raise rather than return.
@@ -384,7 +375,7 @@ def alexander(d, rows=None) -> LaurentPoly:
     c = len(diag.crossings)
     if c == 0:
         return LaurentPoly((1,))
-    rows = _relation_rows(diag) if rows is None else rows
+    rows = _relation_rows(diag)
     sparse = {}
     for rid in range(1, c):
         row = {col: p for col, p in rows[rid].items() if col != 0}
@@ -392,7 +383,7 @@ def alexander(d, rows=None) -> LaurentPoly:
             raise InternalVerificationError("singular crossing relation matrix")
         sparse[rid] = row
     core = _sparse_eliminate(sparse)
-    poly = LaurentPoly.normalized(_poly_bareiss(core))
+    poly = LaurentPoly.normalized(_poly_bareiss(core)[1])
     at_one = poly(1)
     if at_one not in (1, -1):
         raise InternalVerificationError(
@@ -409,54 +400,35 @@ def alexander(d, rows=None) -> LaurentPoly:
     return poly
 
 
-def determinant(d, rows=None) -> int:
-    """Knot determinant by integer-only elimination.
+def determinant(ap) -> int:
+    """Knot determinant of an arc presentation, read from its grid.
 
-    Shares the crossing relation rows (``rows``, when the caller has them)
-    and the pivot rule (:func:`_eliminate`) with :func:`alexander`, but none
-    of its arithmetic: the rows are evaluated at t=-1, their +-1 entries are
-    pivoted away by integer row operations (:func:`_unit_eliminate`), and
-    the small core left is reduced by integer fraction-free elimination.
-    Cross-checked against |Alexander(-1)| in :func:`match`.
+    In the presentation's grid, chord i is a horizontal at height i and
+    binding label a a vertical at a (Cromwell, Topology Appl. 64, 1995).
+    The knot's winding number around the point (x + 1/2, y + 1/2), x and y
+    in 0..n-1, has the parity of the number of chords (a, b) of index above
+    y with a <= x < b; with M[x][y] = (-1) to that parity, det M =
+    +-2^(n-1) det K (Manolescu-Ozsvath-Sarkar, arXiv:math/0607691).  Row 0
+    of M is all 1s and each later row is replaced by (M[x] - M[x-1]) / 2,
+    exact with entries in {0, +-1}, so the integer fraction-free elimination
+    of that matrix gives +-det K.  No diagram, layout or relation row is
+    built.
     """
-    diag = _as_diagram(d)
-    c = len(diag.crossings)
-    if c == 0:
-        return 1
-    relations = _relation_rows(diag) if rows is None else rows
-    rows = {}
-    for rid in range(1, c):
-        rows[rid] = row = {}
-        for col, p in relations[rid].items():
-            value = sum(x * (-1) ** i for i, x in enumerate(p))
-            if col and value:
-                row[col] = value
-    core = _unit_eliminate(rows)
-    det = 0 if core is None else _int_bareiss(core)
+    n = ap.n
+    m, prev = [], None
+    for x in range(n):
+        row, s = [0] * n, 1
+        for y in range(n - 1, -1, -1):
+            a, b = ap.chords[y]  # the chord of index y + 1
+            if a <= x < b:
+                s = -s
+            row[y] = s
+        m.append(row if prev is None else [(u - v) // 2 for u, v in zip(row, prev)])
+        prev = row
+    det = _int_bareiss(m)
     if det == 0:
         raise InternalVerificationError("determinant path produced 0")
     return abs(det)
-
-
-def _int_rewrite(row, col, pivot_row):
-    """row - row[col] * p * pivot_row, the pivot entry being p = +-1."""
-    f = row[col] * pivot_row[col]
-    new = dict(row)
-    for c, v in pivot_row.items():
-        new[c] = new.get(c, 0) - f * v
-    return {c: v for c, v in new.items() if v}
-
-
-def _unit_eliminate(rows):
-    """Pivot away the +-1 entries of sparse integer rows {col: value}.
-
-    Returns the dense core left, whose determinant equals that of the whole
-    matrix up to sign, or None when the matrix is visibly singular: a row
-    empties or the core is not square.  A +-1 pivot divides nothing.
-    """
-    if not all(rows.values()) or not _eliminate(rows, lambda v: v in (1, -1), _int_rewrite):
-        return None
-    return _core(rows, 0)
 
 
 def _int_bareiss(m):
@@ -607,22 +579,20 @@ class MatchReport:
     mirrored: bool
 
 
-def match(d1, d2) -> MatchReport:
-    """Compare determinant and Alexander polynomial of two diagrams.
+def match(ap, d1, d2) -> MatchReport:
+    """Compare determinant and Alexander polynomial of two diagrams, d1 one of ap.
 
     The Alexander comparison allows the t -> 1/t substitution, which a change
-    of traversal orientation induces.  As a side effect the two determinant
-    code paths are cross-checked against each other on both diagrams.  Each
-    diagram's relation rows are built once, for both invariants.
+    of traversal orientation induces.  det1 is ap's grid determinant, which
+    must equal |Alexander(-1)| of d1 (the two routes share no code); det2 is
+    |Alexander(-1)| of d2.
     """
-    r1, r2 = (_relation_rows(_as_diagram(d)) for d in (d1, d2))
-    a1, a2 = alexander(d1, r1), alexander(d2, r2)
-    n1, n2 = determinant(d1, r1), determinant(d2, r2)
-    for a, n in ((a1, n1), (a2, n2)):
-        if abs(a(-1)) != n:
-            raise InternalVerificationError(
-                f"determinant paths disagree: |{a}(-1)| = {abs(a(-1))} vs {n}"
-            )
+    a1, a2 = alexander(d1), alexander(d2)
+    n1, n2 = determinant(ap), abs(a2(-1))
+    if abs(a1(-1)) != n1:
+        raise InternalVerificationError(
+            f"determinant paths disagree: |{a1}(-1)| = {abs(a1(-1))} vs {n1}"
+        )
     direct = a1 == a2
     mirrored = not direct and a1 == a2.reversed()
     return MatchReport(

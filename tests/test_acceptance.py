@@ -146,9 +146,8 @@ def test_criterion_6_invariant_preservation(full500, capsys):
 def test_criterion_7_invariant_self_checks(corpus200, capsys):
     bad = 0
     for _, ap in corpus200:
-        d = diagram(ap)
-        a = alexander(d)
-        det = determinant(d)
+        a = alexander(diagram(ap))
+        det = determinant(ap)
         if a(1) not in (1, -1) or a.reversed() != a:
             bad += 1
         elif abs(a(-1)) % 2 != 1 or abs(a(-1)) != det:
@@ -176,17 +175,15 @@ def test_criterion_9_move_soundness(capsys):
     bad = 0
     destabilized = 0
     for _, ap in instances:
-        d0 = diagram(ap)
-        det0, alex0 = determinant(d0), alexander(d0)
+        det0, alex0 = determinant(ap), alexander(diagram(ap))
         for k in range(ap.n):
-            dk = diagram(cyclic_shift(ap, k))
-            if determinant(dk) != det0 or alexander(dk) != alex0:
+            shifted = cyclic_shift(ap, k)
+            if determinant(shifted) != det0 or alexander(diagram(shifted)) != alex0:
                 bad += 1
         smaller = destabilize_top(ap)
         if smaller is not None:
             destabilized += 1
-            ds = diagram(smaller)
-            if determinant(ds) != det0 or alexander(ds) != alex0:
+            if determinant(smaller) != det0 or alexander(diagram(smaller)) != alex0:
                 bad += 1
     _report(capsys, 9, bad == 0,
             f"all shifts + {destabilized} destabilizations preserve invariants "

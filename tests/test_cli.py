@@ -202,6 +202,14 @@ def test_verify_garbage_json_exits_1(trefoil_arc, tmp_path):
     assert cli.main(["verify", str(trefoil_arc), str(bad)]) == 1
 
 
+def test_verify_deeply_nested_json_exits_1(trefoil_arc, tmp_path, capsys):
+    """Nesting past the parser's recursion limit ended in a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert cli.main(["verify", str(trefoil_arc), str(deep)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed polygon JSON: ")
+
+
 def test_simplify_reduces_stabilized_unknot(tmp_path, capsys):
     arc = tmp_path / "u4.arc"
     arc.write_text("4\n1 2\n2 3\n3 4\n1 4\n")
