@@ -1,12 +1,14 @@
 """Knot invariants: Alexander polynomial, determinant, projections.
 
 All computation is exact over the integers.  The Alexander polynomial comes
-from the crossing relation matrix of a diagram (one row per crossing, one
-column per over-arc) with one row and one column deleted; it is defined up
-to units +-t^k, so results are normalized to lowest degree 0 with positive
-constant term.  Its sparse elimination pivots away the +-t^e entries, each
-the one of least fill-in from a heap (:class:`_Pivots`), and runs
-fraction-free Bareiss elimination on the dense core left; every polynomial
+from the Wirtinger relations of a diagram with the arcs that pass over no
+crossing substituted away: one row per run between arcs that pass over
+something, one column per such arc, one row and one column deleted
+(:func:`_run_rows`).  It is defined up to units +-t^k, so results are
+normalized to lowest degree 0 with positive constant term.  Its sparse
+elimination pivots away the +-t^e entries, each the one of least fill-in
+from a heap (:class:`_Pivots`), and fraction-free Bareiss elimination of the
+dense core left pivots on the entry of fewest coefficients; every polynomial
 is kept as an offset pair (lo, coeffs), t^lo times coeffs, so a unit factor
 t^e never pads it with zeros.  The determinant of an arc presentation is
 read from its grid instead, by code that shares nothing with diagrams or
@@ -62,12 +64,6 @@ def _pmul(a, b):
 
 
 _ZERO = (0, [])
-
-
-def _offset(p):
-    """The offset pair of a dense polynomial."""
-    lo = next((i for i, c in enumerate(p) if c), 0)
-    return lo, p[lo:]
 
 
 def _osub(a, b):
@@ -163,44 +159,47 @@ class LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# crossing relation rows
+# Wirtinger relation rows, one per run between arcs that pass over something
 
 
 def _as_diagram(d) -> Diagram:
     return d.diagram if isinstance(d, ProjectedDiagram) else d
 
 
-def _relation_rows(d: Diagram):
-    """One sparse row per crossing: {arc id: polynomial coefficient}.
+def _run_rows(d: Diagram):
+    """Relation rows {r: {arc: offset pair}} over the arcs that pass over something.
 
-    At a positive crossing with incoming under-arc a, outgoing under-arc b and
-    over-arc o the relation contributes t*a - b + (1-t)*o; at a negative one
-    (scaled by a unit) a - t*b + (t-1)*o.  Contributions to a repeated arc
-    accumulate.
+    The k-th under-crossing in Gauss order, of sign eps and over-arc o, gives
+    x_(k+1) = t^eps x_k + (1 - t^eps) x_o.  Walking from ``start``, the least
+    arc that passes over something, x_k = t^e * sum(expr) over such arcs
+    until arc k is one of them; the run then ends with the row t^e expr - x_k,
+    shifted to least offset 0 and keyed by k.  This clears each arc that
+    passes over nothing by a unit pivot on a row that stays, so the minor
+    without the run ending at ``start`` and without column ``start`` is
+    Alexander up to units (Crowell-Fox, ch. VII-VIII).
     """
     c = len(d.crossings)
-    pos_under = {}
-    pos_over = {}
-    for p, (cid, is_over) in enumerate(d.gauss):
-        if is_over:
-            pos_over[cid] = p
-        else:
-            pos_under[cid] = p
-    rows = []
-    for cid, cr in enumerate(d.crossings):
-        a = d.arcs[pos_under[cid]]
-        b = (a + 1) % c
-        o = d.arcs[pos_over[cid]]
-        ent = {}
-        if cr.sign > 0:  # (column, coefficient of 1, coefficient of t)
-            terms = ((a, 0, 1), (b, -1, 0), (o, 1, -1))
-        else:
-            terms = ((a, 1, 0), (b, 0, -1), (o, -1, 1))
-        for col, c0, c1 in terms:
-            acc = ent.setdefault(col, [0, 0])
-            acc[0] += c0
-            acc[1] += c1
-        rows.append({k: v for k, v in ent.items() if _pstrip(v)})
+    unders = [cid for cid, is_over in d.gauss if not is_over]
+    over_arc = {cid: arc for (cid, is_over), arc in zip(d.gauss, d.arcs) if is_over}
+    kept = set(over_arc.values())
+    start = min(kept)
+    rows, expr, e = {}, {start: (0, [1])}, 0
+    for k in range(start, start + c - 1):  # the run ending at start is left out
+        cid = unders[k % c]
+        eps, o = d.crossings[cid].sign, over_arc[cid]
+        e += eps
+        # expr[o] += t^-e (1 - t^eps)
+        expr[o] = _osub(expr.get(o, _ZERO), (min(eps, 0) - e, [-eps, eps]))
+        end = (k + 1) % c
+        if end not in kept:
+            continue
+        row = {a: (lo + e, cs) for a, (lo, cs) in expr.items()}
+        row[end] = _osub(row.get(end, _ZERO), (0, [1]))
+        # never empty: the entry at end is -1 at t = 1, as end is not the run's start
+        row = {a: p for a, p in row.items() if p[1] and a != start}
+        low = min(lo for lo, _ in row.values())
+        rows[end] = {a: (lo - low, cs) for a, (lo, cs) in row.items()}
+        expr, e = {end: (0, [1])}, 0
     return rows
 
 
@@ -321,13 +320,11 @@ def _poly_rewrite(row, col, pivot_row):
 
 
 def _sparse_eliminate(rows):
-    """Pivot away +-t^e entries; returns the remaining dense core matrix.
+    """Pivot away +-t^e entries of offset-pair rows; returns the dense core left.
 
     Each step scales a row by a unit, which is harmless for a determinant
-    defined up to units.  The polynomials are worked as offset pairs, so a
-    unit factor t^e only moves their offset, and the core holds offset pairs.
+    defined up to units; a unit factor t^e only moves an offset.
     """
-    rows = {r: {c: _offset(p) for c, p in row.items()} for r, row in rows.items()}
     if not _eliminate(rows):
         raise InternalVerificationError("singular crossing relation matrix")
     cols = sorted({c for row in rows.values() for c in row})
@@ -339,8 +336,10 @@ def _sparse_eliminate(rows):
 def _poly_bareiss(m):
     """Exact fraction-free determinant of a dense matrix of offset pairs over Z[t].
 
-    Returns an offset pair; each exact division divides coefficient lists
-    with nonzero constant terms and subtracts offsets.
+    Each step pivots on the nonzero entry of fewest coefficients left, ties
+    going to the smallest (row, col); a row swap and a column swap each flip
+    the sign.  Returns an offset pair; each exact division divides
+    coefficient lists with nonzero constant terms and subtracts offsets.
     """
     k = len(m)
     if k == 0:
@@ -348,11 +347,17 @@ def _poly_bareiss(m):
     m = [list(row) for row in m]
     sign, prev = 1, (0, [1])
     for col in range(k - 1):
-        piv = next((r for r in range(col, k) if m[r][col][1]), None)
-        if piv is None:
+        left = [(len(m[r][c][1]), r, c) for r in range(col, k) for c in range(col, k)]
+        left = [key for key in left if key[0]]
+        if not left:
             raise InternalVerificationError("singular crossing relation matrix")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+        _, pr, pc = min(left)
+        if pr != col:
+            m[col], m[pr] = m[pr], m[col]
+            sign = -sign
+        if pc != col:
+            for row in m:
+                row[col], row[pc] = row[pc], row[col]
             sign = -sign
         top = m[col]
         for r in range(col + 1, k):
@@ -372,17 +377,9 @@ def alexander(d) -> LaurentPoly:
     units, odd absolute value at t=-1.  Failures raise rather than return.
     """
     diag = _as_diagram(d)
-    c = len(diag.crossings)
-    if c == 0:
+    if not diag.crossings:
         return LaurentPoly((1,))
-    rows = _relation_rows(diag)
-    sparse = {}
-    for rid in range(1, c):
-        row = {col: p for col, p in rows[rid].items() if col != 0}
-        if not row:
-            raise InternalVerificationError("singular crossing relation matrix")
-        sparse[rid] = row
-    core = _sparse_eliminate(sparse)
+    core = _sparse_eliminate(_run_rows(diag))
     poly = LaurentPoly.normalized(_poly_bareiss(core)[1])
     at_one = poly(1)
     if at_one not in (1, -1):

@@ -346,10 +346,21 @@ def test_verify_accepts_a_seeded_n48_build(tmp_path):
 
 def test_build_and_verify_the_n48_presentation_of_random_seed_7(tmp_path):
     """`stickbound random --n 48 --seed 7` writes random_presentation(48,
-    7000021); its Alexander core is 11 x 11, with entries of high degree."""
+    7000021); its Alexander core is 10 x 10, with entries of high degree."""
     arc = tmp_path / "seed7.arc"
     arc.write_text(serialize(random_presentation(48, 7 * 1_000_003)))
     poly = tmp_path / "seed7.json"
+    assert cli.main(["build", str(arc), "--out", str(poly)]) == 0
+    assert cli.main(["verify", str(arc), str(poly)]) == 0
+
+
+def test_build_and_verify_an_n96_presentation(tmp_path):
+    """random_presentation(96, 7000003 * 96 + 2): both Alexander cores are
+    15 x 15, the scale the contracted relation rows and least-span pivoting
+    are for; the output polygon's lattice is past LATTICE_MAX_BITS."""
+    arc = tmp_path / "n96.arc"
+    arc.write_text(serialize(random_presentation(96, 7_000_003 * 96 + 2)))
+    poly = tmp_path / "n96.json"
     assert cli.main(["build", str(arc), "--out", str(poly)]) == 0
     assert cli.main(["verify", str(arc), str(poly)]) == 0
 

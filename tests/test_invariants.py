@@ -1,11 +1,13 @@
 """Diagram invariants, checked against independent computations.
 
-The polynomial pipeline here is deliberately home-grown (sparse unit-monomial
-elimination + fraction-free dense elimination), so the tests lean on an
-external oracle: the same relation matrix handed to sympy's symbolic
-determinant, plus frozen values for knots whose invariants are classical.
-The grid determinant of a presentation is checked against Bareiss on the
-full Wirtinger matrix of its diagram at t = -1.
+The polynomial pipeline here is deliberately home-grown (runs between
+over-arcs, sparse unit-monomial elimination + fraction-free dense
+elimination), so the tests lean on an external oracle: the full Wirtinger
+matrix handed to sympy's symbolic determinant, plus frozen values for knots
+whose invariants are classical.  The full Wirtinger matrix, one row per
+crossing, is kept here as the reference for the contracted rows, and the
+grid determinant of a presentation is checked against Bareiss on it at
+t = -1.
 """
 
 import copy
@@ -22,6 +24,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from stickbound.arcpres import (
+    ArcPresentation,
+    Crossing,
     Diagram,
     _gauss_diagram,
     cyclic_shift,
@@ -38,8 +42,8 @@ from stickbound.invariants import (
     _pdivexact,
     _pmul,
     _project_once,
+    _pstrip,
     _psub,
-    _relation_rows,
     alexander,
     determinant,
     match,
@@ -123,6 +127,158 @@ def _sympy_alexander(d):
     if coeffs and coeffs[0] < 0:
         coeffs = [-x for x in coeffs]
     return tuple(int(x) for x in coeffs)
+
+
+_ZERO = (0, [])
+
+
+def _offset(p):
+    """The offset pair of a dense polynomial."""
+    lo = next((i for i, c in enumerate(p) if c), 0)
+    return lo, p[lo:]
+
+
+def _dense_matrix(m):
+    """A matrix of offset pairs as dense lists padded with zeros."""
+    return [[[0] * lo + cs for lo, cs in row] for row in m]
+
+
+def _relation_rows(d):
+    """The full Wirtinger matrix: one sparse row per crossing, {arc id: dense
+    polynomial}.
+
+    At a positive crossing with incoming under-arc a, outgoing under-arc b and
+    over-arc o the relation contributes t*a - b + (1-t)*o; at a negative one
+    (scaled by a unit) a - t*b + (t-1)*o.  Contributions to a repeated arc
+    accumulate.
+    """
+    c = len(d.crossings)
+    pos_under = {}
+    pos_over = {}
+    for p, (cid, is_over) in enumerate(d.gauss):
+        if is_over:
+            pos_over[cid] = p
+        else:
+            pos_under[cid] = p
+    rows = []
+    for cid, cr in enumerate(d.crossings):
+        a = d.arcs[pos_under[cid]]
+        b = (a + 1) % c
+        o = d.arcs[pos_over[cid]]
+        ent = {}
+        if cr.sign > 0:  # (column, coefficient of 1, coefficient of t)
+            terms = ((a, 0, 1), (b, -1, 0), (o, 1, -1))
+        else:
+            terms = ((a, 1, 0), (b, 0, -1), (o, -1, 1))
+        for col, c0, c1 in terms:
+            acc = ent.setdefault(col, [0, 0])
+            acc[0] += c0
+            acc[1] += c1
+        rows.append({k: v for k, v in ent.items() if _pstrip(v)})
+    return rows
+
+
+def alexander_full_wirtinger(d):
+    """Alexander from every crossing's relation row, with row 0 and column 0
+    deleted and no arc contracted, by the rescanning unit elimination and
+    the dense Bareiss with row pivoting only."""
+    diag = getattr(d, "diagram", d)
+    c = len(diag.crossings)
+    if c == 0:
+        return LaurentPoly((1,))
+    rows = _relation_rows(diag)
+    minor = {r: {col: _offset(p) for col, p in rows[r].items() if col} for r in range(1, c)}
+    core = sparse_eliminate_rescanning(minor)
+    return LaurentPoly.normalized(poly_bareiss_dense(_dense_matrix(core)))
+
+
+def contraction_holds(d, want):
+    """alexander(d) is want, the full-Wirtinger value; raising is a failure."""
+    try:
+        return alexander(d) == want
+    except InternalVerificationError:
+        return False
+
+
+def _over_arcs(d):
+    return {arc for (_, is_over), arc in zip(d.gauss, d.arcs) if is_over}
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(n=st.integers(3, 30), seed=st.integers(0, 2**32 - 1))
+def test_run_rows_give_the_full_wirtinger_alexander(n, seed):
+    """On the input and output diagrams: one row per over-arc but one, each
+    -1 at t = 1 at the arc its run ends on, and the full-Wirtinger value."""
+    ap = random_presentation(n, seed)
+    for d in (diagram(ap), project(build_full(ap)[0]).diagram):
+        rows = invariants._run_rows(d) if d.crossings else {}
+        assert len(rows) == max(len(_over_arcs(d)) - 1, 0)
+        assert all(sum(row[end][1]) == -1 for end, row in rows.items())
+        assert contraction_holds(d, alexander_full_wirtinger(d))
+
+
+def gauss_code(code, signs):
+    """A diagram from a Gauss code such as "O1 U2 ..." and its crossings' signs;
+    the crossings' strands are not read by alexander."""
+    gauss = tuple((int(w[1:]) - 1, w[0] == "O") for w in code.split())
+    return Diagram(tuple(Crossing(0, 0, s) for s in signs), gauss)
+
+
+def mirror(d):
+    """The diagram with every crossing switched."""
+    crossings = tuple(Crossing(c.under, c.over, -c.sign) for c in d.crossings)
+    return Diagram(crossings, tuple((cid, not over) for cid, over in d.gauss))
+
+
+TREFOIL = gauss_code("O1 U2 O3 U1 O2 U3", [1, 1, 1])
+FIGURE_EIGHT = diagram(ArcPresentation([(1, 3), (2, 5), (4, 6), (3, 5), (1, 4), (2, 6)]))
+
+# (name, diagram, normalized Alexander polynomial)
+HAND_MADE = [
+    ("no crossings", Diagram((), ()), (1,)),
+    ("one-crossing kink", gauss_code("O1 U1", [1]), (1,)),
+    ("one-crossing kink, under first", gauss_code("U1 O1", [-1]), (1,)),
+    # crossing 4's over-arc is its own incoming under-arc
+    ("an arc over itself", gauss_code("O1 U2 O4 U4 O3 U1 O2 U3", [1, 1, 1, -1]), (1, -1, 1)),
+    ("all crossings under one arc", gauss_code("O1 O2 O3 U1 U2 U3", [1, -1, 1]), (1,)),
+    ("trefoil", TREFOIL, (1, -1, 1)),
+    ("mirror trefoil", mirror(TREFOIL), (1, -1, 1)),
+    ("mirror figure-eight", mirror(FIGURE_EIGHT), (1, -3, 1)),
+]
+
+
+@pytest.mark.parametrize("name, d, want", HAND_MADE, ids=[h[0] for h in HAND_MADE])
+def test_run_rows_on_hand_made_diagrams(name, d, want):
+    assert alexander(d).coeffs == want
+    assert alexander_full_wirtinger(d).coeffs == want
+    if d.crossings:
+        assert len(invariants._run_rows(d)) == len(_over_arcs(d)) - 1
+
+
+# (name, source text of invariants._run_rows, its replacement)
+RUN_MUTANTS = [
+    ("exponent step of the wrong sign", "e += eps", "e -= eps"),
+    ("1 - t^eps negated", "[-eps, eps]", "[eps, -eps]"),
+    (
+        "repeated over-arc overwritten",
+        "_osub(expr.get(o, _ZERO), (min(eps, 0) - e, [-eps, eps]))",
+        "(min(eps, 0) - e, [eps, -eps])",
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def contraction_cases(seeded_diagrams):
+    """(diagram, full-Wirtinger Alexander) for the seeded and hand-made diagrams."""
+    diagrams = [d for _, _, d in seeded_diagrams] + [d for _, d, _ in HAND_MADE]
+    return [(d, alexander_full_wirtinger(d)) for d in diagrams]
+
+
+@pytest.mark.parametrize("name, old, new", RUN_MUTANTS, ids=[m[0] for m in RUN_MUTANTS])
+def test_contraction_property_catches_mutants(name, old, new, contraction_cases, monkeypatch):
+    assert all(contraction_holds(d, want) for d, want in contraction_cases)
+    monkeypatch.setattr(invariants, "_run_rows", _mutant(invariants._run_rows, old, new))
+    assert not all(contraction_holds(d, want) for d, want in contraction_cases), name
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -220,18 +376,18 @@ GRID_MUTANTS = [
 ]
 
 
-def _grid_mutant(old, new):
-    """invariants.determinant with one piece of its source replaced."""
-    source = textwrap.dedent(inspect.getsource(invariants.determinant))
+def _mutant(func, old, new):
+    """A function of invariants with one piece of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(func))
     assert source.count(old) == 1
     namespace = dict(vars(invariants))
     exec(source.replace(old, new), namespace)
-    return namespace["determinant"]
+    return namespace[func.__name__]
 
 
 @pytest.mark.parametrize("name, old, new", GRID_MUTANTS, ids=[m[0] for m in GRID_MUTANTS])
 def test_grid_property_catches_mutants(name, old, new):
-    mutant = _grid_mutant(old, new)
+    mutant = _mutant(invariants.determinant, old, new)
     cases = [(random_presentation(n, 7300 + n), n // 2) for n in range(3, 31, 3)]
     assert all(grid_property_holds(determinant, ap, k) for ap, k in cases)
     assert not all(grid_property_holds(mutant, ap, k) for ap, k in cases), name
@@ -242,25 +398,26 @@ def test_grid_property_catches_mutants(name, old, new):
     [
         # rows 1 and 2 are equal: elimination empties a row
         (
-            [{}, {1: [0, 1], 2: [-1], 3: [1, -1]}, {1: [0, 1], 2: [-1], 3: [1, -1]}, {3: [1]}],
+            {1: {1: [0, 1], 2: [-1], 3: [1, -1]}, 2: {1: [0, 1], 2: [-1], 3: [1, -1]}, 3: {3: [1]}},
             "singular crossing relation matrix",
         ),
         # no row has an entry in column 2: the core is not square
         (
-            [{}, {1: [2], 3: [3]}, {1: [3], 3: [2]}, {1: [4], 3: [2]}],
+            {1: {1: [2], 3: [3]}, 2: {1: [3], 3: [2]}, 3: {1: [4], 3: [2]}},
             "crossing relation matrix lost squareness",
         ),
         # no +-t^e entry at all, and two equal rows: Bareiss finds 0
         (
-            [{}, {1: [2], 2: [1, -1]}, {1: [2], 2: [1, -1]}],
+            {1: {1: [2], 2: [1, -1]}, 2: {1: [2], 2: [1, -1]}},
             "zero polynomial cannot be unit-normalized",
         ),
     ],
 )
 def test_singular_rows_raise(relations, monkeypatch):
-    rows, message = relations
-    monkeypatch.setattr(invariants, "_relation_rows", lambda d: rows)
-    d = SimpleNamespace(crossings=(None,) * len(rows))
+    dense, message = relations
+    rows = {r: {c: _offset(p) for c, p in row.items()} for r, row in dense.items()}
+    monkeypatch.setattr(invariants, "_run_rows", lambda d: rows)
+    d = SimpleNamespace(crossings=(None,) * (len(rows) + 1))
     with pytest.raises(InternalVerificationError, match=message):
         alexander(d)
 
@@ -278,8 +435,9 @@ def _mono_mul(p, mono):
 
 def sparse_eliminate_rescanning(rows):
     """The former Alexander elimination, which rescans every entry per pivot
-    and keeps each polynomial as a dense list padded with zeros; returns the
-    core as offset pairs, as invariants._sparse_eliminate does."""
+    and keeps each polynomial as a dense list padded with zeros; takes and
+    returns offset pairs, as invariants._sparse_eliminate does."""
+    rows = {r: {c: [0] * lo + cs for c, (lo, cs) in row.items()} for r, row in rows.items()}
     col_rows = {}
     for r, row in rows.items():
         for col in row:
@@ -322,7 +480,7 @@ def sparse_eliminate_rescanning(rows):
     order = sorted(rows)
     if len(order) != len(cols):
         raise InternalVerificationError("crossing relation matrix lost squareness")
-    return [[invariants._offset(list(rows[r].get(c, []))) for c in cols] for r in order]
+    return [[_offset(list(rows[r].get(c, []))) for c in cols] for r in order]
 
 
 def _recording(monkeypatch, name):
@@ -413,7 +571,7 @@ def random_rows(rng, palette):
 def pivot_orders(rng, pivots=invariants._Pivots):
     """(heap pivots, rescanning pivots) on one random matrix."""
     rows = random_rows(rng, PALETTE)
-    rows = {r: {c: invariants._offset(p) for c, p in row.items()} for r, row in rows.items()}
+    rows = {r: {c: _offset(p) for c, p in row.items()} for r, row in rows.items()}
     order = []
 
     class Recording(pivots):
@@ -473,15 +631,81 @@ def poly_bareiss_dense(m):
     return [sign * c for c in m[k - 1][k - 1]]
 
 
-def test_offset_bareiss_matches_the_dense_bareiss(seeded_diagrams, monkeypatch):
-    cores = _recording(monkeypatch, "_sparse_eliminate")
-    for _, _, d in seeded_diagrams:
-        alexander(d)
-    assert max(len(core) for core in cores) >= 3
-    for core in cores:
-        dense = [[[0] * lo + cs for lo, cs in row] for row in core]
-        want = invariants._offset(poly_bareiss_dense(dense))
-        assert invariants._poly_bareiss(copy.deepcopy(core)) == want
+@pytest.fixture(scope="module")
+def seeded_cores(seeded_diagrams):
+    """The cores that alexander hands to _poly_bareiss on the seeded diagrams."""
+    cores, real = [], invariants._sparse_eliminate
+
+    def recording(rows):
+        core = real(rows)
+        cores.append(copy.deepcopy(core))
+        return core
+
+    with mock.patch.object(invariants, "_sparse_eliminate", recording):
+        for _, _, d in seeded_diagrams:
+            alexander(d)
+    return cores
+
+
+def bareiss_agrees(bareiss, m):
+    """bareiss(m) is the dense Bareiss determinant exactly, sign included; on
+    a singular m, where the dense one raises or gives 0, bareiss must raise
+    or give 0, so that normalizing its value raises."""
+    try:
+        want = _offset(poly_bareiss_dense(_dense_matrix(m)))
+    except InternalVerificationError:
+        want = _ZERO
+    try:
+        got = bareiss(copy.deepcopy(m))
+    except InternalVerificationError:
+        got = _ZERO
+    return got == want if want[1] else not got[1]
+
+
+def test_offset_bareiss_matches_the_dense_bareiss(seeded_cores):
+    assert max(len(core) for core in seeded_cores) >= 3
+    for core in seeded_cores:
+        assert invariants._poly_bareiss(copy.deepcopy(core)) == _offset(
+            poly_bareiss_dense(_dense_matrix(core))
+        )
+
+
+ENTRIES = st.one_of(
+    st.just(_ZERO),
+    st.tuples(st.integers(0, 2), st.lists(st.integers(-2, 2), min_size=1, max_size=3)).filter(
+        lambda p: p[1][0] and p[1][-1]
+    ),
+)
+MATRICES = st.integers(0, 5).flatmap(
+    lambda k: st.lists(st.lists(ENTRIES, min_size=k, max_size=k), min_size=k, max_size=k)
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(MATRICES)
+def test_full_pivoting_bareiss_is_the_dense_determinant(m):
+    assert bareiss_agrees(invariants._poly_bareiss, m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[_ZERO, _ZERO], [_ZERO, _ZERO]],
+        [[(0, [1, 1]), (1, [2])], [(0, [1, 1]), (1, [2])]],
+        [[(0, [1]), _ZERO, (0, [3])], [(0, [2]), _ZERO, (1, [1])], [(0, [1, 1]), _ZERO, (0, [1])]],
+    ],
+    ids=["zero", "equal rows", "zero column"],
+)
+def test_singular_bareiss_raises(m):
+    with pytest.raises(InternalVerificationError):
+        LaurentPoly.normalized(invariants._poly_bareiss(m)[1])
+
+
+def test_bareiss_needs_the_column_swap_sign(seeded_cores):
+    swap = "row[col], row[pc] = row[pc], row[col]"
+    mutant = _mutant(invariants._poly_bareiss, swap + "\n            sign = -sign", swap)
+    assert all(bareiss_agrees(invariants._poly_bareiss, core) for core in seeded_cores)
+    assert not all(bareiss_agrees(mutant, core) for core in seeded_cores)
 
 
 def test_diagram_rejects_unbalanced_gauss():
