@@ -7,6 +7,7 @@ mismatch.  Identical inputs and flags produce byte-identical output.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -254,6 +255,7 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # prog is fixed, so one parser serves every call
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="stickbound",

@@ -257,7 +257,7 @@ def reduction_triangles(ap: ArcPresentation, ha: HeightAssignment, pts) -> list:
     return out
 
 
-def _triangle_clear(edges, info: TriangleInfo):
+def _triangle_clear(edges, info: TriangleInfo, boxes=None):
     """First of ``edges`` meeting the closed triangle beyond its own legs, if any.
 
     The two legs (vertical to the anchor, horizontal of the chord) are
@@ -268,8 +268,8 @@ def _triangle_clear(edges, info: TriangleInfo):
     legs = ({a, b}, {b, c})
     allowed = frozenset((a, c))
     box = bbox(info.triangle)
-    for p, q in edges:
-        if {p, q} in legs or boxes_apart(box, bbox((p, q))):
+    for (p, q), e_box in zip(edges, map(bbox, edges) if boxes is None else boxes):
+        if boxes_apart(box, e_box) or {p, q} in legs:
             continue
         if triangle_pierced(info.triangle, (p, q), allowed):
             return (p, q)
@@ -279,12 +279,8 @@ def _triangle_clear(edges, info: TriangleInfo):
 def sweep_triangles(knot: StickKnot, triangles) -> list:
     """All (triangle, offending stick) pairs; empty means every triangle clear."""
     edges = knot.edges()
-    bad = []
-    for info in triangles:
-        hit = _triangle_clear(edges, info)
-        if hit is not None:
-            bad.append((info, hit))
-    return bad
+    boxes = [bbox(e) for e in edges]
+    return [(t, hit) for t in triangles if (hit := _triangle_clear(edges, t, boxes))]
 
 
 @dataclass(frozen=True)
@@ -312,7 +308,8 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
     not seen.  A pierced triangle means the height assignment is broken and
     raises.  Both checks run on one :func:`lattice` image of k2 and the
     triangle corners (which are vertices of k2); the polygon, the steps and
-    the messages stay in true coordinates.  Returns (knot, trace).
+    the messages stay in true coordinates.  A collapse unlinks its corner's
+    index from k2's cycle.  Returns (knot, trace).
     """
     if pts is None or ha is None:
         laid, _, crossings = layout(ap)
@@ -338,7 +335,9 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
             f"triangle of chord {info.chord} not empty in lifted polygon: "
             f"{true_stick(hit)}"
         )
-    knot = k2
+    index = {p: i for i, p in enumerate(image[:m])}
+    nxt, prv = [*range(1, m), 0], [m - 1, *range(m - 1)]
+    removed, roles = [False] * m, list(k2.roles)
     steps = []
     hypotenuses = []  # lattice images of the hypotenuses laid down so far
     for info, on_lattice in zip(triangles, lifted):
@@ -349,22 +348,20 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
             raise InternalVerificationError(
                 f"triangle of chord {info.chord} pierced by stick {true_stick(hit)}"
             )
-        a, b, c = info.triangle
-        verts = list(knot.vertices)
-        roles = list(knot.roles)
-        idx = verts.index(b)
-        m = len(verts)
-        prev_v, next_v = verts[idx - 1], verts[(idx + 1) % m]
-        if {prev_v, next_v} != {a, c}:
+        a, b, c = on_lattice.triangle
+        k = index.get(b)
+        if k is None or removed[k] or {prv[k], nxt[k]} != {index.get(a), index.get(c)}:
             raise InternalVerificationError(
                 f"polygon structure near chord {info.chord} unexpected"
             )
-        del verts[idx]
-        roles[idx - 1] = ROLE_HYP
-        del roles[idx]
-        knot = StickKnot(tuple(verts), tuple(roles))
-        hypotenuses.append((on_lattice.triangle[0], on_lattice.triangle[2]))
-        steps.append(ReductionStep(info.chord, info.anchor, b, (a, c)))
+        roles[prv[k]] = ROLE_HYP
+        nxt[prv[k]], prv[nxt[k]] = nxt[k], prv[k]
+        removed[k] = True
+        hypotenuses.append((a, c))
+        corner, ends = info.triangle[1], info.triangle[::2]
+        steps.append(ReductionStep(info.chord, info.anchor, corner, ends))
+    left = [i for i in range(m) if not removed[i]]
+    knot = StickKnot(tuple(k2.vertices[i] for i in left), tuple(roles[i] for i in left))
     return knot, ReductionTrace(ap, ha, tuple(steps))
 
 
@@ -413,42 +410,42 @@ def top_reduction(knot: StickKnot, trace: ReductionTrace):
     raises InvalidSetting).  A candidate is accepted only if
     the new polygon is embedded and a triangulated spanning surface between
     the old and new arcs is pierced by no stationary stick; otherwise the move
-    is skipped and the polygon returned unchanged.
+    is skipped and the polygon returned unchanged.  Candidates are checked on
+    the polygon's :func:`lattice` image, which holds every tip as L is an
+    integer; only the accepted tips are built in true coordinates.
 
     Returns (knot, status, L) with status "applied" or "skipped:<reason>".
     """
-    n = trace.ap.n
-    zn = Fraction(trace.ha.z[n - 1])
-    verts = list(knot.vertices)
-    roles = list(knot.roles)
+    zn = Fraction(trace.ha.z[trace.ap.n - 1])
+    verts, roles = list(knot.vertices), list(knot.roles)
     m = len(verts)
-    top_idx = None
-    for i in range(m):
-        if roles[i] == ROLE_H and verts[i][2] == zn and verts[(i + 1) % m][2] == zn:
-            top_idx = i
-            break
+    flat = (i for i in range(m) if verts[i][2] == zn == verts[(i + 1) % m][2])
+    top_idx = next((i for i in flat if roles[i] == ROLE_H), None)
     if top_idx is None:
         raise InternalVerificationError("top horizontal stick not found")
     rot_v = verts[(top_idx - 1) % m :] + verts[: (top_idx - 1) % m]
     rot_r = roles[(top_idx - 1) % m :] + roles[: (top_idx - 1) % m]
-    j_a, j_b, f_b, f_a = rot_v[0], rot_v[3], rot_v[4], rot_v[-1]
     if rot_r[0] != ROLE_V or rot_r[2] != ROLE_V:
         raise InternalVerificationError("top chord is not flanked by verticals")
-    d_a = _sub3(j_a, f_a)
-    d_b = _sub3(j_b, f_b)
-    cap = _max_length()
-    length = 4
+    _, image = lattice(rot_v)
+    sticks = list(zip(image[3:], image[4:] + image[:1]))  # off the old path
+    stationary = sticks, [bbox(e) for e in sticks]
+    cap, length = _max_length(), 4
     while True:
-        t_a = tuple(j + length * d for j, d in zip(j_a, d_a))
-        t_b = tuple(j + length * d for j, d in zip(j_b, d_b))
-        cand_v = [t_a, t_b] + rot_v[4:]
-        cand_r = [ROLE_CONN, ROLE_EXT] + rot_r[4:-1] + [ROLE_EXT]
-        ok, why = _certify_top(rot_v, cand_v, t_a, t_b)
+        ok, why = _certify_top(image, *_tips(image, length), stationary)
         if ok:
-            return StickKnot(tuple(cand_v), tuple(cand_r)), "applied", length
+            cand_v = (*_tips(rot_v, length), *rot_v[4:])
+            cand_r = (ROLE_CONN, ROLE_EXT, *rot_r[4:-1], ROLE_EXT)
+            return StickKnot(cand_v, cand_r), "applied", length
         length *= 2
         if length > cap:
             return knot, f"skipped:{why}", None
+
+
+def _tips(v, length):
+    """t_a, t_b: sticks f_a-j_a and f_b-j_b of ``v`` extended beyond j by L times."""
+    ends = ((v[0], v[-1]), (v[3], v[4]))
+    return [tuple(x + length * (x - y) for x, y in zip(j, f)) for j, f in ends]
 
 
 def _max_length() -> int:
@@ -469,17 +466,16 @@ def _max_length() -> int:
     return cap
 
 
-def _disk_avoids(tris, rim, sticks):
+def _disk_avoids(tris, rim, sticks, boxes=None):
     """No stationary stick meets any disk triangle illegally.
 
     A stick may touch a triangle only at a point that is its own endpoint, a
     corner of the triangle, and a rim vertex of the disk (the polygon's
     pinned joints); everywhere else the closed triangles must be clear.
     """
-    boxes = [bbox(tri) for tri in tris]
-    for e in sticks:
-        e_box = bbox(e)
-        for tri, box in zip(tris, boxes):
+    tri_boxes = [bbox(tri) for tri in tris]
+    for e, e_box in zip(sticks, map(bbox, sticks) if boxes is None else boxes):
+        for tri, box in zip(tris, tri_boxes):
             if boxes_apart(box, e_box):
                 continue
             ig = frozenset(p for p in e if p in tri and p in rim)
@@ -533,9 +529,32 @@ def _disk_parts(corners, before, tris):
     return disk, shared, rim, kept
 
 
-def _certify_top(rot_v, cand_v, t_a, t_b):
+def _step_fault(corners, before, tris, stationary, memo):
+    """Why one disk step is not certified, or "".  ``memo`` keeps each verdict
+    under the triangles, rim and kept sticks it depends on, so one candidate's
+    shapes prove each fact once: ruled_b reuses ruled_a's proofs of s1, s2."""
+    disk, shared, rim, kept = _disk_parts(corners, before, tris)
+    sticks = stationary[0] + kept, stationary[1] + [bbox(e) for e in kept]
+    facts = [(d, _nondegenerate, d) for d in disk]
+    facts += [((disk[x], disk[y]), _surface_clean, (disk[x], disk[y]), {(0, 1): s})
+              for (x, y), s in shared.items()]
+    facts += [((d, rim, tuple(kept)), _disk_avoids, [d], rim, *sticks) for d in disk]
+    for fact, check, *args in facts:
+        if fact not in memo:
+            memo[fact] = check(*args)
+        if not memo[fact]:
+            if check is _disk_avoids:
+                return "stationary-stick-meets-spanning-surface"
+            return "self-intersecting-spanning-surface"
+    return ""
+
+
+def _certify_top(rot_v, t_a, t_b, stationary):
     """Exact certificate for one candidate top reduction.
 
+    ``rot_v`` is the reduced polygon from j_a on (vertical a, top stick,
+    vertical b, chain f_b .. f_a) and t_a, t_b the tips, all on one
+    :func:`lattice`; ``stationary`` holds the other sticks and their boxes.
     Requires the new polygon to be embedded, plus some certified spanning
     disk between the old path (vertical, top stick, vertical) and the new one
     (extension, connector, extension) pierced by nothing stationary.  The
@@ -544,36 +563,31 @@ def _certify_top(rot_v, cand_v, t_a, t_b):
     one side at a time through a certified-embedded intermediate polygon
     (these survive the configurations where the two extension rays cross in
     the shadow, since the lower extension passes under the other side's
-    swing triangle).  Every check runs on the :func:`lattice` image of the
-    candidate's points.  Coinciding tips reject the candidate, and an interim
+    swing triangle).  Coinciding tips reject the candidate, and an interim
     path with a repeated corner rejects its shape, before either reaches
     ``polygon_embedded``, which refuses repeated consecutive vertices.
+    Embedding tests only the edges a polygon adds (connector and extensions, or
+    an interim path's two); the rest are edges of the reduced polygon, embedded
+    as K2 passed the full check and every reduction triangle was proved empty.
     """
     if t_a == t_b:
         return False, "extension-tips-coincide"
-    m = len(rot_v)
-    _, image = lattice(rot_v + [t_a, t_b] + cand_v)
-    rot_v, (t_a, t_b), cand_v = image[:m], image[m : m + 2], image[m + 2 :]
-    emb = polygon_embedded(cand_v)
+    cand_v = [t_a, t_b] + rot_v[4:]
+    emb = polygon_embedded(cand_v, {0, 1, len(cand_v) - 1})
     if not emb.ok:
         return False, f"result-not-embedded:{emb.failures[0]}"
     corners = (*rot_v[:4], t_a, t_b)
-    # sticks off the old path: the chain f_b .. f_a, then f_a-j_a and j_b-f_b
-    outside = [(rot_v[i], rot_v[i + 1]) for i in range(4, m - 1)]
-    outside += [(rot_v[-1], rot_v[0]), (rot_v[3], rot_v[4])]
+    memo = {}
     for interim, steps in _DISKS:
         if interim is not None:
             path = [corners[i] for i in interim]
-            if len(set(path)) < 4 or not polygon_embedded(path + rot_v[4:]).ok:
+            fresh = {i for i in range(3) if max(interim[i : i + 2]) >= T_A}  # at a tip
+            if len(set(path)) < 4 or not polygon_embedded(path + rot_v[4:], fresh).ok:
                 reason = "interim-polygon-not-embedded"
                 continue
         for before, tris in zip((_OLD_PATH, interim), steps):
-            disk, shared, rim, kept = _disk_parts(corners, before, tris)
-            if not all(map(_nondegenerate, disk)) or not _surface_clean(disk, shared):
-                reason = "self-intersecting-spanning-surface"
-                break
-            if not _disk_avoids(disk, rim, outside + kept):
-                reason = "stationary-stick-meets-spanning-surface"
+            reason = _step_fault(corners, before, tris, stationary, memo)
+            if reason:
                 break
         else:
             return True, ""

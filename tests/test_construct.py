@@ -1,12 +1,15 @@
 """Lift, reduce, certify: the geometric pipeline from chords to few sticks."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stickbound import arcpres, construct, geom, invariants
 from stickbound.arcpres import (
@@ -42,7 +45,7 @@ from stickbound.construct import (
     verify_heights,
 )
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
-from stickbound.geom import lattice, polygon_embedded, triangle_pierced
+from stickbound.geom import bbox, lattice, polygon_embedded, triangle_pierced
 
 
 def test_assign_heights_constraints(ap5):
@@ -602,9 +605,9 @@ def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
     seen = []
     clear = construct._triangle_clear
 
-    def recorded(edges, info):
+    def recorded(edges, info, boxes=None):
         seen.append(list(edges))
-        return clear(edges, info)
+        return clear(edges, info, boxes)
 
     monkeypatch.setattr(construct, "_triangle_clear", recorded)
     reduced, trace = triangle_reductions(ap, k2)
@@ -705,13 +708,14 @@ def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):
 
 def _top_move(ap):
     """(rot_v, j_a, d_a, j_b, d_b) of the top move of ap's build, read off the
-    first candidate top_reduction certifies: tip = j + L * d."""
+    first candidate top_reduction certifies: tip = j + L * d.  The candidate
+    arrives on the lattice of the reduced polygon, and is scaled back."""
     norm, _ = normalize(ap)
     reduced, trace = triangle_reductions(norm, build_k2(norm))
     calls = []
 
-    def first_call(rot_v, cand_v, t_a, t_b):
-        calls.append((rot_v, t_a, t_b))
+    def first_call(rot_v, t_a, t_b, stationary=None):
+        calls.append(rot_v + [t_a, t_b])
         return True, ""
 
     construct._certify_top, real = first_call, construct._certify_top
@@ -719,7 +723,8 @@ def _top_move(ap):
         top_reduction(reduced, trace)
     finally:
         construct._certify_top = real
-    rot_v, t_a, t_b = calls[0]
+    scale = lattice(reduced.vertices)[0]
+    *rot_v, t_a, t_b = [tuple(Fraction(c, scale) for c in p) for p in calls[0]]
     j_a, j_b = rot_v[0], rot_v[3]
     d_a = tuple((t - j) / 4 for t, j in zip(t_a, j_a))
     d_b = tuple((t - j) / 4 for t, j in zip(t_b, j_b))
@@ -743,6 +748,17 @@ def _tips(move, la, lb):
     return t_a, t_b
 
 
+def certify_on_lattice(rot_v, t_a, t_b):
+    """_certify_top on one lattice image of the move's points, as
+    top_reduction runs it, with the stationary sticks in the reference's order."""
+    m = len(rot_v)
+    _, image = lattice(rot_v + [t_a, t_b])
+    rot_v = image[:m]
+    outside = [(rot_v[i], rot_v[i + 1]) for i in range(4, m - 1)]
+    outside += [(rot_v[-1], rot_v[0]), (rot_v[3], rot_v[4])]
+    return _certify_top(rot_v, *image[m:], (outside, [bbox(e) for e in outside]))
+
+
 def test_certify_top_on_the_lattice_matches_the_fraction_checks(monkeypatch):
     # (L_a, L_b): the doubling search's lengths, shorter ones, and asymmetric
     # pairs with one tip pulled back along its stick
@@ -757,7 +773,7 @@ def test_certify_top_on_the_lattice_matches_the_fraction_checks(monkeypatch):
         cands.append((cands[4][0], rot_v[len(rot_v) // 2 + 2]))
         for t_a, t_b in cands:
             cand_v = [t_a, t_b] + rot_v[4:]
-            got = _certify_top(rot_v, cand_v, t_a, t_b)
+            got = certify_on_lattice(rot_v, t_a, t_b)
             with monkeypatch.context() as m:
                 m.setattr(geom, "LATTICE_MAX_BITS", 0)
                 assert geom.lattice(rot_v)[0] == 1
@@ -779,17 +795,131 @@ def test_coinciding_top_move_corners_reject_without_raising():
     rot_v = move[0]
     t_a, t_b = _tips(move, Fraction(1, 2), Fraction(1, 2))
     assert t_a == t_b
-    got = _certify_top(rot_v, [t_a, t_b] + rot_v[4:], t_a, t_b)
-    assert got == (False, "extension-tips-coincide")
+    assert certify_on_lattice(rot_v, t_a, t_b) == (False, "extension-tips-coincide")
     t_a, t_b = _tips(move, Fraction(1, 4), Fraction(1, 4))
-    assert _certify_top(rot_v, [t_a, t_b] + rot_v[4:], t_a, t_b) == (True, "")
+    assert certify_on_lattice(rot_v, t_a, t_b) == (True, "")
     # a tip on the other side's top corner repeats a corner of an interim
     # path: two-step-b's when t_b = top_a, two-step-a's when t_a = top_b
     moves = _top_moves(10, 1203)
     t_a, _ = _tips(moves[0], 4, 4)
     rot_v = moves[0][0]
-    assert _certify_top(rot_v, [t_a, rot_v[1]] + rot_v[4:], t_a, rot_v[1]) == (True, "")
+    assert certify_on_lattice(rot_v, t_a, rot_v[1]) == (True, "")
     _, t_b = _tips(moves[9], 4, 4)
     rot_v = moves[9][0]
-    got = _certify_top(rot_v, [rot_v[2], t_b] + rot_v[4:], rot_v[2], t_b)
-    assert got == (False, "interim-polygon-not-embedded")
+    assert certify_on_lattice(rot_v, rot_v[2], t_b) == (False, "interim-polygon-not-embedded")
+
+
+def test_a_corner_off_its_neighbours_raises():
+    """A hand-made K2 whose right-angle corner of a reduction triangle has
+    the wrong neighbours, or is not a vertex at all, raises the
+    InternalVerificationError of a broken structure, never a ValueError."""
+    ap, _ = normalize(random_presentation(10, 3))
+    k2 = build_k2(ap)
+    pts, _, _ = layout(ap)
+    infos = {t.chord: t for t in reduction_triangles(ap, assign_heights(ap), pts)}
+    a, b, c = infos[3].triangle
+    verts = list(k2.vertices)
+    k, m = verts.index(b), len(verts)
+    swapped = list(verts)
+    swapped[k], swapped[(k + 1) % m] = verts[(k + 1) % m], b
+    with pytest.raises(InternalVerificationError):
+        triangle_reductions(ap, StickKnot(tuple(swapped), k2.roles))
+    # moved off the triangle's plane: the sweep is clean, and the collapse
+    # of chord 3 finds no corner b
+    normal = (c[1] - b[1], b[0] - c[0], 0)
+    verts[k] = tuple(x + Fraction(y) / 64 for x, y in zip(b, normal))
+    with pytest.raises(InternalVerificationError, match="polygon structure near chord 3"):
+        triangle_reductions(ap, StickKnot(tuple(verts), k2.roles))
+
+
+@pytest.mark.parametrize(
+    "seed,status",
+    [
+        (601001851, "skipped:result-not-embedded:(1, 8, 'improper')"),
+        (941003160, "skipped:result-not-embedded:(1, 8, 'improper')"),
+    ],
+)
+def test_known_skips_report_the_full_checks_first_failure(seed, status):
+    # the incremental check's first failure is the one the full check reports
+    _, cert = build_full(random_presentation(8, seed))
+    assert cert.top_reduction == status
+
+
+# A hand-made move.  The old path j_a, top_a, top_b, j_b bounds the square
+# x, z in 0..4 of the plane y = 0, both feeding sticks run along y from
+# y = 4, and the tips at L = 4 sit at y = -16.  The swing triangle s1 lies
+# in the plane x = 0 at y <= 0.  Each case sets the chain from f_b to f_a.
+HAND_PATH = ((0, 0, 0), (0, 0, 4), (4, 0, 4), (4, 0, 0), (4, 4, 0))
+HAND_TIPS = ((0, -16, 0), (4, -16, 0))
+
+
+@pytest.mark.parametrize(
+    "chain,pinch,want",
+    [
+        # a stick beside s1
+        (((1, 1, 1), (-1, 1, 1)), None, (True, "")),
+        # a stick through s1
+        (((1, -1, 1), (-1, -1, 1)), None, (False, "stationary-stick-meets-spanning-surface")),
+        # a stick across extension a
+        (((1, -2, 0), (-1, -2, 0)), None, (False, "result-not-embedded:(3, 5, 'improper')")),
+        # tip b pinched onto a chain vertex
+        (((1, 2, 2),), (1, 2, 2), (False, "result-not-embedded:(0, 2, 'shared-endpoint')")),
+    ],
+)
+def test_incremental_and_full_checks_reject_the_same_mutants(chain, pinch, want, monkeypatch):
+    rot_v = [tuple(map(Fraction, p)) for p in HAND_PATH + chain + ((0, 4, 0),)]
+    t_a, t_b = (tuple(map(Fraction, p)) for p in (HAND_TIPS[0], pinch or HAND_TIPS[1]))
+    assert polygon_embedded(rot_v).ok
+    cand_v = [t_a, t_b] + rot_v[4:]
+    fresh = {0, 1, len(cand_v) - 1}
+    assert polygon_embedded(cand_v, fresh) == polygon_embedded(cand_v)
+    assert certify_on_lattice(rot_v, t_a, t_b) == want
+    monkeypatch.setattr(geom, "LATTICE_MAX_BITS", 0)
+    assert certify_top_on_fractions(rot_v, cand_v, t_a, t_b) == want
+    if not want[1].startswith("result"):  # the stick misses s1, or pierces it
+        assert triangle_pierced((rot_v[0], rot_v[1], t_a), rot_v[5:7]) == (not want[0])
+
+
+@functools.cache
+def _property_moves():
+    return _top_moves(20, 1807)
+
+
+_LENGTHS = st.one_of(
+    st.integers(1, 1 << 12), st.fractions(Fraction(-7, 8), 64, max_denominator=16)
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, 19),
+    la=_LENGTHS,
+    lb=_LENGTHS,
+    pinch=st.sampled_from((None, "a", "b")),
+    at=st.integers(0, 1 << 10),
+)
+def test_incremental_embedding_equals_the_full_check(k, la, lb, pinch, at):
+    """Each polygon_embedded call of _certify_top, on its fresh edges, reports
+    what the full check reports, failures included: on candidates at integer,
+    fractional and asymmetric L, and with a tip pinched onto the chain."""
+    move = _property_moves()[k]
+    rot_v = move[0]
+    t_a, t_b = _tips(move, la, lb)
+    chain = rot_v[5:-1]  # vertices of the chain off both feeding sticks
+    if pinch and chain:
+        t_a, t_b = (chain[at % len(chain)], t_b) if pinch == "a" else (t_a, chain[at % len(chain)])
+    calls = []
+    full = construct.polygon_embedded
+
+    def recorded(vertices, fresh=None):
+        calls.append((list(vertices), fresh))
+        return full(vertices, fresh)
+
+    construct.polygon_embedded = recorded
+    try:
+        certify_on_lattice(rot_v, t_a, t_b)
+    finally:
+        construct.polygon_embedded = full
+    for vertices, fresh in calls:
+        assert fresh is not None
+        assert full(vertices, fresh) == full(vertices)
