@@ -34,6 +34,8 @@ from .arcpres import (
 from .bounds import theorem2_upper
 from .errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
 from .geom import (
+    DISJOINT,
+    SHARED_ENDPOINT,
     Point3,
     _cross3,
     _dot3,
@@ -42,6 +44,7 @@ from .geom import (
     boxes_apart,
     lattice,
     polygon_embedded,
+    seg3_relation,
     seg_triangle_intersection,
     point_on_segment3,
     triangle_pierced,
@@ -466,7 +469,7 @@ def _max_length() -> int:
     return cap
 
 
-def _disk_avoids(tris, rim, sticks, boxes=None):
+def _disk_avoids(tris, rim, sticks, boxes):
     """No stationary stick meets any disk triangle illegally.
 
     A stick may touch a triangle only at a point that is its own endpoint, a
@@ -474,7 +477,7 @@ def _disk_avoids(tris, rim, sticks, boxes=None):
     pinned joints); everywhere else the closed triangles must be clear.
     """
     tri_boxes = [bbox(tri) for tri in tris]
-    for e, e_box in zip(sticks, map(bbox, sticks) if boxes is None else boxes):
+    for e, e_box in zip(sticks, boxes):
         for tri, box in zip(tris, tri_boxes):
             if boxes_apart(box, e_box):
                 continue
@@ -529,24 +532,22 @@ def _disk_parts(corners, before, tris):
     return disk, shared, rim, kept
 
 
-def _step_fault(corners, before, tris, stationary, memo):
-    """Why one disk step is not certified, or "".  ``memo`` keeps each verdict
-    under the triangles, rim and kept sticks it depends on, so one candidate's
-    shapes prove each fact once: ruled_b reuses ruled_a's proofs of s1, s2."""
-    disk, shared, rim, kept = _disk_parts(corners, before, tris)
-    sticks = stationary[0] + kept, stationary[1] + [bbox(e) for e in kept]
-    facts = [(d, _nondegenerate, d) for d in disk]
-    facts += [((disk[x], disk[y]), _surface_clean, (disk[x], disk[y]), {(0, 1): s})
-              for (x, y), s in shared.items()]
-    facts += [((d, rim, tuple(kept)), _disk_avoids, [d], rim, *sticks) for d in disk]
-    for fact, check, *args in facts:
-        if fact not in memo:
-            memo[fact] = check(*args)
-        if not memo[fact]:
-            if check is _disk_avoids:
-                return "stationary-stick-meets-spanning-surface"
-            return "self-intersecting-spanning-surface"
-    return ""
+def _new_edge_failures(pts, fresh):
+    """:func:`polygon_embedded`'s failures, in its order, for lattice points
+    ``pts`` whose edges outside the index set ``fresh`` are edges of an embedded
+    polygon with the same neighbours: only pairs holding a fresh edge can fail."""
+    m = len(pts)
+    edges = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
+    boxes = [bbox(e) for e in edges]
+    failures = []
+    for i in range(m):
+        for j in range(i + 1, m) if i in fresh else sorted(j for j in fresh if j > i):
+            if boxes_apart(boxes[i], boxes[j]):
+                continue
+            rel = seg3_relation(edges[i], edges[j])
+            if rel != (SHARED_ENDPOINT if j - i in (1, m - 1) else DISJOINT):
+                failures.append((i, j, rel))
+    return failures
 
 
 def _certify_top(rot_v, t_a, t_b, stationary):
@@ -564,30 +565,33 @@ def _certify_top(rot_v, t_a, t_b, stationary):
     (these survive the configurations where the two extension rays cross in
     the shadow, since the lower extension passes under the other side's
     swing triangle).  Coinciding tips reject the candidate, and an interim
-    path with a repeated corner rejects its shape, before either reaches
-    ``polygon_embedded``, which refuses repeated consecutive vertices.
-    Embedding tests only the edges a polygon adds (connector and extensions, or
-    an interim path's two); the rest are edges of the reduced polygon, embedded
-    as K2 passed the full check and every reduction triangle was proved empty.
+    path with a repeated corner rejects its shape, before the embedding test.
+    That test covers only the edges a polygon adds (connector and extensions,
+    or an interim path's two): the rest are edges of the reduced polygon,
+    embedded as K2 passed the full check and every reduction triangle was
+    proved empty, so the first failure is the full check's.
     """
     if t_a == t_b:
         return False, "extension-tips-coincide"
     cand_v = [t_a, t_b] + rot_v[4:]
-    emb = polygon_embedded(cand_v, {0, 1, len(cand_v) - 1})
-    if not emb.ok:
-        return False, f"result-not-embedded:{emb.failures[0]}"
+    if bad := _new_edge_failures(cand_v, {0, 1, len(cand_v) - 1}):
+        return False, f"result-not-embedded:{bad[0]}"
     corners = (*rot_v[:4], t_a, t_b)
-    memo = {}
     for interim, steps in _DISKS:
         if interim is not None:
             path = [corners[i] for i in interim]
             fresh = {i for i in range(3) if max(interim[i : i + 2]) >= T_A}  # at a tip
-            if len(set(path)) < 4 or not polygon_embedded(path + rot_v[4:], fresh).ok:
+            if len(set(path)) < 4 or _new_edge_failures(path + rot_v[4:], fresh):
                 reason = "interim-polygon-not-embedded"
                 continue
         for before, tris in zip((_OLD_PATH, interim), steps):
-            reason = _step_fault(corners, before, tris, stationary, memo)
-            if reason:
+            disk, shared, rim, kept = _disk_parts(corners, before, tris)
+            if not all(map(_nondegenerate, disk)) or not _surface_clean(disk, shared):
+                reason = "self-intersecting-spanning-surface"
+                break
+            boxes = stationary[1] + [bbox(e) for e in kept]
+            if not _disk_avoids(disk, rim, stationary[0] + kept, boxes):
+                reason = "stationary-stick-meets-spanning-surface"
                 break
         else:
             return True, ""

@@ -318,7 +318,7 @@ class EmbeddingReport:
         return self.ok
 
 
-def polygon_embedded(vertices: Sequence, fresh=None) -> EmbeddingReport:
+def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
     """Exact embeddedness check for a closed polygon given by its vertex cycle.
 
     Consecutive edges must meet exactly at their shared vertex; all other pairs
@@ -326,10 +326,6 @@ def polygon_embedded(vertices: Sequence, fresh=None) -> EmbeddingReport:
     shared-endpoint contact); doubling back or overlap is not.  Pairs whose
     boxes are apart are disjoint and skip ``seg3_relation``.  The predicates
     run on the vertices' :func:`lattice` image.
-
-    With ``fresh``, a set of edge indices, only pairs holding a fresh edge are
-    tested, on the vertices as given: enough when the others are edges of an
-    embedded polygon with the same neighbours.  Failures stay sorted by (i, j).
     """
     m = len(vertices)
     if m < 3:
@@ -337,13 +333,12 @@ def polygon_embedded(vertices: Sequence, fresh=None) -> EmbeddingReport:
     for i in range(m):
         if vertices[i] == vertices[(i + 1) % m]:
             raise ValueError(f"repeated consecutive vertices at index {i}")
-    _, pts = lattice(vertices) if fresh is None else (1, vertices)
+    _, pts = lattice(vertices)
     edges = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
     boxes = [bbox(e) for e in edges]
     failures = []
     for i in range(m):
-        every = fresh is None or i in fresh
-        for j in range(i + 1, m) if every else sorted(j for j in fresh if j > i):
+        for j in range(i + 1, m):
             # consecutive edges share a vertex, so their boxes are never apart
             if boxes_apart(boxes[i], boxes[j]):
                 continue

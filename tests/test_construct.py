@@ -28,6 +28,7 @@ from stickbound.construct import (
     TriangleInfo,
     _disk_avoids,
     _disk_parts,
+    _new_edge_failures,
     _nondegenerate,
     _surface_clean,
     _triangle_clear,
@@ -478,7 +479,8 @@ def test_filtered_triangle_checks_agree_with_unfiltered_loops():
         others = [_random_triangle(rng), tri]
         sticks = knot.edges()[2:]
         rim = frozenset(verts[:3])
-        assert _disk_avoids(others, rim, sticks) == avoids_reference(others, rim, sticks)
+        boxes = [bbox(e) for e in sticks]
+        assert _disk_avoids(others, rim, sticks, boxes) == avoids_reference(others, rim, sticks)
     assert outcomes == {True, False}
 
 
@@ -698,7 +700,8 @@ def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):
             if not all(map(_nondegenerate, disk)) or not _surface_clean(disk, shared):
                 reason = "self-intersecting-spanning-surface"
                 break
-            if not _disk_avoids(disk, rim, outside + kept):
+            sticks = outside + kept
+            if not _disk_avoids(disk, rim, sticks, [bbox(e) for e in sticks]):
                 reason = "stationary-stick-meets-spanning-surface"
                 break
         else:
@@ -872,7 +875,8 @@ def test_incremental_and_full_checks_reject_the_same_mutants(chain, pinch, want,
     assert polygon_embedded(rot_v).ok
     cand_v = [t_a, t_b] + rot_v[4:]
     fresh = {0, 1, len(cand_v) - 1}
-    assert polygon_embedded(cand_v, fresh) == polygon_embedded(cand_v)
+    full = list(polygon_embedded(cand_v).failures)
+    assert _new_edge_failures(lattice(cand_v)[1], fresh) == full
     assert certify_on_lattice(rot_v, t_a, t_b) == want
     monkeypatch.setattr(geom, "LATTICE_MAX_BITS", 0)
     assert certify_top_on_fractions(rot_v, cand_v, t_a, t_b) == want
@@ -899,9 +903,9 @@ _LENGTHS = st.one_of(
     at=st.integers(0, 1 << 10),
 )
 def test_incremental_embedding_equals_the_full_check(k, la, lb, pinch, at):
-    """Each polygon_embedded call of _certify_top, on its fresh edges, reports
-    what the full check reports, failures included: on candidates at integer,
-    fractional and asymmetric L, and with a tip pinched onto the chain."""
+    """Each embedding test of _certify_top, on its fresh edges only, reports
+    the full check's failures: on candidates at integer, fractional and
+    asymmetric L, and with a tip pinched onto the chain."""
     move = _property_moves()[k]
     rot_v = move[0]
     t_a, t_b = _tips(move, la, lb)
@@ -909,17 +913,37 @@ def test_incremental_embedding_equals_the_full_check(k, la, lb, pinch, at):
     if pinch and chain:
         t_a, t_b = (chain[at % len(chain)], t_b) if pinch == "a" else (t_a, chain[at % len(chain)])
     calls = []
-    full = construct.polygon_embedded
+    incremental = construct._new_edge_failures
 
-    def recorded(vertices, fresh=None):
-        calls.append((list(vertices), fresh))
-        return full(vertices, fresh)
+    def recorded(pts, fresh):
+        calls.append((list(pts), fresh))
+        return incremental(pts, fresh)
 
-    construct.polygon_embedded = recorded
+    construct._new_edge_failures = recorded
     try:
         certify_on_lattice(rot_v, t_a, t_b)
     finally:
-        construct.polygon_embedded = full
-    for vertices, fresh in calls:
-        assert fresh is not None
-        assert full(vertices, fresh) == full(vertices)
+        construct._new_edge_failures = incremental
+    for pts, fresh in calls:
+        assert incremental(pts, fresh) == list(polygon_embedded(pts).failures)
+
+
+def test_both_interim_paths_are_checked_on_their_new_edges(monkeypatch):
+    """On a grid of L, the interim paths of two-step-b (t_b third) and of
+    two-step-a (t_a second) each fail the full check somewhere, and the
+    incremental check reports the same failures on every path it sees."""
+    incremental, calls, failing = construct._new_edge_failures, [], set()
+    monkeypatch.setattr(construct, "_new_edge_failures", lambda *a: calls.append(a) or incremental(*a))
+    lengths = (1, 4, 64, Fraction(1, 16), Fraction(-1, 2), Fraction(7, 4))
+    for move in _property_moves():
+        for la in lengths:
+            for lb in lengths:
+                calls.clear()
+                certify_on_lattice(move[0], *_tips(move, la, lb))
+                (cand, _), *interims = calls
+                for pts, fresh in interims:
+                    full = list(polygon_embedded(pts).failures)
+                    assert incremental(pts, fresh) == full
+                    if full:
+                        failing.add("b" if pts[2] == cand[1] else "a")
+    assert failing == {"a", "b"}
