@@ -1,7 +1,7 @@
 """Command-line front end: build, verify, simplify, random, batch, bounds.
 
-Exit codes: 0 success, 1 invalid input, 2 internal verification failure
-(including a ``ValueError`` from degenerate geometry), 3 invariant
+Exit codes: 0 success, 1 invalid input or usage, 2 internal verification
+failure (including a ``ValueError`` from degenerate geometry), 3 invariant
 mismatch.  Identical inputs and flags produce byte-identical output.
 """
 
@@ -22,7 +22,7 @@ from .construct import (
     polygon_json,
     stick_count,
 )
-from .errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
+from .errors import InternalVerificationError, InvalidArcPresentation
 from .geom import polygon_embedded
 from .invariants import match, project
 
@@ -172,7 +172,7 @@ def _batch_row(ident, source, seed, top) -> dict:
 
     An unreadable or unparsable file, like a failed build or a geometry
     ``ValueError`` escaping one, yields an error row rather than ending the
-    batch.  A bad setting fails every row alike, so it ends the batch.
+    batch.
     """
     row = dict.fromkeys(CSV_COLUMNS, "")
     row["id"] = ident
@@ -181,8 +181,6 @@ def _batch_row(ident, source, seed, top) -> dict:
         ap = parse(_read_text(source)) if isinstance(source, str) else source
         row["n"] = ap.n
         knot, cert = build_full(ap, top=top)
-    except InvalidSetting:
-        raise
     except (ValueError, InternalVerificationError) as e:
         row["top_reduction"] = f"error:{type(e).__name__}: {e}"
         row["bound_satisfied"] = _tf(False)
@@ -305,13 +303,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed its usage or help
+        return EXIT_INVALID if e.code else EXIT_OK
     if getattr(args, "count", 0) < 0:  # random and batch
         print(f"error: {args.command} --count {args.count} is negative", file=sys.stderr)
         return EXIT_INVALID
     try:
         return args.func(args)
-    except (InvalidArcPresentation, InvalidSetting) as e:
+    except InvalidArcPresentation as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except (InternalVerificationError, ValueError) as e:  # ValueError: bad geometry

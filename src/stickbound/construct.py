@@ -13,7 +13,6 @@ geometric certificates, never by construction alone.
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -32,7 +31,7 @@ from .arcpres import (
     normalize,
 )
 from .bounds import theorem2_upper
-from .errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
+from .errors import InternalVerificationError, InvalidArcPresentation
 from .geom import (
     DISJOINT,
     SHARED_ENDPOINT,
@@ -93,27 +92,13 @@ def stick_count(knot: StickKnot) -> int:
 
 
 @dataclass(frozen=True)
-class HeightRecord:
-    """Why chord i received its height.
-
-    For type-II/III chords: the anchor chord j (the larger smaller-index
-    neighbor) and the apex binding point shared with it.
-    """
-
-    chord: int
-    ctype: ChordType
-    anchor: Optional[int]
-    apex: Optional[int]
-
-
-@dataclass(frozen=True)
 class HeightAssignment:
     z: tuple  # z[i-1] is the height of chord i
-    records: tuple
 
 
 def _anchor_and_apex(ap, uses, i):
-    """Anchor chord (largest smaller neighbor) and shared apex point of chord i."""
+    """Anchor chord (largest smaller neighbor) and shared apex point of chord i,
+    or None if chord i is of type I (no smaller neighbor)."""
     best = None
     for p in ap.chords[i - 1]:
         u, v = uses[p]
@@ -137,16 +122,9 @@ def _assign_heights(ap: ArcPresentation, crossings) -> HeightAssignment:
     n = ap.n
     z = [0] * (n + 1)
     z[1], z[2] = 1, 2
-    records = [HeightRecord(1, types[0], None, None)]
-    if types[1] is ChordType.I:
-        records.append(HeightRecord(2, types[1], None, None))
-    else:
-        j, p = _anchor_and_apex(ap, uses, 2)
-        records.append(HeightRecord(2, types[1], j, p))
     for i in range(3, n + 1):
         if types[i - 1] is ChordType.I:
             z[i] = z[i - 1] + 1
-            records.append(HeightRecord(i, types[i - 1], None, None))
             continue
         j, apex = _anchor_and_apex(ap, uses, i)
         worst = None
@@ -164,8 +142,7 @@ def _assign_heights(ap: ArcPresentation, crossings) -> HeightAssignment:
         if worst is not None:
             cand = max(cand, 1 + math.floor(worst))
         z[i] = cand
-        records.append(HeightRecord(i, types[i - 1], j, apex))
-    return HeightAssignment(tuple(z[1:]), tuple(records))
+    return HeightAssignment(tuple(z[1:]))
 
 
 def assign_heights(ap: ArcPresentation) -> HeightAssignment:
@@ -199,9 +176,6 @@ def verify_heights(ap: ArcPresentation, ha: HeightAssignment, crossings) -> None
         if types[i - 1] is ChordType.I:
             continue
         j, apex = _anchor_and_apex(ap, uses, i)
-        rec = ha.records[i - 1]
-        if rec.anchor != j or rec.apex != apex:
-            raise InternalVerificationError(f"anchor record mismatch at chord {i}")
         for k, t in _crossed_from_apex(ap, crossings, i, apex):
             if not z[k - 1] < z[j - 1] + t * (z[i - 1] - z[j - 1]):
                 raise InternalVerificationError(
@@ -246,17 +220,19 @@ class TriangleInfo:
 
 def reduction_triangles(ap: ArcPresentation, ha: HeightAssignment, pts) -> list:
     """The right triangle attached to every type-II/III chord (including n)."""
+    uses = _point_uses(ap)
     out = []
-    for rec in ha.records:
-        if rec.ctype is ChordType.I:
+    for i in range(2, ap.n + 1):
+        anchor = _anchor_and_apex(ap, uses, i)
+        if anchor is None:
             continue
-        i, j = rec.chord, rec.anchor
+        j, apex = anchor
         a, b = ap.chords[i - 1]
-        far = b if rec.apex == a else a
-        p, q = pts[rec.apex - 1], pts[far - 1]
+        far = b if apex == a else a
+        p, q = pts[apex - 1], pts[far - 1]
         zi, zj = Fraction(ha.z[i - 1]), Fraction(ha.z[j - 1])
         tri = ((p[0], p[1], zj), (p[0], p[1], zi), (q[0], q[1], zi))
-        out.append(TriangleInfo(i, j, rec.apex, far, tri))
+        out.append(TriangleInfo(i, j, apex, far, tri))
     return out
 
 
@@ -408,14 +384,14 @@ def top_reduction(knot: StickKnot, trace: ReductionTrace):
 
     The two sticks feeding the top chord's verticals are extended collinearly
     beyond their junctions by L times their own length and joined by one
-    connector stick.  L is searched by doubling (4, 8, ..., 2^16 by default;
-    env STICKBOUND_MAX_L, an integer >= 4, overrides the cap; any other value
-    raises InvalidSetting).  A candidate is accepted only if
-    the new polygon is embedded and a triangulated spanning surface between
-    the old and new arcs is pierced by no stationary stick; otherwise the move
-    is skipped and the polygon returned unchanged.  Candidates are checked on
-    the polygon's :func:`lattice` image, which holds every tip as L is an
-    integer; only the accepted tips are built in true coordinates.
+    connector stick.  L is searched by doubling (4, 8, ..., up to the
+    module's DEFAULT_MAX_L = 2^16, read at each call).  A candidate is
+    accepted only if the new polygon is embedded and a triangulated spanning
+    surface between the old and new arcs is pierced by no stationary stick;
+    otherwise the move is skipped and the polygon returned unchanged.
+    Candidates are checked on the polygon's :func:`lattice` image, which
+    holds every tip as L is an integer; only the accepted tips are built in
+    true coordinates.
 
     Returns (knot, status, L) with status "applied" or "skipped:<reason>".
     """
@@ -433,7 +409,7 @@ def top_reduction(knot: StickKnot, trace: ReductionTrace):
     _, image = lattice(rot_v)
     sticks = list(zip(image[3:], image[4:] + image[:1]))  # off the old path
     stationary = sticks, [bbox(e) for e in sticks]
-    cap, length = _max_length(), 4
+    length = 4
     while True:
         ok, why = _certify_top(image, *_tips(image, length), stationary)
         if ok:
@@ -441,7 +417,7 @@ def top_reduction(knot: StickKnot, trace: ReductionTrace):
             cand_r = (ROLE_CONN, ROLE_EXT, *rot_r[4:-1], ROLE_EXT)
             return StickKnot(cand_v, cand_r), "applied", length
         length *= 2
-        if length > cap:
+        if length > DEFAULT_MAX_L:
             return knot, f"skipped:{why}", None
 
 
@@ -449,24 +425,6 @@ def _tips(v, length):
     """t_a, t_b: sticks f_a-j_a and f_b-j_b of ``v`` extended beyond j by L times."""
     ends = ((v[0], v[-1]), (v[3], v[4]))
     return [tuple(x + length * (x - y) for x, y in zip(j, f)) for j, f in ends]
-
-
-def _max_length() -> int:
-    """The top move's cap on L: STICKBOUND_MAX_L, or DEFAULT_MAX_L if unset.
-
-    The search starts at L = 4, so a smaller cap (or a non-integer) would
-    skip the move without trying it; such values are refused.
-    """
-    raw = os.environ.get("STICKBOUND_MAX_L")
-    if raw is None:
-        return DEFAULT_MAX_L
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 4:
-        raise InvalidSetting(f"STICKBOUND_MAX_L must be an integer >= 4, got {raw!r}")
-    return cap
 
 
 def _disk_avoids(tris, rim, sticks, boxes):

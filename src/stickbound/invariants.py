@@ -6,11 +6,12 @@ crossing substituted away: one row per run between arcs that pass over
 something, one column per such arc, one row and one column deleted
 (:func:`_run_rows`).  It is defined up to units +-t^k, so results are
 normalized to lowest degree 0 with positive constant term.  Its sparse
-elimination pivots away the +-t^e entries, each the one of least fill-in
-from a heap (:class:`_Pivots`), and fraction-free Bareiss elimination of the
-dense core left pivots on the entry of fewest coefficients; every polynomial
-is kept as an offset pair (lo, coeffs), t^lo times coeffs, so a unit factor
-t^e never pads it with zeros.  The determinant of an arc presentation is
+elimination (:func:`_sparse_eliminate`) pivots away the +-t^e entries, each
+the one of least fill-in over the set of unit entries left, and
+fraction-free Bareiss elimination of the dense core left pivots on the entry
+of fewest coefficients; every polynomial is kept as an offset pair
+(lo, coeffs), t^lo times coeffs, so a unit factor t^e never pads it with
+zeros.  The determinant of an arc presentation is
 read from its grid instead, by code that shares nothing with diagrams or
 relation rows, and :func:`match` checks it against |Alexander(-1)| of the
 presentation's diagram.  A projection tests pairs of edge shadows for
@@ -21,7 +22,6 @@ crossing's sign.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,102 +208,6 @@ def _is_unit_monomial(p):
     return len(p[1]) == 1 and p[1][0] in (1, -1)
 
 
-class _Pivots:
-    """Least fill-in pivots among the +-t^e entries of sparse rows {r: {col: entry}}.
-
-    A heap holds keys (fill-in, row, col), fill-in being the Markowitz count
-    (row length - 1) * (column length - 1).  An entry's fill-in falls only
-    when its row shrinks or its column loses a row, and both push the entry
-    again, as does an entry that turns into a unit; so each unit entry keeps
-    a key no larger than its fill-in.  The least key whose fill-in holds is
-    then the pivot a full rescan picks, the least (fill-in, row, col) over
-    all unit entries.  A popped key that has grown is pushed back, one of an
-    entry that is no longer a unit dropped.
-    """
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.col_rows = {}
-        for r, row in rows.items():
-            for col in row:
-                self.col_rows.setdefault(col, set()).add(r)
-        self.units = {
-            (r, col) for r, row in rows.items() for col, p in row.items() if _is_unit_monomial(p)
-        }
-        self.heap = [(self._fill(r, col), r, col) for r, col in self.units]
-        heapq.heapify(self.heap)
-
-    def _fill(self, r, col):
-        return (len(self.rows[r]) - 1) * (len(self.col_rows[col]) - 1)
-
-    def push_col(self, col):
-        """Push again the unit entries of a column that lost a row."""
-        for r in self.col_rows[col]:
-            if (r, col) in self.units:
-                heapq.heappush(self.heap, (self._fill(r, col), r, col))
-
-    def pop(self):
-        """The next pivot (row, col), or None when no unit entry is left."""
-        while self.heap:
-            fill, r, col = heapq.heappop(self.heap)
-            if (r, col) in self.units:
-                now = self._fill(r, col)
-                if now == fill:
-                    return r, col
-                heapq.heappush(self.heap, (now, r, col))
-        return None
-
-    def set_row(self, r, new, changed=()):
-        """Replace row r by new, or remove it if new is None; returns the old row.
-
-        Outside the columns ``changed``, new holds the old entries times a unit.
-        """
-        old = self.rows.pop(r)
-        for col in old:
-            if new is None or col not in new:
-                self.col_rows[col].discard(r)
-                self.units.discard((r, col))
-        if new is None:
-            return old
-        self.rows[r] = new
-        shrank = len(new) < len(old)
-        for col, p in new.items():
-            if col in changed:
-                self.col_rows.setdefault(col, set()).add(r)
-                if not _is_unit_monomial(p):
-                    self.units.discard((r, col))
-                    continue
-                self.units.add((r, col))
-            elif not shrank or (r, col) not in self.units:
-                continue
-            heapq.heappush(self.heap, (self._fill(r, col), r, col))
-        return old
-
-
-def _eliminate(rows):
-    """Pivot away the +-t^e entries of sparse rows {r: {col: entry}}, in place.
-
-    Each pivot is the unit entry of least fill-in, ties going to the
-    smallest (row, col); :func:`_poly_rewrite` clears column col of a row
-    with the pivot row, changing only the pivot row's columns beyond a unit
-    factor.  Returns False as soon as a row empties.
-    """
-    pivots = _Pivots(rows)
-    while (pick := pivots.pop()) is not None:
-        r, col = pick
-        pivot_row = pivots.set_row(r, None)
-        lost = set(pivot_row)
-        for r2 in sorted(pivots.col_rows[col]):
-            new = _poly_rewrite(rows[r2], col, pivot_row)
-            if not new:
-                return False
-            lost.update(c for c in rows[r2] if c not in new)
-            pivots.set_row(r2, new, pivot_row)
-        for c in lost:
-            pivots.push_col(c)
-    return True
-
-
 def _poly_rewrite(row, col, pivot_row):
     """+-t^e * row - row[col] * pivot_row, the pivot entry being +-t^e."""
     e, (s,) = pivot_row[col]
@@ -320,13 +224,41 @@ def _poly_rewrite(row, col, pivot_row):
 
 
 def _sparse_eliminate(rows):
-    """Pivot away +-t^e entries of offset-pair rows; returns the dense core left.
+    """Pivot away the +-t^e entries of offset-pair rows {r: {col: entry}}, in
+    place; returns the dense core left.
 
-    Each step scales a row by a unit, which is harmless for a determinant
-    defined up to units; a unit factor t^e only moves an offset.
+    Each pivot is the unit entry of least fill-in, the Markowitz count
+    (row length - 1) * (column length - 1), ties going to the smallest
+    (row, col).  :func:`_poly_rewrite` clears column col of each row holding
+    it; outside the pivot row's columns that only scales the row by a unit,
+    harmless for a determinant defined up to units, so only those columns
+    and the ones the row lost can change which entries are units.
     """
-    if not _eliminate(rows):
-        raise InternalVerificationError("singular crossing relation matrix")
+    col_rows = {}
+    for r, row in rows.items():
+        for col in row:
+            col_rows.setdefault(col, set()).add(r)
+    units = {(r, c) for r, row in rows.items() for c, p in row.items() if _is_unit_monomial(p)}
+    while units:
+        _, r, col = min(((len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in units)
+        pivot_row = rows.pop(r)
+        for c in pivot_row:
+            col_rows[c].discard(r)
+            units.discard((r, c))
+        for r2 in sorted(col_rows[col]):
+            old, new = rows[r2], _poly_rewrite(rows[r2], col, pivot_row)
+            if not new:
+                raise InternalVerificationError("singular crossing relation matrix")
+            rows[r2] = new
+            for c in old.keys() - new.keys():
+                col_rows[c].discard(r2)
+                units.discard((r2, c))
+            for c in pivot_row.keys() & new.keys():
+                col_rows[c].add(r2)
+                if _is_unit_monomial(new[c]):
+                    units.add((r2, c))
+                else:
+                    units.discard((r2, c))
     cols = sorted({c for row in rows.values() for c in row})
     if len(cols) != len(rows):
         raise InternalVerificationError("crossing relation matrix lost squareness")

@@ -425,13 +425,34 @@ def test_batch_geometry_value_error_is_an_error_row(
     assert rows[1]["top_reduction"] == "applied"
 
 
-@pytest.mark.parametrize("value", ["abc", "-5"])
-def test_bad_length_cap_exits_1(trefoil_arc, monkeypatch, capsys, value):
-    monkeypatch.setenv("STICKBOUND_MAX_L", value)
-    assert cli.main(["build", str(trefoil_arc)]) == 1
-    assert cli.main(["batch", str(trefoil_arc)]) == 1
-    err = capsys.readouterr().err
-    assert "STICKBOUND_MAX_L" in err and "Traceback" not in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "required: command"),
+        (["build"], "required: arc"),
+        (["random", "--n", "abc"], "invalid int value: 'abc'"),
+    ],
+)
+def test_usage_error_exits_1(argv, message, capsys):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage: stickbound" in err and message in err
+
+
+def test_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage: stickbound" in capsys.readouterr().out
+
+
+def test_batch_reports_the_known_n8_skip_as_a_row(capsys):
+    """Entry 48 of seed 601 skips the top move at the default cap, so a batch
+    runs every disk shape's rejection path and still writes each row."""
+    assert cli.main(["batch", "--n", "8", "--count", "49", "--seed", "601"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 49
+    assert not any(r["top_reduction"].startswith("error:") for r in rows)
+    assert rows[48]["id"] == "048" and rows[48]["top_reduction"].startswith("skipped:")
 
 
 def test_bounds_below_domain_exits_1(capsys):

@@ -45,7 +45,7 @@ from stickbound.construct import (
     triangle_reductions,
     verify_heights,
 )
-from stickbound.errors import InternalVerificationError, InvalidArcPresentation, InvalidSetting
+from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.geom import bbox, lattice, polygon_embedded, triangle_pierced
 
 
@@ -146,24 +146,13 @@ def test_top_reduction_respects_length_cap(monkeypatch):
     ap, _ = normalize(NEEDS_L16)
     k2 = build_k2(ap)
     reduced, trace = triangle_reductions(ap, k2)
-    monkeypatch.setenv("STICKBOUND_MAX_L", "8")
+    monkeypatch.setattr(construct, "DEFAULT_MAX_L", 8)
     final, status, length = top_reduction(reduced, trace)
     assert status.startswith("skipped:")
     assert length is None
     assert final is reduced
-    monkeypatch.setenv("STICKBOUND_MAX_L", "16")
+    monkeypatch.setattr(construct, "DEFAULT_MAX_L", 16)
     assert top_reduction(reduced, trace)[1:] == ("applied", 16)
-
-
-@pytest.mark.parametrize("value", ["abc", "-5", "0", "3", "4.5", ""])
-def test_top_reduction_refuses_unusable_length_cap(ap5, monkeypatch, value):
-    ap, _ = normalize(ap5)
-    reduced, trace = triangle_reductions(ap, build_k2(ap))
-    monkeypatch.setenv("STICKBOUND_MAX_L", value)
-    with pytest.raises(InvalidSetting, match="STICKBOUND_MAX_L"):
-        top_reduction(reduced, trace)
-    with pytest.raises(InvalidSetting, match="STICKBOUND_MAX_L"):
-        build_full(ap5)
 
 
 def test_build_full_trefoil_certificate(ap5):
@@ -297,8 +286,8 @@ GOLDEN_BUILD_SHA256 = {
 }
 
 
-# The same under STICKBOUND_MAX_L=8, recorded before the spanning-disk shapes
-# became one table; the first five inputs skip the move at that cap.
+# The same with the cap DEFAULT_MAX_L at 8, recorded before the spanning-disk
+# shapes became one table; the first five inputs skip the move at that cap.
 GOLDEN_CAPPED_SHA256 = {
     (9, 16): "349b962400c79ed52f4a333a3b24138962ec29c1f8458708cba4805ff8bb84c7",
     (10, 43): "25b73b9b64f0160248e8e814eeb4b82e2e703a0b4d9cc27d98158b9b20e0eeeb",
@@ -324,7 +313,7 @@ def test_build_json_matches_golden_digest(n, seed):
 
 @pytest.mark.parametrize("n,seed", sorted(GOLDEN_CAPPED_SHA256))
 def test_capped_build_json_matches_golden_digest(n, seed, monkeypatch):
-    monkeypatch.setenv("STICKBOUND_MAX_L", "8")
+    monkeypatch.setattr(construct, "DEFAULT_MAX_L", 8)
     assert build_digest(n, seed) == GOLDEN_CAPPED_SHA256[n, seed]
 
 
@@ -419,7 +408,7 @@ def test_each_disk_shape_certifies_a_seeded_input(k, monkeypatch):
     ap, _ = normalize(random_presentation(*CERTIFIED_BY[k]))
     reduced, trace = triangle_reductions(ap, build_k2(ap))
     assert top_reduction(reduced, trace)[1:] == ("applied", 4)
-    monkeypatch.setenv("STICKBOUND_MAX_L", "4")
+    monkeypatch.setattr(construct, "DEFAULT_MAX_L", 4)
     monkeypatch.setattr(construct, "_DISKS", _DISKS[: k + 1])
     assert top_reduction(reduced, trace)[1:] == ("applied", 4)
     if k:  # the shapes tried before it do not certify the move

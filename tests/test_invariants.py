@@ -510,12 +510,13 @@ def test_alexander_matches_the_rescanning_elimination(seeded_diagrams, monkeypat
 
 
 def test_candidate_pivots_cut_unit_monomial_tests(monkeypatch):
-    """The heap tests each entry for a unit once per rewrite of its row; the
+    """The unit set tests each entry once up front, then only the entries a
+    rewrite changes beyond a unit factor (the pivot row's columns); the
     rescan tests every entry at every step."""
     d = diagram(random_presentation(24, 7124))
     calls = _recording(monkeypatch, "_is_unit_monomial")
     fast = alexander(d)
-    heap_tests = len(calls)
+    unit_set_tests = len(calls)
     rescan_tests, real = [], is_unit_dense
 
     def counted(p):
@@ -525,12 +526,13 @@ def test_candidate_pivots_cut_unit_monomial_tests(monkeypatch):
     monkeypatch.setitem(globals(), "is_unit_dense", counted)
     monkeypatch.setattr(invariants, "_sparse_eliminate", sparse_eliminate_rescanning)
     assert alexander(d) == fast
-    assert 0 < heap_tests and heap_tests * 4 < len(rescan_tests)
+    assert 0 < unit_set_tests and unit_set_tests * 4 < len(rescan_tests)
 
 
-def rescanning_pivots(rows):
-    """Pivots of a full rescan that scores every unit entry afresh at each
-    step, eliminating in place as invariants._eliminate does."""
+def rescanning_elimination(rows):
+    """Pivot rows and core of a full rescan that scores every unit entry
+    afresh at each step, eliminating in place with invariants._poly_rewrite;
+    the core is None if a row empties, and may not be square."""
     order = []
     while True:
         col_len = Counter(c for row in rows.values() for c in row)
@@ -541,14 +543,16 @@ def rescanning_pivots(rows):
             if invariants._is_unit_monomial(v)
         ]
         if not keys:
-            return order
+            break
         _, r, col = min(keys)
-        order.append((r, col))
+        order.append(r)
         pivot_row = rows.pop(r)
         for r2 in sorted(r2 for r2, row in rows.items() if col in row):
             rows[r2] = invariants._poly_rewrite(rows[r2], col, pivot_row)
             if not rows[r2]:
-                return order
+                return order, None
+    cols = sorted({c for row in rows.values() for c in row})
+    return order, [[rows[r].get(c, _ZERO) for c in cols] for r in sorted(rows)]
 
 
 # entries of random rows over Z[t]: units +-t^e and non-units
@@ -568,44 +572,69 @@ def random_rows(rng, palette):
     return rows
 
 
-def pivot_orders(rng, pivots=invariants._Pivots):
-    """(heap pivots, rescanning pivots) on one random matrix."""
+class PoppedRows(dict):
+    """Relation rows that record the keys popped from them: the pivot rows."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.popped = []
+
+    def pop(self, key, *default):
+        self.popped.append(key)
+        return super().pop(key, *default)
+
+
+def elimination_agrees(rng, eliminate):
+    """``eliminate`` pops the rescan's pivot rows from one random matrix and
+    returns its core, or raises as the rescan finds the matrix singular or
+    the core not square."""
     rows = random_rows(rng, PALETTE)
     rows = {r: {c: _offset(p) for c, p in row.items()} for r, row in rows.items()}
-    order = []
-
-    class Recording(pivots):
-        def pop(self):
-            pick = super().pop()
-            if pick is not None:
-                order.append(pick)
-            return pick
-
-    with mock.patch.object(invariants, "_Pivots", Recording):
-        invariants._eliminate(copy.deepcopy(rows))
-    return order, rescanning_pivots(rows)
+    order, core = rescanning_elimination(copy.deepcopy(rows))
+    recorded = PoppedRows(rows)
+    try:
+        got = eliminate(recorded)
+    except InternalVerificationError as e:
+        got = str(e)
+    if core is None:
+        want = "singular crossing relation matrix"
+    elif len(core) != len(core[0] if core else []):
+        want = "crossing relation matrix lost squareness"
+    else:
+        want = core
+    return recorded.popped == order and got == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.randoms(use_true_random=False))
-def test_pivot_heap_picks_the_rescanning_order(rng):
-    heap, rescan = pivot_orders(rng)
-    assert heap == rescan
+def test_sparse_elimination_follows_the_rescan(rng):
+    assert elimination_agrees(rng, invariants._sparse_eliminate)
 
 
-def test_pivot_heap_needs_the_column_pushes():
-    """Without pushing the unit entries of a column that lost a row, the heap
-    misses pivots whose fill-in fell."""
+# (name, source text of invariants._sparse_eliminate, its replacement)
+ELIMINATION_MUTANTS = [
+    ("a new unit never added", "units.add((r2, c))", "pass"),
+    (
+        "a lost unit never discarded",
+        "col_rows[c].discard(r2)\n                units.discard((r2, c))",
+        "col_rows[c].discard(r2)",
+    ),
+    ("a lost column left in col_rows", "col_rows[c].discard(r2)", "pass"),
+]
 
-    class NoColumnPush(invariants._Pivots):
-        def push_col(self, col):
-            pass
 
-    missed = 0
+@pytest.mark.parametrize(
+    "name, old, new", ELIMINATION_MUTANTS, ids=[m[0] for m in ELIMINATION_MUTANTS]
+)
+def test_elimination_property_catches_mutants(name, old, new):
+    mutant = _mutant(invariants._sparse_eliminate, old, new)
+    caught = 0
     for seed in range(300):
-        heap, rescan = pivot_orders(random.Random(seed), NoColumnPush)
-        missed += heap != rescan
-    assert missed > 0
+        try:
+            caught += not elimination_agrees(random.Random(seed), mutant)
+        except (KeyError, ValueError):  # a stale unit or column entry
+            caught += 1
+    assert caught > 0, name
 
 
 def poly_bareiss_dense(m):
