@@ -91,11 +91,6 @@ def stick_count(knot: StickKnot) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class HeightAssignment:
-    z: tuple  # z[i-1] is the height of chord i
-
-
 def _anchor_and_apex(ap, uses, i):
     """Anchor chord (largest smaller neighbor) and shared apex point of chord i,
     or None if chord i is of type I (no smaller neighbor)."""
@@ -116,7 +111,7 @@ def _crossed_from_apex(ap, crossings, i, apex):
     return [(k, 1 - u) for k, u in hits]
 
 
-def _assign_heights(ap: ArcPresentation, crossings) -> HeightAssignment:
+def _assign_heights(ap: ArcPresentation, crossings) -> tuple:
     types, _ = classify(ap)
     uses = _point_uses(ap)
     n = ap.n
@@ -142,22 +137,23 @@ def _assign_heights(ap: ArcPresentation, crossings) -> HeightAssignment:
         if worst is not None:
             cand = max(cand, 1 + math.floor(worst))
         z[i] = cand
-    return HeightAssignment(tuple(z[1:]))
+    return tuple(z[1:])
 
 
-def assign_heights(ap: ArcPresentation) -> HeightAssignment:
+def assign_heights(ap: ArcPresentation) -> tuple:
     """Monotone integer heights making every reduction triangle empty.
 
-    z_1 = 1, z_2 = 2; a type-I chord sits one above its predecessor; a
-    type-II/III chord sits high enough that the triangle spanned by its
-    horizontal stick and the vertical to its anchor clears every earlier
-    horizontal crossing it (strictly below the hypotenuse).
+    The tuple holds z_i, the height of chord i, at index i - 1.  z_1 = 1,
+    z_2 = 2; a type-I chord sits one above its predecessor; a type-II/III
+    chord sits high enough that the triangle spanned by its horizontal stick
+    and the vertical to its anchor clears every earlier horizontal crossing
+    it (strictly below the hypotenuse).
     """
     _, _, crossings = layout(ap)
     return _assign_heights(ap, crossings)
 
 
-def verify_heights(ap: ArcPresentation, ha: HeightAssignment, crossings) -> None:
+def verify_heights(ap: ArcPresentation, z: tuple, crossings) -> None:
     """Independent exact recheck of the height assignment's guarantees.
 
     Checks strict monotonicity and, for every type-II/III chord i with anchor
@@ -166,7 +162,6 @@ def verify_heights(ap: ArcPresentation, ha: HeightAssignment, crossings) -> None
     value of ``layout``.  Raises on any violation.
     """
     types, _ = classify(ap)
-    z = ha.z
     if list(z) != sorted(set(z)):
         raise InternalVerificationError("heights are not strictly increasing")
     if z[0] != 1 or z[1] != 2:
@@ -206,19 +201,17 @@ def build_k1(ap: ArcPresentation) -> StickKnot:
 def build_k2(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization lifted to the reduction-ready heights."""
     pts, _, crossings = layout(ap)
-    return _polygon(ap, list(_assign_heights(ap, crossings).z), pts)
+    return _polygon(ap, _assign_heights(ap, crossings), pts)
 
 
 @dataclass(frozen=True)
 class TriangleInfo:
     chord: int
     anchor: int
-    apex: int  # binding point label shared with the anchor
-    far: int  # the chord's other binding point label
     triangle: tuple  # (A, B, C) = (apex low corner, right-angle corner, far corner)
 
 
-def reduction_triangles(ap: ArcPresentation, ha: HeightAssignment, pts) -> list:
+def reduction_triangles(ap: ArcPresentation, z: tuple, pts) -> list:
     """The right triangle attached to every type-II/III chord (including n)."""
     uses = _point_uses(ap)
     out = []
@@ -230,9 +223,9 @@ def reduction_triangles(ap: ArcPresentation, ha: HeightAssignment, pts) -> list:
         a, b = ap.chords[i - 1]
         far = b if apex == a else a
         p, q = pts[apex - 1], pts[far - 1]
-        zi, zj = Fraction(ha.z[i - 1]), Fraction(ha.z[j - 1])
+        zi, zj = Fraction(z[i - 1]), Fraction(z[j - 1])
         tri = ((p[0], p[1], zj), (p[0], p[1], zi), (q[0], q[1], zi))
-        out.append(TriangleInfo(i, j, apex, far, tri))
+        out.append(TriangleInfo(i, j, tri))
     return out
 
 
@@ -262,22 +255,7 @@ def sweep_triangles(knot: StickKnot, triangles) -> list:
     return [(t, hit) for t in triangles if (hit := _triangle_clear(edges, t, boxes))]
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    chord: int
-    anchor: int
-    removed_vertex: tuple
-    new_edge: tuple
-
-
-@dataclass
-class ReductionTrace:
-    ap: ArcPresentation
-    ha: HeightAssignment
-    steps: tuple = ()
-
-
-def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
+def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts):
     """Replace both legs by the hypotenuse for chords 2..n-1 of type II/III.
 
     One sweep proves every triangle empty in the lifted polygon k2.  The
@@ -286,15 +264,12 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
     stick, so those are the only sticks of the current polygon the sweep has
     not seen.  A pierced triangle means the height assignment is broken and
     raises.  Both checks run on one :func:`lattice` image of k2 and the
-    triangle corners (which are vertices of k2); the polygon, the steps and
-    the messages stay in true coordinates.  A collapse unlinks its corner's
-    index from k2's cycle.  Returns (knot, trace).
+    triangle corners (which are vertices of k2); the polygon and the messages
+    stay in true coordinates.  A collapse unlinks its corner's index from
+    k2's cycle.  ``z`` and ``pts`` are the heights and the layout points k2
+    was lifted from.  Returns (knot, the collapsed chords in order).
     """
-    if pts is None or ha is None:
-        laid, _, crossings = layout(ap)
-        pts = laid if pts is None else pts
-        ha = _assign_heights(ap, crossings) if ha is None else ha
-    triangles = reduction_triangles(ap, ha, pts)
+    triangles = reduction_triangles(ap, z, pts)
     points = list(k2.vertices) + [c for t in triangles for c in t.triangle]
     _, image = lattice(points)
     m = len(k2.vertices)
@@ -317,17 +292,17 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
     index = {p: i for i, p in enumerate(image[:m])}
     nxt, prv = [*range(1, m), 0], [m - 1, *range(m - 1)]
     removed, roles = [False] * m, list(k2.roles)
-    steps = []
+    reduced = []
     hypotenuses = []  # lattice images of the hypotenuses laid down so far
-    for info, on_lattice in zip(triangles, lifted):
-        if info.chord >= ap.n or info.chord < 2:
+    for info in lifted:
+        if info.chord == ap.n:
             continue
-        hit = _triangle_clear(hypotenuses, on_lattice)
+        hit = _triangle_clear(hypotenuses, info)
         if hit is not None:
             raise InternalVerificationError(
                 f"triangle of chord {info.chord} pierced by stick {true_stick(hit)}"
             )
-        a, b, c = on_lattice.triangle
+        a, b, c = info.triangle
         k = index.get(b)
         if k is None or removed[k] or {prv[k], nxt[k]} != {index.get(a), index.get(c)}:
             raise InternalVerificationError(
@@ -337,11 +312,10 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, ha=None, pts=None):
         nxt[prv[k]], prv[nxt[k]] = nxt[k], prv[k]
         removed[k] = True
         hypotenuses.append((a, c))
-        corner, ends = info.triangle[1], info.triangle[::2]
-        steps.append(ReductionStep(info.chord, info.anchor, corner, ends))
+        reduced.append(info.chord)
     left = [i for i in range(m) if not removed[i]]
     knot = StickKnot(tuple(k2.vertices[i] for i in left), tuple(roles[i] for i in left))
-    return knot, ReductionTrace(ap, ha, tuple(steps))
+    return knot, tuple(reduced)
 
 
 def _tri_edges(t):
@@ -379,7 +353,7 @@ def _nondegenerate(tri) -> bool:
     return _cross3(_sub3(tri[1], tri[0]), _sub3(tri[2], tri[0])) != (0, 0, 0)
 
 
-def top_reduction(knot: StickKnot, trace: ReductionTrace):
+def top_reduction(knot: StickKnot):
     """Replace the five-stick path through the top chord by three sticks.
 
     The two sticks feeding the top chord's verticals are extended collinearly
@@ -393,10 +367,13 @@ def top_reduction(knot: StickKnot, trace: ReductionTrace):
     holds every tip as L is an integer; only the accepted tips are built in
     true coordinates.
 
+    The top chord is the horizontal at the polygon's greatest height: the
+    heights increase with the chord and the top chord is never collapsed.
+
     Returns (knot, status, L) with status "applied" or "skipped:<reason>".
     """
-    zn = Fraction(trace.ha.z[trace.ap.n - 1])
     verts, roles = list(knot.vertices), list(knot.roles)
+    zn = max(v[2] for v in verts)
     m = len(verts)
     flat = (i for i in range(m) if verts[i][2] == zn == verts[(i + 1) % m][2])
     top_idx = next((i for i in flat if roles[i] == ROLE_H), None)
@@ -589,22 +566,22 @@ def build_full(ap: ArcPresentation, top: bool = True):
         raise InvalidArcPresentation("full build needs at least 3 chords")
     norm, shift = normalize(ap)
     pts, retry, crossings = layout(norm)
-    ha = _assign_heights(norm, crossings)
-    verify_heights(norm, ha, crossings)
+    z = _assign_heights(norm, crossings)
+    verify_heights(norm, z, crossings)
     _, beta = classify(norm)
     n = norm.n
-    k2 = _polygon(norm, list(ha.z), pts)
+    k2 = _polygon(norm, z, pts)
     emb2 = polygon_embedded(k2.vertices)
     if not emb2.ok:
         raise InternalVerificationError(f"lifted polygon not embedded: {emb2.failures}")
-    reduced, trace = triangle_reductions(norm, k2, ha, pts)
+    reduced, reduced_chords = triangle_reductions(norm, k2, z, pts)
     expected_reduced = 2 * n - (beta.beta2 + beta.beta3 - 1)
     if len(reduced.vertices) != expected_reduced:
         raise InternalVerificationError(
             f"reduction accounting: {len(reduced.vertices)} != {expected_reduced}"
         )
     if top:
-        final, status, top_len = top_reduction(reduced, trace)
+        final, status, top_len = top_reduction(reduced)
     else:
         final, status, top_len = reduced, "skipped:disabled", None
     embf = polygon_embedded(final.vertices)
@@ -628,10 +605,10 @@ def build_full(ap: ArcPresentation, top: bool = True):
         n=n,
         shift=shift,
         beta=beta.as_tuple(),
-        heights=ha.z,
+        heights=z,
         layout_retry=retry,
         sticks_final=sticks,
-        reduced_chords=tuple(s.chord for s in trace.steps),
+        reduced_chords=reduced_chords,
         top_reduction=status,
         top_length=top_len,
         bound=bound,

@@ -314,9 +314,6 @@ class EmbeddingReport:
     ok: bool
     failures: tuple = ()
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
     """Exact embeddedness check for a closed polygon given by its vertex cycle.

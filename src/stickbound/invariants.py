@@ -505,7 +505,6 @@ class MatchReport:
     det2: int
     alex1: LaurentPoly
     alex2: LaurentPoly
-    mirrored: bool
 
 
 def match(ap, d1, d2) -> MatchReport:
@@ -530,5 +529,4 @@ def match(ap, d1, d2) -> MatchReport:
         det2=n2,
         alex1=a1,
         alex2=a2,
-        mirrored=mirrored,
     )

@@ -1,6 +1,5 @@
 """Lift, reduce, certify: the geometric pipeline from chords to few sticks."""
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -23,7 +22,6 @@ from stickbound.construct import (
     _DISKS,
     _OLD_PATH,
     _certify_top,
-    ReductionStep,
     StickKnot,
     TriangleInfo,
     _disk_avoids,
@@ -49,20 +47,24 @@ from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.geom import bbox, lattice, polygon_embedded, triangle_pierced
 
 
+def reductions_of(ap, k2):
+    """triangle_reductions of k2 at ap's assigned heights and layout points."""
+    return triangle_reductions(ap, k2, assign_heights(ap), layout(ap)[0])
+
+
 def test_assign_heights_constraints(ap5):
-    ha = assign_heights(ap5)
-    z = ha.z
+    z = assign_heights(ap5)
     assert len(z) == ap5.n
     assert z[0] == 1 and z[1] == 2
     assert all(z[i] < z[i + 1] for i in range(len(z) - 1))
     _, _, crossings = layout(ap5)
-    verify_heights(ap5, ha, crossings)  # independent recheck must accept
+    verify_heights(ap5, z, crossings)  # independent recheck must accept
 
 
 def test_verify_heights_rejects_nonmonotone(ap5):
-    ha = assign_heights(ap5)
+    z = assign_heights(ap5)
     _, _, crossings = layout(ap5)
-    bad = dataclasses.replace(ha, z=ha.z[:-1] + (ha.z[-2],))
+    bad = z[:-1] + (z[-2],)
     with pytest.raises(InternalVerificationError):
         verify_heights(ap5, bad, crossings)
 
@@ -70,13 +72,12 @@ def test_verify_heights_rejects_nonmonotone(ap5):
 def test_verify_heights_rejects_squashed_clearance(ap5):
     # chord 4 must clear the chords crossing it; pulling it down to the bare
     # monotone minimum has to be caught by the visibility recheck
-    ha = assign_heights(ap5)
     _, _, crossings = layout(ap5)
-    z = list(ha.z)
+    z = list(assign_heights(ap5))
     assert z[3] > z[2] + 1, "fixture should actually need clearance"
     z[3] = z[2] + 1
     with pytest.raises(InternalVerificationError):
-        verify_heights(ap5, dataclasses.replace(ha, z=tuple(z)), crossings)
+        verify_heights(ap5, tuple(z), crossings)
 
 
 def test_build_k1_counts_and_embedding():
@@ -97,16 +98,16 @@ def test_build_k2_keeps_count(ap5):
 
 
 def test_reduction_triangle_shape(ap5):
-    ha = assign_heights(ap5)
+    z = assign_heights(ap5)
     pts, _, _ = layout(ap5)
-    infos = reduction_triangles(ap5, ha, pts)
+    infos = reduction_triangles(ap5, z, pts)
     assert infos, "trefoil has type II/III chords"
     for info in infos:
         a, b, c = info.triangle
         assert a[0] == b[0] and a[1] == b[1]  # vertical leg over the apex
         assert b[2] == c[2]  # horizontal leg at the lifted height
-        assert a[2] == ha.z[info.anchor - 1]
-        assert b[2] == ha.z[info.chord - 1]
+        assert a[2] == z[info.anchor - 1]
+        assert b[2] == z[info.chord - 1]
 
 
 def test_triangle_reductions_accounting():
@@ -115,21 +116,20 @@ def test_triangle_reductions_accounting():
         ap, _ = normalize(random_presentation(n, seed))
         _, beta = classify(ap)
         k2 = build_k2(ap)
-        reduced, trace = triangle_reductions(ap, k2)
+        reduced, chords = reductions_of(ap, k2)
         assert stick_count(reduced) == 2 * n - (beta.beta2 + beta.beta3 - 1)
         assert polygon_embedded(reduced.vertices).ok
-        assert len(trace.steps) == beta.beta2 + beta.beta3 - 1
-        assert reduced.roles.count("hypotenuse") == len(trace.steps)
-        chords = [s.chord for s in trace.steps]
-        assert chords == sorted(chords)
+        assert len(chords) == beta.beta2 + beta.beta3 - 1
+        assert reduced.roles.count("hypotenuse") == len(chords)
+        assert list(chords) == sorted(chords)
         assert all(2 <= c <= n - 1 for c in chords)
 
 
 def test_top_reduction_trefoil(ap5):
     ap, _ = normalize(ap5)
     k2 = build_k2(ap)
-    reduced, trace = triangle_reductions(ap, k2)
-    final, status, length = top_reduction(reduced, trace)
+    reduced, _ = reductions_of(ap, k2)
+    final, status, length = top_reduction(reduced)
     assert status == "applied"
     assert length >= 4
     assert stick_count(final) == 6
@@ -145,14 +145,46 @@ NEEDS_L16 = ArcPresentation([(1, 3), (2, 4), (1, 5), (4, 6), (2, 5), (3, 6)])
 def test_top_reduction_respects_length_cap(monkeypatch):
     ap, _ = normalize(NEEDS_L16)
     k2 = build_k2(ap)
-    reduced, trace = triangle_reductions(ap, k2)
+    reduced, _ = reductions_of(ap, k2)
     monkeypatch.setattr(construct, "DEFAULT_MAX_L", 8)
-    final, status, length = top_reduction(reduced, trace)
+    final, status, length = top_reduction(reduced)
     assert status.startswith("skipped:")
     assert length is None
     assert final is reduced
     monkeypatch.setattr(construct, "DEFAULT_MAX_L", 16)
-    assert top_reduction(reduced, trace)[1:] == ("applied", 16)
+    assert top_reduction(reduced)[1:] == ("applied", 16)
+
+
+def test_top_reduction_needs_a_horizontal_at_the_top(ap5, ap6_fig8):
+    for ap in (ap5, ap6_fig8, NEEDS_L16, random_presentation(12, 7)):
+        ap, _ = normalize(ap)
+        reduced, _ = reductions_of(ap, build_k2(ap))
+        verts, m = reduced.vertices, len(reduced.vertices)
+        zn = max(v[2] for v in verts)
+        flat = [i for i in range(m) if verts[i][2] == zn == verts[(i + 1) % m][2]]
+        assert len(flat) == 1 and reduced.roles[flat[0]] == "horizontal"
+        roles = list(reduced.roles)
+        roles[flat[0]] = "hypotenuse"
+        with pytest.raises(InternalVerificationError, match="top horizontal stick"):
+            top_reduction(StickKnot(verts, tuple(roles)))
+
+
+@pytest.mark.parametrize("n", range(5, 15))
+def test_reduced_chords_are_the_hypotenuse_chords_in_order(n):
+    # a hypotenuse of chord i ends at the corner at height z_i, its highest
+    for seed in range(3):
+        ap, _ = normalize(random_presentation(n, seed))
+        _, beta = classify(ap)
+        z = assign_heights(ap)
+        reduced, chords = triangle_reductions(ap, build_k2(ap), z, layout(ap)[0])
+        tagged = [
+            z.index(max(p[2], q[2])) + 1
+            for (p, q), role in zip(reduced.edges(), reduced.roles)
+            if role == "hypotenuse"
+        ]
+        assert chords == tuple(sorted(tagged))
+        assert list(chords) == sorted(set(chords))
+        assert len(chords) == beta.beta2 + beta.beta3 - 1
 
 
 def test_build_full_trefoil_certificate(ap5):
@@ -406,14 +438,14 @@ CERTIFIED_BY = {0: (5, 1), 1: (6, 9), 2: (6, 15), 3: (8, 7)}
 @pytest.mark.parametrize("k", sorted(CERTIFIED_BY))
 def test_each_disk_shape_certifies_a_seeded_input(k, monkeypatch):
     ap, _ = normalize(random_presentation(*CERTIFIED_BY[k]))
-    reduced, trace = triangle_reductions(ap, build_k2(ap))
-    assert top_reduction(reduced, trace)[1:] == ("applied", 4)
+    reduced, _ = reductions_of(ap, build_k2(ap))
+    assert top_reduction(reduced)[1:] == ("applied", 4)
     monkeypatch.setattr(construct, "DEFAULT_MAX_L", 4)
     monkeypatch.setattr(construct, "_DISKS", _DISKS[: k + 1])
-    assert top_reduction(reduced, trace)[1:] == ("applied", 4)
+    assert top_reduction(reduced)[1:] == ("applied", 4)
     if k:  # the shapes tried before it do not certify the move
         monkeypatch.setattr(construct, "_DISKS", _DISKS[:k])
-        assert top_reduction(reduced, trace)[1].startswith("skipped:")
+        assert top_reduction(reduced)[1].startswith("skipped:")
 
 
 def clear_reference(knot, info):
@@ -461,7 +493,7 @@ def test_filtered_triangle_checks_agree_with_unfiltered_loops():
         if any(verts[i] == verts[i - 1] for i in range(len(verts))):
             continue
         knot = StickKnot(tuple(verts), ("?",) * len(verts))
-        info = TriangleInfo(2, 1, 1, 2, tri)
+        info = TriangleInfo(2, 1, tri)
         hit = _triangle_clear(knot.edges(), info)
         assert hit == clear_reference(knot, info)
         outcomes.add(hit is None)
@@ -511,13 +543,13 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     assert clear_reference(laid, info) == hyp
 
 
-def two_pass_reference(ap, k2, ha, pts):
+def two_pass_reference(ap, k2, z, pts):
     """The former reduction loop: a sweep of k2, then a check of each
     triangle against the whole current polygon before it collapses."""
-    infos = reduction_triangles(ap, ha, pts)
+    infos = reduction_triangles(ap, z, pts)
     if any(_triangle_clear(k2.edges(), info) is not None for info in infos):
         raise InternalVerificationError("triangle not empty in lifted polygon")
-    knot, steps = k2, []
+    knot, chords = k2, []
     for info in infos:
         if info.chord >= ap.n or info.chord < 2:
             continue
@@ -536,14 +568,14 @@ def two_pass_reference(ap, k2, ha, pts):
         roles[idx - 1] = "hypotenuse"
         del roles[idx]
         knot = StickKnot(tuple(verts), tuple(roles))
-        steps.append(ReductionStep(info.chord, info.anchor, b, (a, c)))
-    return knot, tuple(steps)
+        chords.append(info.chord)
+    return knot, tuple(chords)
 
 
-def _height_mutants(ha, rng):
+def _height_mutants(heights, rng):
     """Assigned heights, each chord lowered to its monotone minimum, and two
     random swaps of a pair of heights."""
-    z = list(ha.z)
+    z = list(heights)
     yield z
     for i in range(2, len(z)):
         if z[i] > z[i - 1] + 1:
@@ -562,9 +594,8 @@ def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
         for seed in range(8):
             ap, _ = normalize(random_presentation(n, seed))
             pts, _, _ = layout(ap)
-            ha = assign_heights(ap)
-            for z in _height_mutants(ha, rng):
-                hz = dataclasses.replace(ha, z=tuple(z))
+            for z in _height_mutants(assign_heights(ap), rng):
+                hz = tuple(z)
                 k2 = construct._polygon(ap, z, pts)
                 # also rotated so that the first collapsed corner sits at index 0
                 first = [t for t in reduction_triangles(ap, hz, pts) if 2 <= t.chord < n]
@@ -578,8 +609,7 @@ def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
                     except InternalVerificationError:
                         expected = None
                     try:
-                        reduced, trace = triangle_reductions(ap, knot, hz, pts)
-                        got = (reduced, trace.steps)
+                        got = triangle_reductions(ap, knot, hz, pts)
                     except InternalVerificationError as e:
                         got = None
                         if "pierced by stick" in str(e):
@@ -601,15 +631,16 @@ def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
         return clear(edges, info, boxes)
 
     monkeypatch.setattr(construct, "_triangle_clear", recorded)
-    reduced, trace = triangle_reductions(ap, k2)
+    reduced, chords = reductions_of(ap, k2)
     pts, _, _ = layout(ap)
-    swept = len(reduction_triangles(ap, assign_heights(ap), pts))
-    assert len(trace.steps) >= 3
+    infos = {t.chord: t for t in reduction_triangles(ap, assign_heights(ap), pts)}
+    swept = len(infos)
+    assert len(chords) >= 3
     # both checks run on the lattice image of k2
     img = dict(zip(k2.vertices, lattice(k2.vertices)[1]))
     assert seen[:swept] == [[(img[p], img[q]) for p, q in k2.edges()]] * swept
-    hyps = [(img[p], img[q]) for p, q in (s.new_edge for s in trace.steps)]
-    assert seen[swept:] == [hyps[:k] for k in range(len(trace.steps))]
+    hyps = [(img[p], img[q]) for p, q in (infos[c].triangle[::2] for c in chords)]
+    assert seen[swept:] == [hyps[:k] for k in range(len(chords))]
 
 
 def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
@@ -703,7 +734,7 @@ def _top_move(ap):
     first candidate top_reduction certifies: tip = j + L * d.  The candidate
     arrives on the lattice of the reduced polygon, and is scaled back."""
     norm, _ = normalize(ap)
-    reduced, trace = triangle_reductions(norm, build_k2(norm))
+    reduced, _ = reductions_of(norm, build_k2(norm))
     calls = []
 
     def first_call(rot_v, t_a, t_b, stationary=None):
@@ -712,7 +743,7 @@ def _top_move(ap):
 
     construct._certify_top, real = first_call, construct._certify_top
     try:
-        top_reduction(reduced, trace)
+        top_reduction(reduced)
     finally:
         construct._certify_top = real
     scale = lattice(reduced.vertices)[0]
@@ -808,20 +839,21 @@ def test_a_corner_off_its_neighbours_raises():
     ap, _ = normalize(random_presentation(10, 3))
     k2 = build_k2(ap)
     pts, _, _ = layout(ap)
-    infos = {t.chord: t for t in reduction_triangles(ap, assign_heights(ap), pts)}
+    z = assign_heights(ap)
+    infos = {t.chord: t for t in reduction_triangles(ap, z, pts)}
     a, b, c = infos[3].triangle
     verts = list(k2.vertices)
     k, m = verts.index(b), len(verts)
     swapped = list(verts)
     swapped[k], swapped[(k + 1) % m] = verts[(k + 1) % m], b
     with pytest.raises(InternalVerificationError):
-        triangle_reductions(ap, StickKnot(tuple(swapped), k2.roles))
+        triangle_reductions(ap, StickKnot(tuple(swapped), k2.roles), z, pts)
     # moved off the triangle's plane: the sweep is clean, and the collapse
     # of chord 3 finds no corner b
     normal = (c[1] - b[1], b[0] - c[0], 0)
     verts[k] = tuple(x + Fraction(y) / 64 for x, y in zip(b, normal))
     with pytest.raises(InternalVerificationError, match="polygon structure near chord 3"):
-        triangle_reductions(ap, StickKnot(tuple(verts), k2.roles))
+        triangle_reductions(ap, StickKnot(tuple(verts), k2.roles), z, pts)
 
 
 @pytest.mark.parametrize(

@@ -143,7 +143,7 @@ def test_point_on_segment3():
 
 def test_polygon_embedded_accepts_square():
     rep = polygon_embedded([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
-    assert rep.ok and bool(rep)
+    assert rep.ok
 
 
 def test_polygon_embedded_allows_collinear_continuation():
