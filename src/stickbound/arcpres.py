@@ -3,14 +3,15 @@
 An arc presentation with n chords places n binding points on the unit circle
 and joins them by n straight chords, each binding point shared by exactly two
 chords, so that the chords close up into a single cycle.  Chord index doubles
-as height: at every crossing the chord with the smaller index passes under.
+as height: where two chords cross, the one with the smaller index passes
+under.
 
 This module owns the combinatorics (validation, crossing pairs, chord types),
 the moves (cyclic shift, top destabilization), the text format, random
-generation, and the exact planar diagram of a presentation.  The layout
-runs on the binding points' integer lattice, or on the ``Fraction``s past
-``geom.LATTICE_MAX_BITS``; ``diagram`` reads each crossing's sign from the
-chord labels and can reuse a caller's layout crossings.
+generation, the circle layout the construction lifts, and the planar
+diagram of a presentation.  The layout runs on the binding points' integer
+lattice, or on the ``Fraction``s past ``geom.LATTICE_MAX_BITS``.  The
+diagram is read from the presentation's grid, on integers, with no layout.
 """
 
 from __future__ import annotations
@@ -306,8 +307,8 @@ def layout(ap: ArcPresentation):
 class Crossing:
     """One transversal crossing of a planar diagram.
 
-    ``over``/``under`` index the two strands (1-based chords for diagrams of
-    arc presentations, 0-based polygon edges for projections); ``sign`` is
+    ``over``/``under`` index the two strands (the strands of :func:`diagram`
+    for arc presentations, 0-based polygon edges for projections); ``sign`` is
     the orientation sign of (over direction, under direction), +1 when the
     under strand runs counterclockwise of the over strand.
     """
@@ -356,7 +357,8 @@ def _gauss_diagram(hits, strands) -> Diagram:
     """Diagram of ``hits``, crossings as (over, under, sign, p_over, p_under).
 
     The Gauss code walks ``strands`` in order and each strand's crossings by
-    their parameter along it; the parameters serve only as sort keys.
+    their parameter along it (integer offsets on a grid, ``Fraction``s on a
+    projection); the parameters serve only as sort keys.
     """
     crossings = []
     by_strand = {}
@@ -373,32 +375,32 @@ def _gauss_diagram(hits, strands) -> Diagram:
     return Diagram(tuple(crossings), tuple(gauss))
 
 
-def diagram(ap: ArcPresentation, crossings=None) -> Diagram:
-    """Exact planar diagram of ap; the smaller chord index goes under.
+def diagram(ap: ArcPresentation) -> Diagram:
+    """The planar diagram of ap's grid; verticals pass over horizontals.
 
-    ``crossings`` is ap's layout crossings, as :func:`layout` returns them,
-    if the caller has them.  The binding points sit on the circle in label
-    order, so interleaved chords a < b and c < d have cross(b - a, d - c) > 0
-    iff a < c; a chord the walk runs from its larger label flips the sign.
+    Chord i is the horizontal at height i between its labels, and label c
+    the vertical at x = c between the heights of the two chords that use it
+    (Cromwell, Topology Appl. 64, 1995).  Strand 2k is the chord of
+    :func:`chord_walk`'s step k and strand 2k + 1 the vertical at its exit;
+    each crossing's parameters are integer offsets along its strands, and
+    its sign is -(vertical direction) * (horizontal direction).
     """
-    if crossings is None:
-        crossings = layout(ap)[2]
     walk = chord_walk(ap)
-    # +1 for a chord the walk runs from its smaller label, -1 otherwise
-    sense = {cur + 1: 1 if entry == ap.chords[cur][0] else -1 for cur, entry, _ in walk}
+    n = ap.n
+    # label -> (strand, height it starts at, height it ends at)
+    verticals = {
+        exit_pt: (2 * k + 1, cur + 1, walk[(k + 1) % n][0] + 1)
+        for k, (cur, _, exit_pt) in enumerate(walk)
+    }
     hits = []
-    for (i, j), (s, u) in crossings.items():
-        if not (0 < s < 1 and 0 < u < 1):
-            raise InternalVerificationError(
-                f"interleaved chords {i},{j} failed to cross properly"
-            )
-        # chord j is over: sign = cross(dir_j, dir_i) = -cross(b - a, d - c)
-        a, c = ap.chords[i - 1][0], ap.chords[j - 1][0]
-        sign = (-1 if a < c else 1) * sense[i] * sense[j]
-        s = s if sense[i] > 0 else 1 - s
-        u = u if sense[j] > 0 else 1 - u
-        hits.append((j, i, sign, u, s))
-    return _gauss_diagram(hits, [cur + 1 for cur, _, _ in walk])
+    for k, (cur, entry, exit_pt) in enumerate(walk):
+        y, h = cur + 1, 1 if exit_pt > entry else -1
+        a, b = ap.chords[cur]
+        for c in range(a + 1, b):
+            v, y0, y1 = verticals[c]
+            if y0 < y < y1 or y1 < y < y0:
+                hits.append((v, 2 * k, h if y0 > y1 else -h, abs(y - y0), abs(c - entry)))
+    return _gauss_diagram(hits, range(2 * n))
 
 
 def random_presentation(n: int, seed: int) -> ArcPresentation:

@@ -594,13 +594,7 @@ def build_full(ap: ArcPresentation, top: bool = True):
             f"stick accounting: counted {sticks}, expected {expected}"
         )
     bound = theorem2_upper(n)
-    # norm's chord i is the input's chord (i - 1 + shift) % n + 1, on the same points
-    unshifted = {}
-    for (i, j), (s, u) in crossings.items():
-        i, j = (i - 1 + shift) % n + 1, (j - 1 + shift) % n + 1
-        unshifted[min(i, j), max(i, j)] = (s, u) if i < j else (u, s)
-    unshifted = dict(sorted(unshifted.items()))
-    rep = invariants.match(ap, diagram(ap, unshifted), invariants.project(final))
+    rep = invariants.match(ap, diagram(ap), invariants.project(final))
     cert = Certificate(
         n=n,
         shift=shift,

@@ -512,8 +512,10 @@ def match(ap, d1, d2) -> MatchReport:
 
     The Alexander comparison allows the t -> 1/t substitution, which a change
     of traversal orientation induces.  det1 is ap's grid determinant, which
-    must equal |Alexander(-1)| of d1 (the two routes share no code); det2 is
-    |Alexander(-1)| of d2.
+    must equal |Alexander(-1)| of d1; det2 is |Alexander(-1)| of d2.  d1 is
+    usually ap's grid diagram too, but the two determinant routes still share
+    no code: :func:`determinant` eliminates the grid's winding-number matrix,
+    Alexander the relation rows of d1's Gauss code.
     """
     a1, a2 = alexander(d1), alexander(d2)
     n1, n2 = determinant(ap), abs(a2(-1))

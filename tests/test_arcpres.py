@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -26,7 +25,8 @@ from stickbound.arcpres import (
 )
 from stickbound.errors import InvalidArcPresentation
 from stickbound.geom import binding_points, lattice, orient2d
-from test_invariants import seg2_line_intersection
+from stickbound.invariants import alexander
+from test_invariants import _mutant, reintersecting_diagram, seg2_line_intersection
 
 
 def test_validate_good():
@@ -184,19 +184,46 @@ def test_layout_retries_past_concurrence(concurrence9):
 
 def test_diagram_trefoil(ap5):
     d = diagram(ap5)
-    assert len(d.crossings) == 5
-    assert len(d.gauss) == 10
-    assert len(d.arcs) == 10
+    assert len(d.crossings) == 3
+    assert len(d.gauss) == 6
+    assert len(d.arcs) == 6
     for c in d.crossings:
-        assert c.under < c.over  # lower chord always passes under
-        assert c.sign in (-1, 1)
-    assert all(0 < s < 1 and 0 < u < 1 for s, u in layout(ap5)[2].values())
+        assert c.over % 2 == 1 and c.under % 2 == 0  # verticals pass over
+    # the grid trefoil is alternating, and all three signs agree
+    overs = [over for _, over in d.gauss]
+    assert all(x != y for x, y in zip(overs, overs[1:] + overs[:1]))
+    assert len({c.sign for c in d.crossings}) == 1
 
 
-def test_diagram_crossing_pairs_match(ap5):
-    want = {tuple(sorted(p)) for p in crossing_pairs(ap5)}
-    got = {(c.under, c.over) for c in diagram(ap5).crossings}
-    assert got == want
+def strand_names(ap):
+    """Strand 2k is ("chord", chord index) and 2k + 1 ("label", its exit)."""
+    names = []
+    for cur, _, exit_pt in chord_walk(ap):
+        names += [("chord", cur + 1), ("label", exit_pt)]
+    return names
+
+
+def grid_pairs(ap):
+    """(i, c) with chord i = (a, b) such that a < c < b and i strictly between
+    the indices of the two chords that use label c."""
+    users = {c: [i for i, ch in enumerate(ap.chords, 1) if c in ch] for c in range(1, ap.n + 1)}
+    return {
+        (i, c)
+        for i, (a, b) in enumerate(ap.chords, 1)
+        for c in range(a + 1, b)
+        if min(users[c]) < i < max(users[c])
+    }
+
+
+def test_diagram_crossing_pairs_match(ap5, ap6_fig8, concurrence9):
+    for ap in [ap5, ap6_fig8] + _seeded_presentations(concurrence9):
+        names, crossings = strand_names(ap), diagram(ap).crossings
+        got = set()
+        for c in crossings:
+            (under_kind, chord), (over_kind, label) = names[c.under], names[c.over]
+            assert (under_kind, over_kind) == ("chord", "label")
+            got.add((chord, label))
+        assert got == grid_pairs(ap) and len(crossings) == len(got)
 
 
 def test_diagram_triangle_has_no_crossings(ap3):
@@ -226,72 +253,64 @@ def test_layout_crossings_are_the_direct_intersections(concurrence9):
     assert layout(concurrence9)[1] > 0 and layout(random_presentation(12, 4200))[1] > 0
 
 
-def reintersecting_diagram(ap):
-    """The former diagram: each crossing pair intersected again, along the
-    chords as the walk orients them, each sign the orientation of the
-    over and under chords' Fraction directions."""
-    pts = layout(ap)[0]
-    walk = chord_walk(ap)
-    oriented = {cur + 1: (pts[entry - 1], pts[exit_pt - 1]) for cur, entry, exit_pt in walk}
+def grid_diagram_by_intersection(ap):
+    """ap's grid diagram drawn independently of ``diagram``: the polyline
+    through (entry, i) and (exit, i) for each chord i the walk visits, every
+    vertical strand against every horizontal one intersected as segments,
+    a crossing wherever both parameters are strictly inside, and its sign
+    orient2d of the vertical (over) and horizontal (under) directions."""
+    pts = [p for cur, a, b in chord_walk(ap) for p in ((a, cur + 1), (b, cur + 1))]
+    m = len(pts)
+    strands = [(pts[s], pts[(s + 1) % m]) for s in range(m)]
 
-    def direction(chord):
-        (x0, y0), (x1, y1) = oriented[chord]
+    def direction(s):
+        (x0, y0), (x1, y1) = strands[s]
         return x1 - x0, y1 - y0
 
     hits = []
-    for i, j in crossing_pairs(ap):
-        s, u, _ = seg2_line_intersection(oriented[i], oriented[j])
-        assert 0 < s < 1 and 0 < u < 1
-        hits.append((j, i, orient2d((0, 0), direction(j), direction(i)), u, s))
-    return _gauss_diagram(hits, [cur + 1 for cur, _, _ in walk])
+    for v in range(1, m, 2):
+        for h in range(0, m, 2):
+            s, u, _ = seg2_line_intersection(strands[v], strands[h])
+            if 0 < s < 1 and 0 < u < 1:
+                hits.append((v, h, orient2d((0, 0), direction(v), direction(h)), s, u))
+    return _gauss_diagram(hits, range(m))
 
 
-def test_diagram_matches_the_reintersecting_diagram(concurrence9, ap5, ap6_fig8):
+def gauss_word(d):
+    """The Gauss code as (crossing, is_over) pairs: free of crossing ids."""
+    return [(d.crossings[cid], over) for cid, over in d.gauss]
+
+
+def test_diagram_matches_the_grid_polyline(concurrence9, ap5, ap6_fig8):
     for ap in [ap5, ap6_fig8] + _seeded_presentations(concurrence9):
-        assert diagram(ap) == reintersecting_diagram(ap)
+        assert gauss_word(diagram(ap)) == gauss_word(grid_diagram_by_intersection(ap))
 
 
-def _sign_rule_mutants(ap):
-    """diagram(ap) with its label sign rule broken: the walk direction
-    ignored, and a > c read for a < c."""
-    d = diagram(ap)
-    sense = {cur + 1: 1 if entry == ap.chords[cur][0] else -1 for cur, entry, _ in chord_walk(ap)}
-    for flip in (lambda c: sense[c.over] * sense[c.under], lambda c: -1):
-        yield dataclasses.replace(
-            d, crossings=tuple(dataclasses.replace(c, sign=c.sign * flip(c)) for c in d.crossings)
-        )
+# (name, source text of arcpres.diagram, its replacement, seeded presentations
+# it leaves unchanged): ignoring the vertical direction keeps the diagram of
+# a presentation whose crossings' verticals all run up, as two of them do
+SIGN_MUTANTS = [
+    ("vertical direction ignored", "h if y0 > y1 else -h", "-h", 2),
+    ("horizontal direction ignored", "1 if exit_pt > entry else -1", "1", 0),
+    ("every sign negated", "h if y0 > y1 else -h", "-h if y0 > y1 else h", 0),
+]
 
 
-def test_reintersecting_diagram_catches_sign_rule_mutants(concurrence9):
-    """Each broken rule gives the seeded presentations other diagrams, so
-    the comparison with reintersecting_diagram fails on them; only a
-    presentation whose crossings all join chords walked the same way keeps
-    its diagram under the first."""
+def test_grid_polyline_catches_sign_rule_mutants(concurrence9):
     aps = _seeded_presentations(concurrence9)
-    caught = [
-        [mutant != reintersecting_diagram(ap) for mutant in _sign_rule_mutants(ap)] for ap in aps
-    ]
-    assert caught[0] == [True, True]  # concurrence9, laid out after a retry
-    assert [sum(col) for col in zip(*caught)] == [len(aps) - 1, len(aps)]
+    want = [gauss_word(grid_diagram_by_intersection(ap)) for ap in aps]
+    for name, old, new, kept in SIGN_MUTANTS:
+        mutant = _mutant(diagram, old, new)
+        caught = [gauss_word(mutant(ap)) != w for ap, w in zip(aps, want)]
+        assert caught.count(False) == kept, name
 
 
-def test_diagram_intersects_each_crossing_pair_once(ap6_fig8, monkeypatch):
-    """One concurrence key per crossing pair, so one intersection each; none
-    when the caller passes its layout in."""
-    calls = []
-    key = arcpres._point_key
-
-    def counted(x, y, w):
-        calls.append((x, y, w))
-        return key(x, y, w)
-
-    monkeypatch.setattr(arcpres, "_point_key", counted)
-    for ap in (ap6_fig8, random_presentation(12, 4201)):
-        laid = layout(ap)
-        assert laid[1] == 0
-        calls.clear()
-        assert diagram(ap, laid[2]) == diagram(ap)
-        assert len(calls) == len(crossing_pairs(ap)) > 0
+def test_diagram_alexander_is_the_circle_diagrams(concurrence9):
+    """The grid and the circle diagram of each presentation are diagrams of
+    one knot: their Alexander polynomials agree for n = 3..30."""
+    aps = [random_presentation(n, 9300 * n + s) for n in range(3, 31) for s in range(2)]
+    for ap in [concurrence9] + aps:
+        assert alexander(diagram(ap)) == alexander(reintersecting_diagram(ap))
 
 
 def layout_on_fractions(ap):

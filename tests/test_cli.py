@@ -5,9 +5,10 @@ import json
 import pytest
 
 from conftest import capped_polygon
-from stickbound import cli
-from stickbound.arcpres import random_presentation, serialize
+from stickbound import arcpres, cli, construct
+from stickbound.arcpres import diagram, parse, random_presentation, serialize
 from stickbound.construct import StickKnot, stick_count
+from stickbound.invariants import alexander
 
 TREFOIL = "5\n1 4\n3 5\n2 4\n1 3\n2 5\n"
 UNKNOT3 = "3\n1 2\n2 3\n1 3\n"
@@ -69,6 +70,35 @@ def test_verify_accepts_own_output(trefoil_arc, tmp_path):
     out = tmp_path / "t.json"
     assert cli.main(["build", str(trefoil_arc), "--out", str(out)]) == 0
     assert cli.main(["verify", str(trefoil_arc), str(out)]) == 0
+
+
+# a presentation whose circle layout needs a retry, and the 3-chord kink,
+# whose grid diagram has one crossing though its circle diagram has none
+CONCURRENCE9 = "9\n1 6\n1 2\n2 3\n3 7\n7 8\n8 9\n4 9\n4 5\n5 6\n"
+KINK = "3\n1 2\n1 3\n2 3\n"
+
+
+def test_verify_lays_nothing_out(tmp_path, monkeypatch):
+    arc, out = tmp_path / "c9.arc", tmp_path / "c9.json"
+    arc.write_text(CONCURRENCE9)
+    assert cli.main(["build", str(arc), "--out", str(out)]) == 0
+
+    def refused(*args):
+        raise AssertionError("verify laid the chords out")
+
+    monkeypatch.setattr(arcpres, "layout", refused)
+    monkeypatch.setattr(construct, "layout", refused)
+    assert cli.main(["verify", str(arc), str(out)]) == 0
+
+
+def test_the_kink_builds_and_verifies(tmp_path):
+    d = diagram(parse(KINK))
+    assert len(d.crossings) == 1 and alexander(d).coeffs == (1,)
+    arc, out = tmp_path / "kink.arc", tmp_path / "kink.json"
+    arc.write_text(KINK)
+    assert cli.main(["build", str(arc), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["determinant"] == 1
+    assert cli.main(["verify", str(arc), str(out)]) == 0
 
 
 def test_verify_wrong_knot_exits_3(trefoil_arc, unknot_arc, tmp_path, capsys):

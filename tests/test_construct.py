@@ -45,6 +45,8 @@ from stickbound.construct import (
 )
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.geom import bbox, lattice, polygon_embedded, triangle_pierced
+from stickbound.invariants import alexander
+from test_invariants import reintersecting_diagram
 
 
 def reductions_of(ap, k2):
@@ -674,27 +676,28 @@ def test_build_full_intersects_chords_only_in_layout(ap6_fig8, concurrence9, mon
     for ap in (ap6_fig8, concurrence9):
         layouts.clear()
         build_full(ap)
-        # one layout, of the normalized shift; diagram(ap) reuses it
+        # one layout, of the normalized shift; diagram(ap) lays nothing out
         assert layouts == [normalize(ap)[0]]
 
 
 def test_build_full_diagram_is_the_diagram_of_the_input(concurrence9, monkeypatch):
-    """The diagram build_full derives from the normalized layout equals
-    diagram(ap), which lays the input out itself."""
-    derived = []
+    """build_full matches the grid diagram of the input itself, not of its
+    shift, and its alexander_in is that of the input's circle diagram."""
+    drawn = []
     draw = arcpres.diagram
 
-    def kept(ap, crossings=None):
-        derived.append(draw(ap, crossings))
-        return derived[-1]
+    def kept(ap):
+        drawn.append(ap)
+        return draw(ap)
 
     monkeypatch.setattr(construct, "diagram", kept)
     shifts, retries = set(), set()
     aps = [concurrence9] + [random_presentation(5 + k % 10, 8800 + k) for k in range(30)]
     for ap in aps:
-        derived.clear()
+        drawn.clear()
         _, cert = build_full(ap)
-        assert derived == [draw(ap)]
+        assert drawn == [ap]
+        assert cert.alexander_in == str(alexander(reintersecting_diagram(ap)))
         shifts.add(cert.shift > 0)
         retries.add(cert.layout_retry > 0)
     assert shifts == retries == {False, True}

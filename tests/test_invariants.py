@@ -28,8 +28,11 @@ from stickbound.arcpres import (
     Crossing,
     Diagram,
     _gauss_diagram,
+    chord_walk,
+    crossing_pairs,
     cyclic_shift,
     diagram,
+    layout,
     random_presentation,
 )
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
@@ -93,6 +96,47 @@ def test_alexander_figure_eight(ap6_fig8):
     d = diagram(ap6_fig8)
     assert str(alexander(d)) == "t^2 - 3*t + 1"
     assert determinant(ap6_fig8) == 5
+
+
+def seg2_line_intersection(s1, s2):
+    """Intersection of the supporting lines of two 2D segments.
+
+    Returns (s, u, point) with the point at parameter s along s1 and u along
+    s2, or None when the lines are parallel.  Callers check the parameter
+    ranges themselves.
+    """
+    (a, b), (c, d) = s1, s2
+    ab = (b[0] - a[0], b[1] - a[1])
+    cd = (d[0] - c[0], d[1] - c[1])
+    den = ab[0] * cd[1] - ab[1] * cd[0]
+    if den == 0:
+        return None
+    r = (c[0] - a[0], c[1] - a[1])
+    s = Fraction(r[0] * cd[1] - r[1] * cd[0], den)
+    u = Fraction(r[0] * ab[1] - r[1] * ab[0], den)
+    return s, u, (a[0] + s * ab[0], a[1] + s * ab[1])
+
+
+def reintersecting_diagram(ap):
+    """The circle diagram of ap: each crossing pair of its layout intersected
+    again, along the chords as the walk orients them, the smaller chord index
+    under, each sign the orientation of the over and under chords' Fraction
+    directions; strands are 1-based chords.  It has more crossings than
+    ap's grid diagram, so the elimination tests keep it as their input."""
+    pts = layout(ap)[0]
+    walk = chord_walk(ap)
+    oriented = {cur + 1: (pts[entry - 1], pts[exit_pt - 1]) for cur, entry, exit_pt in walk}
+
+    def direction(chord):
+        (x0, y0), (x1, y1) = oriented[chord]
+        return x1 - x0, y1 - y0
+
+    hits = []
+    for i, j in crossing_pairs(ap):
+        s, u, _ = seg2_line_intersection(oriented[i], oriented[j])
+        assert 0 < s < 1 and 0 < u < 1
+        hits.append((j, i, orient2d((0, 0), direction(j), direction(i)), u, s))
+    return _gauss_diagram(hits, [cur + 1 for cur, _, _ in walk])
 
 
 def _sympy_alexander(d):
@@ -210,7 +254,7 @@ def test_run_rows_give_the_full_wirtinger_alexander(n, seed):
     """On the input and output diagrams: one row per over-arc but one, each
     -1 at t = 1 at the arc its run ends on, and the full-Wirtinger value."""
     ap = random_presentation(n, seed)
-    for d in (diagram(ap), project(build_full(ap)[0]).diagram):
+    for d in (diagram(ap), reintersecting_diagram(ap), project(build_full(ap)[0]).diagram):
         rows = invariants._run_rows(d) if d.crossings else {}
         assert len(rows) == max(len(_over_arcs(d)) - 1, 0)
         assert all(sum(row[end][1]) == -1 for end, row in rows.items())
@@ -231,7 +275,9 @@ def mirror(d):
 
 
 TREFOIL = gauss_code("O1 U2 O3 U1 O2 U3", [1, 1, 1])
-FIGURE_EIGHT = diagram(ArcPresentation([(1, 3), (2, 5), (4, 6), (3, 5), (1, 4), (2, 6)]))
+FIGURE_EIGHT = reintersecting_diagram(
+    ArcPresentation([(1, 3), (2, 5), (4, 6), (3, 5), (1, 4), (2, 6)])
+)
 
 # (name, diagram, normalized Alexander polynomial)
 HAND_MADE = [
@@ -284,18 +330,19 @@ def test_contraction_property_catches_mutants(name, old, new, contraction_cases,
 @pytest.mark.parametrize("seed", range(12))
 def test_alexander_agrees_with_sympy(seed):
     ap = random_presentation(5 + seed % 6, 5000 + seed)
-    d = diagram(ap)
+    d = reintersecting_diagram(ap)
     assert alexander(d).coeffs == _sympy_alexander(d)
 
 
 def test_alexander_self_checks_hold_broadly():
     for seed in range(25):
         ap = random_presentation(4 + seed % 8, 300 + seed)
-        a = alexander(diagram(ap))
-        assert a(1) in (1, -1)
-        assert a.reversed() == a
-        assert abs(a(-1)) % 2 == 1
-        assert abs(a(-1)) == determinant(ap)  # the two routes agree
+        for d in (diagram(ap), reintersecting_diagram(ap)):
+            a = alexander(d)
+            assert a(1) in (1, -1)
+            assert a.reversed() == a
+            assert abs(a(-1)) % 2 == 1
+            assert abs(a(-1)) == determinant(ap)  # the two routes agree
 
 
 def test_determinant_positive_odd(ap6_fig8):
@@ -308,13 +355,14 @@ COMPOSITE_DETERMINANTS = {(12, 9): 9, (20, 57): 25, (22, 38): 45}
 
 @pytest.fixture(scope="module")
 def seeded_diagrams():
-    """(n, seed, diagram): input and projected output diagrams of seeded
-    builds for n = 5..32, and of the composite-determinant presentations."""
+    """(n, seed, diagram): circle diagrams of the inputs and projected output
+    diagrams of seeded builds for n = 5..32, and of the composite-determinant
+    presentations."""
     cases = [(n, 7100 + n) for n in range(5, 33)] + sorted(COMPOSITE_DETERMINANTS)
     out = []
     for n, seed in cases:
         ap = random_presentation(n, seed)
-        out.append((n, seed, diagram(ap)))
+        out.append((n, seed, reintersecting_diagram(ap)))
         out.append((n, seed, project(build_full(ap)[0])))
     return out
 
@@ -345,11 +393,12 @@ def test_determinant_matches_the_dense_reference(seeded_diagrams, ap3):
 
 
 def grid_property_holds(det, ap, k):
-    """det(ap) is the Wirtinger determinant of ap's diagram and det of its
-    k-th cyclic shift is the same; det raising counts as a failure."""
+    """det(ap) is the Wirtinger determinant of ap's circle diagram and det of
+    its k-th cyclic shift is the same; det raising counts as a failure."""
     try:
         value = det(ap)
-        return value == determinant_dense_reference(diagram(ap)) == det(cyclic_shift(ap, k))
+        wirtinger = determinant_dense_reference(reintersecting_diagram(ap))
+        return value == wirtinger == det(cyclic_shift(ap, k))
     except InternalVerificationError:
         return False
 
@@ -377,10 +426,10 @@ GRID_MUTANTS = [
 
 
 def _mutant(func, old, new):
-    """A function of invariants with one piece of its source replaced."""
+    """A function of its module with one piece of its source replaced."""
     source = textwrap.dedent(inspect.getsource(func))
     assert source.count(old) == 1
-    namespace = dict(vars(invariants))
+    namespace = dict(vars(inspect.getmodule(func)))
     exec(source.replace(old, new), namespace)
     return namespace[func.__name__]
 
@@ -513,7 +562,7 @@ def test_candidate_pivots_cut_unit_monomial_tests(monkeypatch):
     """The unit set tests each entry once up front, then only the entries a
     rewrite changes beyond a unit factor (the pivot row's columns); the
     rescan tests every entry at every step."""
-    d = diagram(random_presentation(24, 7124))
+    d = reintersecting_diagram(random_presentation(24, 7124))
     calls = _recording(monkeypatch, "_is_unit_monomial")
     fast = alexander(d)
     unit_set_tests = len(calls)
@@ -821,25 +870,6 @@ def test_project_on_the_lattice_matches_the_fraction_projection():
             assert c == w
         attempts.add(got.attempt)
     assert {None, 0, 1} <= attempts
-
-
-def seg2_line_intersection(s1, s2):
-    """Intersection of the supporting lines of two 2D segments.
-
-    Returns (s, u, point) with the point at parameter s along s1 and u along
-    s2, or None when the lines are parallel.  Callers check the parameter
-    ranges themselves.
-    """
-    (a, b), (c, d) = s1, s2
-    ab = (b[0] - a[0], b[1] - a[1])
-    cd = (d[0] - c[0], d[1] - c[1])
-    den = ab[0] * cd[1] - ab[1] * cd[0]
-    if den == 0:
-        return None
-    r = (c[0] - a[0], c[1] - a[1])
-    s = Fraction(r[0] * cd[1] - r[1] * cd[0], den)
-    u = Fraction(r[0] * ab[1] - r[1] * ab[0], den)
-    return s, u, (a[0] + s * ab[0], a[1] + s * ab[1])
 
 
 def test_seg2_line_intersection():
