@@ -108,20 +108,31 @@ def require_valid(ap: ArcPresentation) -> None:
             errors.append(f"binding point {p} used {count} times, expected 2")
     if errors:
         raise InvalidArcPresentation("; ".join(errors))
-    # walk the chord-adjacency multigraph; valid iff one cycle through all n.
-    # With every point used twice the walk is back at chord 1 within n steps.
-    cur, entry = 0, ap.chords[0][0]
-    for steps in range(1, n + 1):
-        a, b = ap.chords[cur]
-        entry = b if entry == a else a
-        u, v = uses[entry]
-        cur = v if u == cur else u
-        if cur == 0:
-            break
+    # valid iff the cycle through chord 1 is the whole chord-adjacency multigraph
+    steps = len(_walk(ap.chords, uses))
     if steps != n:
         raise InvalidArcPresentation(
             f"chord-adjacency graph is not a single {n}-cycle (closed after {steps})"
         )
+
+
+def _walk(chords, uses):
+    """:func:`chord_walk`'s steps around the cycle through chord 1.
+
+    ``uses`` is :func:`_point_uses`' map with every point used twice, so the
+    chord-adjacency multigraph is a union of cycles and the walk is back at
+    chord 1 within n steps.
+    """
+    walk = []
+    cur, entry = 0, chords[0][0]
+    while True:
+        a, b = chords[cur]
+        exit_pt = b if entry == a else a
+        walk.append((cur, entry, exit_pt))
+        u, v = uses[exit_pt]
+        cur, entry = (v if u == cur else u), exit_pt
+        if cur == 0:
+            return walk
 
 
 def _point_uses(ap):
@@ -152,15 +163,10 @@ def classify(ap: ArcPresentation):
     """Per-chord types and the (beta1, beta2, beta3) census; needs n >= 3."""
     if ap.n < 3:
         raise InvalidArcPresentation("chord types need at least 3 chords")
-    uses = _point_uses(ap)
-    types = []
-    for i in range(1, ap.n + 1):
-        nb = []
-        for p in ap.chords[i - 1]:
-            u, v = uses[p]
-            nb.append((v if u == i - 1 else u) + 1)
-        lesser = sum(1 for j in nb if j < i)
-        types.append((ChordType.I, ChordType.II, ChordType.III)[lesser])
+    types = [
+        (ChordType.I, ChordType.II, ChordType.III)[(prev < i) + (nxt < i)]
+        for i, ((prev, _), (nxt, _)) in enumerate(_neighbours(ap))
+    ]
     return tuple(types), BetaCounts(*(types.count(t) for t in ChordType))
 
 
@@ -180,11 +186,9 @@ def normalize(ap: ArcPresentation):
     n = ap.n
     if n < 3:
         raise InvalidArcPresentation("chord types need at least 3 chords")
-    uses = _point_uses(ap)
-    # u + v - c is the other chord through a point of chord c
     reach = [
-        min((c - (u + v - c)) % n for u, v in map(uses.get, chord))
-        for c, chord in enumerate(ap.chords)
+        min((c - prev) % n, (c - nxt) % n)
+        for c, ((prev, _), (nxt, _)) in enumerate(_neighbours(ap))
     ]
     k = min(range(n), key=lambda j: sum((c - j) % n < r for c, r in enumerate(reach)))
     return cyclic_shift(ap, k), k
@@ -237,18 +241,17 @@ def chord_walk(ap: ArcPresentation) -> list:
     subsequent chord is entered through the point it shares with the previous
     one.  The exit of the last chord is the entry of the first.
     """
-    uses = _point_uses(ap)
-    walk = []
-    cur, entry = 0, ap.chords[0][0]
-    for _ in range(ap.n):
-        a, b = ap.chords[cur]
-        exit_pt = b if entry == a else a
-        walk.append((cur, entry, exit_pt))
-        u, v = uses[exit_pt]
-        cur, entry = (v if u == cur else u), exit_pt
-    if (cur, entry) != (0, ap.chords[0][0]):
-        raise InternalVerificationError("chord walk did not close")
-    return walk
+    return _walk(ap.chords, _point_uses(ap))
+
+
+def _neighbours(ap: ArcPresentation) -> list:
+    """Per chord (0-based): ((previous chord, entry), (next chord, exit)) on
+    :func:`chord_walk`, the two chords that share a binding point with it."""
+    walk = chord_walk(ap)
+    out = [None] * ap.n
+    for k, (cur, entry, exit_pt) in enumerate(walk):
+        out[cur] = ((walk[k - 1][0], entry), (walk[(k + 1) % ap.n][0], exit_pt))
+    return out
 
 
 def _point_key(x, y, w):
@@ -269,8 +272,8 @@ def layout(ap: ArcPresentation):
     Tries the canonical layout first, then the deterministic perturbation
     schedule, and fails loudly if 64 retries cannot separate a concurrence.
     Returns (pts, retry, crossings): ``crossings`` maps each pair (i, j) of
-    ``crossing_pairs`` to the (s, u) at which chord i meets chord j, s and u
-    measured along each chord from its smaller label.  The chords meet on
+    ``crossing_pairs`` to the u at which chord j (the higher) meets chord i,
+    measured along chord j from its smaller label.  The chords meet on
     the points' :func:`lattice` image, a triple point shows as a repeated
     :func:`_point_key`, and past the lattice cap the same code runs on the
     ``Fraction``s.
@@ -295,7 +298,7 @@ def layout(ap: ArcPresentation):
             if key in seen:
                 break  # three chords meet: not generic
             seen.add(key)
-            crossings[i, j] = (Fraction(sn, den), Fraction(rx * aby - ry * abx, den))
+            crossings[i, j] = Fraction(rx * aby - ry * abx, den)
         else:
             return pts, retry, crossings
     raise InternalVerificationError(

@@ -22,8 +22,7 @@ from typing import Optional
 from . import invariants
 from .arcpres import (
     ArcPresentation,
-    ChordType,
-    _point_uses,
+    _neighbours,
     chord_walk,
     classify,
     diagram,
@@ -91,40 +90,36 @@ def stick_count(knot: StickKnot) -> int:
     return count
 
 
-def _anchor_and_apex(ap, uses, i):
+def _anchor_and_apex(nb, i):
     """Anchor chord (largest smaller neighbor) and shared apex point of chord i,
-    or None if chord i is of type I (no smaller neighbor)."""
-    best = None
-    for p in ap.chords[i - 1]:
-        u, v = uses[p]
-        j = (v if u == i - 1 else u) + 1
-        if j < i and (best is None or j > best[0]):
-            best = (j, p)
-    return best
+    or None if chord i is of type I (no smaller neighbor); ``nb`` is
+    :func:`_neighbours` of the presentation."""
+    return max(((j + 1, p) for j, p in nb[i - 1] if j < i - 1), default=None)
 
 
 def _crossed_from_apex(ap, crossings, i, apex):
     """(k, t) for each chord k < i crossing chord i at fraction t from apex."""
-    hits = [(k, crossings[k, i][1]) for k in range(1, i) if (k, i) in crossings]
+    hits = [(k, crossings[k, i]) for k in range(1, i) if (k, i) in crossings]
     if apex == ap.chords[i - 1][0]:
         return hits
     return [(k, 1 - u) for k, u in hits]
 
 
 def _assign_heights(ap: ArcPresentation, crossings) -> tuple:
-    types, _ = classify(ap)
-    uses = _point_uses(ap)
+    nb = _neighbours(ap)
     n = ap.n
     z = [0] * (n + 1)
     z[1], z[2] = 1, 2
     for i in range(3, n + 1):
-        if types[i - 1] is ChordType.I:
+        anchor = _anchor_and_apex(nb, i)
+        if anchor is None:  # type I
             z[i] = z[i - 1] + 1
             continue
-        j, apex = _anchor_and_apex(ap, uses, i)
+        j, apex = anchor
         worst = None
+        # the anchor shares the apex with chord i, so it is never among the k
         for k, t in _crossed_from_apex(ap, crossings, i, apex):
-            if k == j or z[k] <= z[j]:
+            if z[k] <= z[j]:
                 continue
             if not 0 < t < 1:
                 raise InternalVerificationError(
@@ -159,18 +154,20 @@ def verify_heights(ap: ArcPresentation, z: tuple, crossings) -> None:
     Checks strict monotonicity and, for every type-II/III chord i with anchor
     j and apex P, that every chord k < i crossing chord i at fraction t from P
     satisfies z_k < z_j + t*(z_i - z_j) strictly; ``crossings`` is the third
-    value of ``layout``.  Raises on any violation.
+    value of ``layout``.  Raises on any violation.  ``build_full`` does not
+    run it: the sweep of :func:`triangle_reductions` tests every stick of the
+    lifted polygon against every reduction triangle, which covers this.
     """
-    types, _ = classify(ap)
     if list(z) != sorted(set(z)):
         raise InternalVerificationError("heights are not strictly increasing")
     if z[0] != 1 or z[1] != 2:
         raise InternalVerificationError("heights must start 1, 2")
-    uses = _point_uses(ap)
+    nb = _neighbours(ap)
     for i in range(3, ap.n + 1):
-        if types[i - 1] is ChordType.I:
+        anchor = _anchor_and_apex(nb, i)
+        if anchor is None:  # type I
             continue
-        j, apex = _anchor_and_apex(ap, uses, i)
+        j, apex = anchor
         for k, t in _crossed_from_apex(ap, crossings, i, apex):
             if not z[k - 1] < z[j - 1] + t * (z[i - 1] - z[j - 1]):
                 raise InternalVerificationError(
@@ -213,10 +210,10 @@ class TriangleInfo:
 
 def reduction_triangles(ap: ArcPresentation, z: tuple, pts) -> list:
     """The right triangle attached to every type-II/III chord (including n)."""
-    uses = _point_uses(ap)
+    nb = _neighbours(ap)
     out = []
     for i in range(2, ap.n + 1):
-        anchor = _anchor_and_apex(ap, uses, i)
+        anchor = _anchor_and_apex(nb, i)
         if anchor is None:
             continue
         j, apex = anchor
@@ -567,7 +564,6 @@ def build_full(ap: ArcPresentation, top: bool = True):
     norm, shift = normalize(ap)
     pts, retry, crossings = layout(norm)
     z = _assign_heights(norm, crossings)
-    verify_heights(norm, z, crossings)
     _, beta = classify(norm)
     n = norm.n
     k2 = _polygon(norm, z, pts)

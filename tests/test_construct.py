@@ -257,6 +257,36 @@ def test_build_full_validates_only_the_shifts_it_constructs(monkeypatch):
     assert 0 < len(calls) <= ap.n
 
 
+@pytest.mark.parametrize("n, seed", [(5, 3), (9, 2), (12, 5), (16, 7)])
+def test_build_full_leaves_the_height_recheck_to_the_sweep(monkeypatch, n, seed):
+    """Heights with one chord squashed to the bare monotone minimum, which
+    verify_heights rejects, are rejected by the sweep of the lifted polygon;
+    build_full never calls verify_heights."""
+    original = construct._assign_heights
+    squashed_by = []
+
+    def squashed(ap, crossings):
+        z = list(original(ap, crossings))
+        i = next(i for i in range(2, len(z)) if z[i] > z[i - 1] + 1)
+        z[i] = z[i - 1] + 1
+        with pytest.raises(InternalVerificationError, match="pierces the triangle"):
+            verify_heights(ap, tuple(z), crossings)
+        squashed_by.append(i)
+        return tuple(z)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        verify_heights(*args)
+
+    monkeypatch.setattr(construct, "_assign_heights", squashed)
+    monkeypatch.setattr(construct, "verify_heights", counted)
+    with pytest.raises(InternalVerificationError, match="not empty in lifted polygon"):
+        build_full(random_presentation(n, seed))
+    assert len(squashed_by) == 1 and calls == []
+
+
 def test_stick_count_merges_collinear_runs():
     verts = ((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0))
     knot = StickKnot(verts, ("a",) * 5)
