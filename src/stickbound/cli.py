@@ -16,6 +16,7 @@ from .arcpres import diagram, parse, random_presentation, serialize
 from .arcpres import simplify as simplify_presentation
 from .bounds import bound_report, theorem2_upper
 from .construct import (
+    StickKnot,
     build_full,
     knot_from_json,
     obj_export,
@@ -23,7 +24,7 @@ from .construct import (
     stick_count,
 )
 from .errors import InternalVerificationError, InvalidArcPresentation
-from .geom import polygon_embedded
+from .geom import lattice, polygon_embedded
 from .invariants import match, project
 
 EXIT_OK = 0
@@ -110,6 +111,8 @@ def cmd_verify(args) -> int:
         print(f"error: malformed polygon JSON: {e}", file=sys.stderr)
         return EXIT_INVALID
 
+    # every check below runs on one lattice image of the stored vertices
+    knot = StickKnot(tuple(lattice(knot.vertices)[1]), knot.roles)
     try:
         emb = polygon_embedded(knot.vertices)
     except ValueError as e:  # degenerate polygon (repeated vertex, too short)

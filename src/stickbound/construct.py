@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -34,7 +34,6 @@ from .errors import InternalVerificationError, InvalidArcPresentation
 from .geom import (
     DISJOINT,
     SHARED_ENDPOINT,
-    Point3,
     _cross3,
     _dot3,
     _sub3,
@@ -77,9 +76,8 @@ class StickKnot:
 
 
 def stick_count(knot: StickKnot) -> int:
-    """Number of maximal straight runs of the polygon (collinear runs merge),
-    counted on the vertices' :func:`lattice` image."""
-    _, v = lattice(knot.vertices)
+    """Number of maximal straight runs of the polygon (collinear runs merge)."""
+    v = knot.vertices
     m = len(v)
     count = 0
     for i in range(m):
@@ -182,9 +180,9 @@ def _polygon(ap: ArcPresentation, z, pts) -> StickKnot:
     for c, entry, exit_pt in walk:
         h = z[c]
         pe, px = pts[entry - 1], pts[exit_pt - 1]
-        vertices.append((pe[0], pe[1], Fraction(h)))
+        vertices.append((pe[0], pe[1], h))
         roles.append(ROLE_H)
-        vertices.append((px[0], px[1], Fraction(h)))
+        vertices.append((px[0], px[1], h))
         roles.append(ROLE_V)
     return StickKnot(tuple(vertices), tuple(roles))
 
@@ -192,13 +190,13 @@ def _polygon(ap: ArcPresentation, z, pts) -> StickKnot:
 def build_k1(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization with chord i lifted flat to height i."""
     pts, _, _ = layout(ap)
-    return _polygon(ap, list(range(1, ap.n + 1)), pts)
+    return _polygon(ap, [Fraction(h) for h in range(1, ap.n + 1)], pts)
 
 
 def build_k2(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization lifted to the reduction-ready heights."""
     pts, _, crossings = layout(ap)
-    return _polygon(ap, _assign_heights(ap, crossings), pts)
+    return _polygon(ap, [Fraction(h) for h in _assign_heights(ap, crossings)], pts)
 
 
 @dataclass(frozen=True)
@@ -220,7 +218,7 @@ def reduction_triangles(ap: ArcPresentation, z: tuple, pts) -> list:
         a, b = ap.chords[i - 1]
         far = b if apex == a else a
         p, q = pts[apex - 1], pts[far - 1]
-        zi, zj = Fraction(z[i - 1]), Fraction(z[j - 1])
+        zi, zj = z[i - 1], z[j - 1]
         tri = ((p[0], p[1], zj), (p[0], p[1], zi), (q[0], q[1], zi))
         out.append(TriangleInfo(i, j, tri))
     return out
@@ -260,44 +258,35 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts):
     against the hypotenuses laid down before it: a collapse keeps every other
     stick, so those are the only sticks of the current polygon the sweep has
     not seen.  A pierced triangle means the height assignment is broken and
-    raises.  Both checks run on one :func:`lattice` image of k2 and the
-    triangle corners (which are vertices of k2); the polygon and the messages
-    stay in true coordinates.  A collapse unlinks its corner's index from
+    raises, naming the offending stick by its edge index in k2 or by the
+    chord whose hypotenuse it is.  A collapse unlinks its corner's index from
     k2's cycle.  ``z`` and ``pts`` are the heights and the layout points k2
-    was lifted from.  Returns (knot, the collapsed chords in order).
+    was lifted from, so the triangle corners are vertices of k2, and both
+    checks run on those points as given.  Returns (knot, the collapsed
+    chords in order).
     """
     triangles = reduction_triangles(ap, z, pts)
-    points = list(k2.vertices) + [c for t in triangles for c in t.triangle]
-    _, image = lattice(points)
-    m = len(k2.vertices)
-    lifted = [
-        replace(t, triangle=tuple(image[m + 3 * i : m + 3 * i + 3]))
-        for i, t in enumerate(triangles)
-    ]
-
-    def true_stick(stick):
-        back = dict(zip(image, points))
-        return (back[stick[0]], back[stick[1]])
-
-    bad = sweep_triangles(StickKnot(tuple(image[:m]), k2.roles), lifted)
+    bad = sweep_triangles(k2, triangles)
     if bad:
         info, hit = bad[0]
         raise InternalVerificationError(
             f"triangle of chord {info.chord} not empty in lifted polygon: "
-            f"{true_stick(hit)}"
+            f"edge {k2.edges().index(hit)}"
         )
-    index = {p: i for i, p in enumerate(image[:m])}
+    m = len(k2.vertices)
+    index = {p: i for i, p in enumerate(k2.vertices)}
     nxt, prv = [*range(1, m), 0], [m - 1, *range(m - 1)]
     removed, roles = [False] * m, list(k2.roles)
     reduced = []
-    hypotenuses = []  # lattice images of the hypotenuses laid down so far
-    for info in lifted:
+    hypotenuses = []  # of the chords in reduced, in order
+    for info in triangles:
         if info.chord == ap.n:
             continue
         hit = _triangle_clear(hypotenuses, info)
         if hit is not None:
             raise InternalVerificationError(
-                f"triangle of chord {info.chord} pierced by stick {true_stick(hit)}"
+                f"triangle of chord {info.chord} pierced by stick: the hypotenuse "
+                f"of chord {reduced[hypotenuses.index(hit)]}"
             )
         a, b, c = info.triangle
         k = index.get(b)
@@ -360,9 +349,8 @@ def top_reduction(knot: StickKnot):
     accepted only if the new polygon is embedded and a triangulated spanning
     surface between the old and new arcs is pierced by no stationary stick;
     otherwise the move is skipped and the polygon returned unchanged.
-    Candidates are checked on the polygon's :func:`lattice` image, which
-    holds every tip as L is an integer; only the accepted tips are built in
-    true coordinates.
+    Every check runs on the polygon's own coordinates, which hold every tip
+    as L is an integer.
 
     The top chord is the horizontal at the polygon's greatest height: the
     heights increase with the chord and the top chord is never collapsed.
@@ -380,16 +368,15 @@ def top_reduction(knot: StickKnot):
     rot_r = roles[(top_idx - 1) % m :] + roles[: (top_idx - 1) % m]
     if rot_r[0] != ROLE_V or rot_r[2] != ROLE_V:
         raise InternalVerificationError("top chord is not flanked by verticals")
-    _, image = lattice(rot_v)
-    sticks = list(zip(image[3:], image[4:] + image[:1]))  # off the old path
+    sticks = list(zip(rot_v[3:], rot_v[4:] + rot_v[:1]))  # off the old path
     stationary = sticks, [bbox(e) for e in sticks]
     length = 4
     while True:
-        ok, why = _certify_top(image, *_tips(image, length), stationary)
+        tips = _tips(rot_v, length)
+        ok, why = _certify_top(rot_v, *tips, stationary)
         if ok:
-            cand_v = (*_tips(rot_v, length), *rot_v[4:])
             cand_r = (ROLE_CONN, ROLE_EXT, *rot_r[4:-1], ROLE_EXT)
-            return StickKnot(cand_v, cand_r), "applied", length
+            return StickKnot((*tips, *rot_v[4:]), cand_r), "applied", length
         length *= 2
         if length > DEFAULT_MAX_L:
             return knot, f"skipped:{why}", None
@@ -465,8 +452,8 @@ def _disk_parts(corners, before, tris):
 
 
 def _new_edge_failures(pts, fresh):
-    """:func:`polygon_embedded`'s failures, in its order, for lattice points
-    ``pts`` whose edges outside the index set ``fresh`` are edges of an embedded
+    """:func:`polygon_embedded`'s failures, in its order, for points ``pts``
+    whose edges outside the index set ``fresh`` are edges of an embedded
     polygon with the same neighbours: only pairs holding a fresh edge can fail."""
     m = len(pts)
     edges = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
@@ -486,8 +473,8 @@ def _certify_top(rot_v, t_a, t_b, stationary):
     """Exact certificate for one candidate top reduction.
 
     ``rot_v`` is the reduced polygon from j_a on (vertical a, top stick,
-    vertical b, chain f_b .. f_a) and t_a, t_b the tips, all on one
-    :func:`lattice`; ``stationary`` holds the other sticks and their boxes.
+    vertical b, chain f_b .. f_a) and t_a, t_b the tips, all in the same
+    coordinates; ``stationary`` holds the other sticks and their boxes.
     Requires the new polygon to be embedded, plus some certified spanning
     disk between the old path (vertical, top stick, vertical) and the new one
     (extension, connector, extension) pierced by nothing stationary.  The
@@ -558,6 +545,10 @@ def build_full(ap: ArcPresentation, top: bool = True):
     The invariant check compares the exact diagram of the input presentation
     with a generic projection of the output polygon (determinant and
     normalized Alexander polynomial); a mismatch is reported, not repaired.
+    K2 is lifted from the layout points' :func:`lattice` image with every
+    height times its scale D, so every stage from the embedding check of K2
+    to the projection runs on that image; the polygon is divided by D once,
+    on return.
     """
     if ap.n < 3:
         raise InvalidArcPresentation("full build needs at least 3 chords")
@@ -566,11 +557,13 @@ def build_full(ap: ArcPresentation, top: bool = True):
     z = _assign_heights(norm, crossings)
     _, beta = classify(norm)
     n = norm.n
-    k2 = _polygon(norm, z, pts)
+    scale, grid = lattice(pts)
+    lifted = [scale * h for h in z]
+    k2 = _polygon(norm, lifted, grid)
     emb2 = polygon_embedded(k2.vertices)
     if not emb2.ok:
         raise InternalVerificationError(f"lifted polygon not embedded: {emb2.failures}")
-    reduced, reduced_chords = triangle_reductions(norm, k2, z, pts)
+    reduced, reduced_chords = triangle_reductions(norm, k2, lifted, grid)
     expected_reduced = 2 * n - (beta.beta2 + beta.beta3 - 1)
     if len(reduced.vertices) != expected_reduced:
         raise InternalVerificationError(
@@ -609,7 +602,8 @@ def build_full(ap: ArcPresentation, top: bool = True):
         alexander_in=str(rep.alex1),
         alexander_out=str(rep.alex2),
     )
-    return final, cert
+    true_v = tuple(tuple(Fraction(c, scale) for c in v) for v in final.vertices)
+    return StickKnot(true_v, final.roles), cert
 
 
 def polygon_json(cert: Certificate, knot: StickKnot) -> dict:

@@ -4,14 +4,15 @@ Points are tuples of ``fractions.Fraction`` (or ints); every predicate is
 exact and deterministic.  No floating point, no tolerances, no rounding
 anywhere.
 
-A check that runs many predicates over one batch of points first scales the
-batch onto an integer lattice with :func:`lattice`: every coordinate times D,
-the lcm of all coordinate denominators.  One positive factor on all three
-axes keeps every incidence, orientation sign, box comparison and segment
-parameter, so the predicates give the same verdicts on Python ints at a
-fraction of the cost of ``Fraction`` arithmetic.  Past
-``LATTICE_MAX_BITS`` bits the big ints cost more than the fractions, so the
-batch keeps its own coordinates (scale 1) and the same predicates run on them.
+Every predicate runs on the points it is given.  A command scales its points
+onto an integer lattice once, where they enter it, with :func:`lattice`:
+every coordinate times D, the lcm of all coordinate denominators.  One
+positive factor on all three axes keeps every incidence, orientation sign,
+box comparison and segment parameter, so the predicates give the same
+verdicts on Python ints at a fraction of the cost of ``Fraction``
+arithmetic.  Past ``LATTICE_MAX_BITS`` bits the big ints cost more than the
+fractions, so the points keep their own coordinates (scale 1) and the same
+predicates run on them.
 A segment crossing a triangle's plane is tested as the homogeneous point X / w,
 so only a contact strictly inside a segment builds a ``Fraction``; a contact
 at a segment's end returns the caller's own point tuple.
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-Point2 = tuple  # (x, y)
 Point3 = tuple  # (x, y, z)
 Segment3 = tuple  # (Point3, Point3)
 Triangle3 = tuple  # (Point3, Point3, Point3)
@@ -42,7 +42,7 @@ IMPROPER = "improper"
 
 _ZERO3 = (0, 0, 0)
 
-# Above a lattice scale of this many bits a batch stays on its own
+# Above a lattice scale of this many bits the points stay on their own
 # coordinates.  On 48-vertex polygons with unrelated denominators the
 # break-even of polygon_embedded was measured between 1,800 and 2,300 bits.
 LATTICE_MAX_BITS = 2048
@@ -322,7 +322,8 @@ def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
     must be disjoint.  Collinear continuation at a vertex is allowed (it is a
     shared-endpoint contact); doubling back or overlap is not.  Pairs whose
     boxes are apart are disjoint and skip ``seg3_relation``.  The predicates
-    run on the vertices' :func:`lattice` image.
+    run on the vertices as given; a caller holding ``Fraction``s passes their
+    :func:`lattice` image to run them on ints.
     """
     m = len(vertices)
     if m < 3:
@@ -330,8 +331,7 @@ def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
     for i in range(m):
         if vertices[i] == vertices[(i + 1) % m]:
             raise ValueError(f"repeated consecutive vertices at index {i}")
-    _, pts = lattice(vertices)
-    edges = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
+    edges = [(vertices[i], vertices[(i + 1) % m]) for i in range(m)]
     boxes = [bbox(e) for e in edges]
     failures = []
     for i in range(m):

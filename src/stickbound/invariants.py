@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .arcpres import Diagram, _gauss_diagram, _point_key
 from .errors import InternalVerificationError
-from .geom import lattice, orient2d
+from .geom import orient2d
 
 PROJECTION_ATTEMPTS = 65
 
@@ -468,18 +468,18 @@ def project(knot) -> ProjectedDiagram:
 
     Larger z is the over strand.  Every genericity condition is checked
     exactly; a failed check moves to the next direction, and running out of
-    directions raises.  The checks run on the vertices' :func:`lattice`
-    image, scale D: with a = 7+m and b = 11+2m the shadows
-    (b(aX - Z), a(bY - Z)) of the image points (X, Y, Z) are the true
-    shadows times D*a*b, a positive factor.
+    directions raises.  The checks run on the vertices as given, which
+    callers pass as a :func:`geom.lattice` image so that they run on ints:
+    with a = 7+m and b = 11+2m the shadows (b(aX - Z), a(bY - Z)) of the
+    points (X, Y, Z) are the shadows along the direction times a*b, a
+    positive factor.
     """
     verts = getattr(knot, "vertices", knot)
-    _, lifted = lattice(verts)
     last = "no directions tried"
     for attempt in range(PROJECTION_ATTEMPTS):
         a, b = 7 + attempt, 11 + 2 * attempt
-        shadows = [(b * (a * x - z), a * (b * y - z)) for x, y, z in lifted]
-        diag, failed = _project_once(lifted, shadows)
+        shadows = [(b * (a * x - z), a * (b * y - z)) for x, y, z in verts]
+        diag, failed = _project_once(verts, shadows)
         if diag is not None:
             return ProjectedDiagram(
                 diagram=diag,

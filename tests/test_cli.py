@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
 from conftest import capped_polygon
-from stickbound import arcpres, cli, construct
+from stickbound import arcpres, cli, construct, geom
 from stickbound.arcpres import diagram, parse, random_presentation, serialize
 from stickbound.construct import StickKnot, stick_count
 from stickbound.invariants import alexander
@@ -89,6 +90,42 @@ def test_verify_lays_nothing_out(tmp_path, monkeypatch):
     monkeypatch.setattr(arcpres, "layout", refused)
     monkeypatch.setattr(construct, "layout", refused)
     assert cli.main(["verify", str(arc), str(out)]) == 0
+
+
+def _lattice_calls(monkeypatch):
+    """Count geom.lattice calls by the name of the stickbound module calling."""
+    calls = []
+    real = geom.lattice
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stickbound" and getattr(module, "lattice", None) is real:
+
+            def counted(points, _name=name):
+                calls.append(_name)
+                return real(points)
+
+            monkeypatch.setattr(module, "lattice", counted)
+    return calls
+
+
+def test_one_lattice_per_build_and_per_verify(ap6_fig8, concurrence9, tmp_path, monkeypatch):
+    """A build scales its points onto the lattice once besides layout's own
+    scaling of the binding points (once per layout attempt), and verify
+    scales the stored polygon once."""
+    calls = _lattice_calls(monkeypatch)
+    retries = []
+    for ap in (ap6_fig8, concurrence9):
+        calls.clear()
+        _, cert = construct.build_full(ap)
+        assert calls.count("stickbound.arcpres") == cert.layout_retry + 1
+        assert len(calls) - calls.count("stickbound.arcpres") == 1
+        retries.append(cert.layout_retry)
+    assert retries == [0, 1]
+    arc, out = tmp_path / "c9.arc", tmp_path / "c9.json"
+    arc.write_text(CONCURRENCE9)
+    assert cli.main(["build", str(arc), "--out", str(out)]) == 0
+    calls.clear()
+    assert cli.main(["verify", str(arc), str(out)]) == 0
+    assert calls == ["stickbound.cli"]
 
 
 def test_the_kink_builds_and_verifies(tmp_path):

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -280,11 +281,26 @@ def test_build_full_leaves_the_height_recheck_to_the_sweep(monkeypatch, n, seed)
         calls.append(args)
         verify_heights(*args)
 
+    swept = []
+    sweep = construct.sweep_triangles
+
+    def recorded(knot, triangles):
+        swept.append((knot, triangles))
+        return sweep(knot, triangles)
+
     monkeypatch.setattr(construct, "_assign_heights", squashed)
     monkeypatch.setattr(construct, "verify_heights", counted)
-    with pytest.raises(InternalVerificationError, match="not empty in lifted polygon"):
+    monkeypatch.setattr(construct, "sweep_triangles", recorded)
+    with pytest.raises(InternalVerificationError, match="not empty in lifted polygon") as e:
         build_full(random_presentation(n, seed))
     assert len(squashed_by) == 1 and calls == []
+    # the message names the offending stick by its edge index in K2
+    message = r"triangle of chord (\d+) not empty in lifted polygon: edge (\d+)"
+    chord, edge = map(int, re.fullmatch(message, str(e.value)).groups())
+    ((k2, triangles),) = swept
+    assert 0 <= edge < len(k2.vertices) == 2 * n
+    info = next(t for t in triangles if t.chord == chord)
+    assert _triangle_clear([k2.edges()[edge]], info) == k2.edges()[edge]
 
 
 def test_stick_count_merges_collinear_runs():
@@ -548,7 +564,7 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     # a stick through the centroid of a triangle, across its plane
     info = infos[-1]
     a, b, c = info.triangle
-    g = tuple((x + y + z) / 3 for x, y, z in zip(a, b, c))
+    g = tuple(Fraction(x + y + z, 3) for x, y, z in zip(a, b, c))
     normal = (c[1] - b[1], b[0] - c[0], 0)  # horizontal, off the vertical plane
     stick = (
         tuple(u - v for u, v in zip(g, normal)),
@@ -559,7 +575,7 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     assert _triangle_clear(pierced.edges(), info) == stick
     assert clear_reference(pierced, info) == stick
     # a stick along the triangle's horizontal leg, overlapping it in a segment
-    mid = tuple((x + y) / 2 for x, y in zip(b, c))
+    mid = tuple(Fraction(x + y, 2) for x, y in zip(b, c))
     along = StickKnot((mid, c) + k2.vertices, ("?", "?") + k2.roles)
     assert _triangle_clear(along.edges(), info) == (mid, c)
     assert clear_reference(along, info) == (mid, c)
@@ -619,6 +635,9 @@ def _height_mutants(heights, rng):
         yield w
 
 
+HYPOTENUSE_HIT = r"triangle of chord (\d+) pierced by stick: the hypotenuse of chord (\d+)"
+
+
 def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
     rng = random.Random(1603)
     outcomes = set()
@@ -644,7 +663,9 @@ def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
                         got = triangle_reductions(ap, knot, hz, pts)
                     except InternalVerificationError as e:
                         got = None
-                        if "pierced by stick" in str(e):
+                        pierced = re.fullmatch(HYPOTENUSE_HIT, str(e))
+                        if pierced:  # by the hypotenuse of an earlier chord
+                            assert int(pierced[2]) < int(pierced[1])
                             outcomes.add("hypotenuse")
                     assert got == expected, (n, seed, z)
                     outcomes.add(got is None)
@@ -653,8 +674,14 @@ def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
 
 
 def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
+    """On K2 in true coordinates and on its lattice image, lifted as
+    build_full lifts it: the sweep sees K2's edges, and each collapse only
+    the hypotenuses laid down before it, in the coordinates K2 was given."""
     ap, _ = normalize(random_presentation(10, 3))
-    k2 = build_k2(ap)
+    pts, _, _ = layout(ap)
+    z = assign_heights(ap)
+    scale, grid = lattice(pts)
+    lifted = [scale * h for h in z]
     seen = []
     clear = construct._triangle_clear
 
@@ -663,16 +690,20 @@ def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
         return clear(edges, info, boxes)
 
     monkeypatch.setattr(construct, "_triangle_clear", recorded)
-    reduced, chords = reductions_of(ap, k2)
-    pts, _, _ = layout(ap)
-    infos = {t.chord: t for t in reduction_triangles(ap, assign_heights(ap), pts)}
-    swept = len(infos)
-    assert len(chords) >= 3
-    # both checks run on the lattice image of k2
-    img = dict(zip(k2.vertices, lattice(k2.vertices)[1]))
-    assert seen[:swept] == [[(img[p], img[q]) for p, q in k2.edges()]] * swept
-    hyps = [(img[p], img[q]) for p, q in (infos[c].triangle[::2] for c in chords)]
-    assert seen[swept:] == [hyps[:k] for k in range(len(chords))]
+    for k2, heights, points in (
+        (build_k2(ap), z, pts),
+        (construct._polygon(ap, lifted, grid), lifted, grid),
+    ):
+        seen.clear()
+        reduced, chords = triangle_reductions(ap, k2, heights, points)
+        infos = {t.chord: t for t in reduction_triangles(ap, heights, points)}
+        swept = len(infos)
+        assert len(chords) >= 3
+        assert seen[:swept] == [k2.edges()] * swept
+        hyps = [infos[c].triangle[::2] for c in chords]
+        assert seen[swept:] == [hyps[:k] for k in range(len(chords))]
+    # the second pass ran on ints alone
+    assert {type(c) for edges in seen for e in edges for p in e for c in p} == {int}
 
 
 def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
@@ -765,7 +796,7 @@ def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):
 def _top_move(ap):
     """(rot_v, j_a, d_a, j_b, d_b) of the top move of ap's build, read off the
     first candidate top_reduction certifies: tip = j + L * d.  The candidate
-    arrives on the lattice of the reduced polygon, and is scaled back."""
+    arrives in the reduced polygon's own coordinates."""
     norm, _ = normalize(ap)
     reduced, _ = reductions_of(norm, build_k2(norm))
     calls = []
@@ -779,8 +810,7 @@ def _top_move(ap):
         top_reduction(reduced)
     finally:
         construct._certify_top = real
-    scale = lattice(reduced.vertices)[0]
-    *rot_v, t_a, t_b = [tuple(Fraction(c, scale) for c in p) for p in calls[0]]
+    *rot_v, t_a, t_b = calls[0]
     j_a, j_b = rot_v[0], rot_v[3]
     d_a = tuple((t - j) / 4 for t, j in zip(t_a, j_a))
     d_b = tuple((t - j) / 4 for t, j in zip(t_b, j_b))
@@ -805,8 +835,8 @@ def _tips(move, la, lb):
 
 
 def certify_on_lattice(rot_v, t_a, t_b):
-    """_certify_top on one lattice image of the move's points, as
-    top_reduction runs it, with the stationary sticks in the reference's order."""
+    """_certify_top on one lattice image of the move's points, as build_full's
+    top move runs it, with the stationary sticks in the reference's order."""
     m = len(rot_v)
     _, image = lattice(rot_v + [t_a, t_b])
     rot_v = image[:m]
