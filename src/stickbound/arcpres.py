@@ -360,8 +360,8 @@ def _gauss_diagram(hits, strands) -> Diagram:
     """Diagram of ``hits``, crossings as (over, under, sign, p_over, p_under).
 
     The Gauss code walks ``strands`` in order and each strand's crossings by
-    their parameter along it (integer offsets on a grid, ``Fraction``s on a
-    projection); the parameters serve only as sort keys.
+    their parameter along it (an int offset on a grid, an int scaled floor
+    on a projection); the parameters serve only as sort keys.
     """
     crossings = []
     by_strand = {}

@@ -55,7 +55,7 @@ ROLE_HYP = "hypotenuse"
 ROLE_EXT = "extension"
 ROLE_CONN = "connector"
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # str() of a Fraction
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # str() of a Fraction
 
 
 @dataclass(frozen=True)
@@ -630,12 +630,14 @@ def knot_from_json(d: dict) -> StickKnot:
     Each coordinate must be "p" or "p/q", as ``polygon_json`` writes it: no
     exponents, since Fraction("1e10000000") alone takes seconds to build.
     """
+    matches = []
     for i, v in enumerate(d["vertices"]):
         if not isinstance(v, (list, tuple)) or len(v) != 3:
             raise ValueError(f"vertex {i} is not a list of three coordinates: {v!r}")
-        if not all(type(c) is str and _RATIONAL.fullmatch(c) for c in v):
+        matches.append([type(c) is str and _RATIONAL.fullmatch(c) for c in v])
+        if not all(matches[-1]):
             raise ValueError(f"vertex {i} has a coordinate other than p or p/q: {v!r}")
-    verts = tuple(tuple(Fraction(c) for c in v) for v in d["vertices"])
+    verts = tuple(tuple(Fraction(int(mt[1]), int(mt[2] or 1)) for mt in v) for v in matches)
     roles = tuple(d.get("edge_roles", ["?"] * len(verts)))
     return StickKnot(verts, roles)
 

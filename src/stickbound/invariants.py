@@ -11,21 +11,22 @@ the one of least fill-in over the set of unit entries left, and
 fraction-free Bareiss elimination of the dense core left pivots on the entry
 of fewest coefficients; every polynomial is kept as an offset pair
 (lo, coeffs), t^lo times coeffs, so a unit factor t^e never pads it with
-zeros.  The determinant of an arc presentation is
-read from its grid instead, by code that shares nothing with diagrams or
-relation rows, and :func:`match` checks it against |Alexander(-1)| of the
-presentation's diagram.  A projection tests pairs of edge shadows for
-crossings only when their exact 2D bounding boxes are not strictly apart,
-and tests them on integer numerators whose denominator's sign gives the
-crossing's sign.
+zeros.  The determinant of an arc presentation is read from its grid
+instead (unit pivots, then Bareiss on the core), by code that shares
+nothing with diagrams or relation rows, and :func:`match` checks it against
+|Alexander(-1)| of the presentation's diagram.  A projection tests pairs of
+edge shadows for crossings only when their exact 2D bounding boxes are not
+strictly apart, and tests them on integer numerators whose denominator's
+sign gives the crossing's sign, and sorts them by integer keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arcpres import Diagram, _gauss_diagram, _point_key
+from .arcpres import Diagram, _gauss_diagram
 from .errors import InternalVerificationError
 from .geom import orient2d
 
@@ -183,23 +184,27 @@ def _run_rows(d: Diagram):
     over_arc = {cid: arc for (cid, is_over), arc in zip(d.gauss, d.arcs) if is_over}
     kept = set(over_arc.values())
     start = min(kept)
-    rows, expr, e = {}, {start: (0, [1])}, 0
+    rows, expr, e = {}, {start: {0: 1}}, 0
     for k in range(start, start + c - 1):  # the run ending at start is left out
         cid = unders[k % c]
         eps, o = d.crossings[cid].sign, over_arc[cid]
         e += eps
-        # expr[o] += t^-e (1 - t^eps)
-        expr[o] = _osub(expr.get(o, _ZERO), (min(eps, 0) - e, [-eps, eps]))
+        # expr[o] += t^-e (1 - t^eps); each expr[a] is {exponent: coefficient}
+        terms = expr.setdefault(o, {})
+        terms[-e], terms[eps - e] = terms.get(-e, 0) + 1, terms.get(eps - e, 0) - 1
         end = (k + 1) % c
         if end not in kept:
             continue
-        row = {a: (lo + e, cs) for a, (lo, cs) in expr.items()}
-        row[end] = _osub(row.get(end, _ZERO), (0, [1]))
+        terms = expr.setdefault(end, {})
+        terms[-e] = terms.get(-e, 0) - 1  # the row t^e expr - x_end, over t^e
+        row = {}
+        for a, terms in expr.items():
+            if a != start and (xs := [x for x, v in terms.items() if v]):
+                row[a] = min(xs), [terms.get(x, 0) for x in range(min(xs), max(xs) + 1)]
         # never empty: the entry at end is -1 at t = 1, as end is not the run's start
-        row = {a: p for a, p in row.items() if p[1] and a != start}
         low = min(lo for lo, _ in row.values())
         rows[end] = {a: (lo - low, cs) for a, (lo, cs) in row.items()}
-        expr, e = {end: (0, [1])}, 0
+        expr, e = {end: {0: 1}}, 0
     return rows
 
 
@@ -339,9 +344,9 @@ def determinant(ap) -> int:
     y with a <= x < b; with M[x][y] = (-1) to that parity, det M =
     +-2^(n-1) det K (Manolescu-Ozsvath-Sarkar, arXiv:math/0607691).  Row 0
     of M is all 1s and each later row is replaced by (M[x] - M[x-1]) / 2,
-    exact with entries in {0, +-1}, so the integer fraction-free elimination
-    of that matrix gives +-det K.  No diagram, layout or relation row is
-    built.
+    exact with entries in {0, +-1}, so the determinant of that matrix,
+    which :func:`_unit_pivot_det` takes by unit pivots and then Bareiss on
+    the core left, is +-det K.  No diagram, layout or relation row is built.
     """
     n = ap.n
     m, prev = [], None
@@ -354,10 +359,34 @@ def determinant(ap) -> int:
             row[y] = s
         m.append(row if prev is None else [(u - v) // 2 for u, v in zip(row, prev)])
         prev = row
-    det = _int_bareiss(m)
-    if det == 0:
+    if not (det := _unit_pivot_det(m)):
         raise InternalVerificationError("determinant path produced 0")
-    return abs(det)
+    return det
+
+
+def _unit_pivot_det(m):
+    """|det m| of a square integer matrix: unit pivots, then Bareiss on the core.
+
+    Each step pivots on the shortest sparse row {col: value} with a +-1 entry,
+    at its first one pv, and subtracts f * pv times it from each row with f in
+    that column: no division.  Fewer columns than rows left make det 0.
+    """
+    rows = [{c: v for c, v in enumerate(row) if v} for row in m]
+    while ones := [(len(w), r) for r, w in enumerate(rows) if 1 in w.values() or -1 in w.values()]:
+        prow = rows.pop(min(ones)[1])
+        col = next(c for c, v in prow.items() if v in (1, -1))
+        pv = prow.pop(col)
+        for row in rows:
+            f = row.pop(col, 0)
+            if f:
+                for c, v in prow.items():
+                    x = row[c] = row.get(c, 0) - f * pv * v
+                    if not x:
+                        del row[c]
+    cols = sorted({c for row in rows for c in row})
+    if len(cols) < len(rows):
+        return 0
+    return abs(_int_bareiss([[row.get(c, 0) for c in cols] for row in rows]))
 
 
 def _int_bareiss(m):
@@ -397,6 +426,12 @@ class ProjectedDiagram:
     attempt: int
 
 
+def _key_shift(dens):
+    """k such that floor(x * 2^k) orders the x = num/den exactly: two distinct
+    x with every den below 2^b differ by more than 2^-2b, and k = 2b + 1."""
+    return 2 * max((den.bit_length() for den in dens), default=0) + 1
+
+
 def _project_once(verts, shadows):
     """One projection attempt: a Diagram, or the name of the failed check.
 
@@ -406,10 +441,10 @@ def _project_once(verts, shadows):
     which the crossing loop rejects.  That loop skips a pair whose shadow
     boxes are strictly apart on an axis, since such edges share no point;
     boxes that touch still go through the full test.  It tests the pair's
-    parameters as numerators sn, un over their common denominator den > 0,
-    keeping the sign den had, the crossing's sign when edge i is over;
-    finds a triple point as a repeated :func:`_point_key`, compares heights
-    times den, and builds ``Fraction``s only as the kept crossings' sort keys.
+    parameters as numerators sn, un over their common denominator den > 0
+    (cleared of ``Fraction`` denominators), keeping the sign den had, the
+    crossing's sign when edge i is over.  Crossings sort by the int keys of
+    :func:`_key_shift`; a repeated (edge, key) is a triple point.
     """
     m = len(verts)
     for i in range(m):
@@ -446,20 +481,23 @@ def _project_once(verts, shadows):
             if den < 0:
                 sign, den, sn, un = -1, -den, -sn, -un
             if 0 < sn < den and 0 < un < den:
-                key = _point_key(a[0] * den + sn * abx, a[1] * den + sn * aby, den)
-                hits.append((i, j, sign, sn, un, den, key))
+                if type(den) is not int:  # Fraction shadows, past the lattice cap
+                    q = math.lcm(sn.denominator, un.denominator, den.denominator)
+                    sn, un, den = int(sn * q), int(un * q), int(den * q)
+                hits.append((i, j, sign, sn, un, den))
             elif 0 <= sn <= den and 0 <= un <= den:
                 return None, "no-vertex-on-edge"
-    if len({hit[6] for hit in hits}) != len(hits):
+    k = _key_shift(hit[5] for hit in hits)
+    keys = [((i, (sn << k) // den), (j, (un << k) // den)) for i, j, _, sn, un, den in hits]
+    if len({key for pair in keys for key in pair}) != 2 * len(hits):
         return None, "no-triple-points"
     over_under = []
-    for i, j, sign, sn, un, den, _ in hits:
+    for (i, j, sign, sn, un, den), ((_, ks), (_, ku)) in zip(hits, keys):
         zi = verts[i][2] * den + sn * (verts[(i + 1) % m][2] - verts[i][2])
         zj = verts[j][2] * den + un * (verts[(j + 1) % m][2] - verts[j][2])
         if zi == zj:
             raise InternalVerificationError("polygon edges meet in space")
-        s, u = Fraction(sn, den), Fraction(un, den)
-        over_under.append((i, j, sign, s, u) if zi > zj else (j, i, -sign, u, s))
+        over_under.append((i, j, sign, ks, ku) if zi > zj else (j, i, -sign, ku, ks))
     return _gauss_diagram(over_under, range(m)), None
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -204,7 +205,7 @@ def test_verify_vertex_without_three_coordinates_exits_1(
 # coordinates not in the "p" or "p/q" form build writes: the JSON number 1e400
 # overflowed to a traceback, 0.5 and true were accepted, and an exponent makes
 # Fraction build a huge integer before any check
-@pytest.mark.parametrize("raw", ["1e400", "0.5", "true", '"1e400"', '"0.5"', '" 1"'])
+@pytest.mark.parametrize("raw", ["1e400", "0.5", "true", '"1e400"', '"0.5"', '" 1"', '"+1"'])
 def test_verify_coordinate_not_in_build_form_exits_1(
     trefoil_arc, tmp_path, capsys, raw
 ):
@@ -217,6 +218,36 @@ def test_verify_coordinate_not_in_build_form_exits_1(
     err = capsys.readouterr().err
     assert "vertex 1 has a coordinate other than p or p/q" in err
     assert err.startswith("error: malformed polygon JSON: ")
+
+
+def test_verify_reads_unreduced_fractions_and_minus_zero(trefoil_arc, tmp_path):
+    """A coordinate "2/4" reads as 1/2 and "-0" as 0, as Fraction parses them."""
+    zeros = []
+
+    def change(doc):
+        for v in doc["vertices"]:
+            for k, c in enumerate(v):
+                if c == "0":
+                    v[k] = "-0"
+                    zeros.append(c)
+                else:
+                    x = Fraction(c)
+                    v[k] = f"{2 * x.numerator}/{2 * x.denominator}"
+
+    out = _tampered(trefoil_arc, tmp_path, change)
+    assert zeros
+    assert cli.main(["verify", str(trefoil_arc), str(out)]) == 0
+    knot = construct.knot_from_json({"vertices": [["2/4", "-0", "-6/3"]]})
+    assert knot.vertices == ((Fraction(1, 2), 0, -2),)
+
+
+def test_verify_zero_denominator_exits_1(trefoil_arc, tmp_path, capsys):
+    def change(doc):
+        doc["vertices"][1][0] = "1/0"
+
+    out = _tampered(trefoil_arc, tmp_path, change)
+    assert cli.main(["verify", str(trefoil_arc), str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed polygon JSON: ")
 
 
 def test_verify_invalid_arc_exits_1_before_the_polygon_checks(

@@ -766,7 +766,7 @@ def test_build_full_diagram_is_the_diagram_of_the_input(concurrence9, monkeypatc
 
 def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):
     """The former _certify_top, which runs every check on the points as
-    given; called with the lattice cap at 0, so nothing is scaled."""
+    given, Fractions included: nothing in it scales them to a lattice."""
     emb = polygon_embedded(cand_v)
     if not emb.ok:
         return False, f"result-not-embedded:{emb.failures[0]}"
@@ -845,7 +845,7 @@ def certify_on_lattice(rot_v, t_a, t_b):
     return _certify_top(rot_v, *image[m:], (outside, [bbox(e) for e in outside]))
 
 
-def test_certify_top_on_the_lattice_matches_the_fraction_checks(monkeypatch):
+def test_certify_top_on_the_lattice_matches_the_fraction_checks():
     # (L_a, L_b): the doubling search's lengths, shorter ones, and asymmetric
     # pairs with one tip pulled back along its stick
     half, eighth = Fraction(1, 2), Fraction(1, 8)
@@ -860,11 +860,7 @@ def test_certify_top_on_the_lattice_matches_the_fraction_checks(monkeypatch):
         for t_a, t_b in cands:
             cand_v = [t_a, t_b] + rot_v[4:]
             got = certify_on_lattice(rot_v, t_a, t_b)
-            with monkeypatch.context() as m:
-                m.setattr(geom, "LATTICE_MAX_BITS", 0)
-                assert geom.lattice(rot_v)[0] == 1
-                want = certify_top_on_fractions(rot_v, cand_v, t_a, t_b)
-            assert got == want
+            assert got == certify_top_on_fractions(rot_v, cand_v, t_a, t_b)
             reasons.add(got[1].split(":")[0])
     assert reasons == {
         "",
@@ -953,7 +949,7 @@ HAND_TIPS = ((0, -16, 0), (4, -16, 0))
         (((1, 2, 2),), (1, 2, 2), (False, "result-not-embedded:(0, 2, 'shared-endpoint')")),
     ],
 )
-def test_incremental_and_full_checks_reject_the_same_mutants(chain, pinch, want, monkeypatch):
+def test_incremental_and_full_checks_reject_the_same_mutants(chain, pinch, want):
     rot_v = [tuple(map(Fraction, p)) for p in HAND_PATH + chain + ((0, 4, 0),)]
     t_a, t_b = (tuple(map(Fraction, p)) for p in (HAND_TIPS[0], pinch or HAND_TIPS[1]))
     assert polygon_embedded(rot_v).ok
@@ -962,7 +958,6 @@ def test_incremental_and_full_checks_reject_the_same_mutants(chain, pinch, want,
     full = list(polygon_embedded(cand_v).failures)
     assert _new_edge_failures(lattice(cand_v)[1], fresh) == full
     assert certify_on_lattice(rot_v, t_a, t_b) == want
-    monkeypatch.setattr(geom, "LATTICE_MAX_BITS", 0)
     assert certify_top_on_fractions(rot_v, cand_v, t_a, t_b) == want
     if not want[1].startswith("result"):  # the stick misses s1, or pierces it
         assert triangle_pierced((rot_v[0], rot_v[1], t_a), rot_v[5:7]) == (not want[0])

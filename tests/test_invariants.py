@@ -12,6 +12,7 @@ t = -1.
 
 import copy
 import inspect
+import itertools
 import random
 import textwrap
 from collections import Counter
@@ -38,7 +39,7 @@ from stickbound.arcpres import (
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.construct import build_full, build_k1
 from stickbound.geom import orient2d
-from stickbound import invariants
+from stickbound import geom, invariants
 from stickbound.invariants import (
     LaurentPoly,
     _int_bareiss,
@@ -304,12 +305,12 @@ def test_run_rows_on_hand_made_diagrams(name, d, want):
 # (name, source text of invariants._run_rows, its replacement)
 RUN_MUTANTS = [
     ("exponent step of the wrong sign", "e += eps", "e -= eps"),
-    ("1 - t^eps negated", "[-eps, eps]", "[eps, -eps]"),
     (
-        "repeated over-arc overwritten",
-        "_osub(expr.get(o, _ZERO), (min(eps, 0) - e, [-eps, eps]))",
-        "(min(eps, 0) - e, [eps, -eps])",
+        "1 - t^eps negated",
+        "terms.get(-e, 0) + 1, terms.get(eps - e, 0) - 1",
+        "terms.get(-e, 0) - 1, terms.get(eps - e, 0) + 1",
     ),
+    ("repeated over-arc overwritten", "terms = expr.setdefault(o, {})", "terms = expr[o] = {}"),
 ]
 
 
@@ -440,6 +441,72 @@ def test_grid_property_catches_mutants(name, old, new):
     cases = [(random_presentation(n, 7300 + n), n // 2) for n in range(3, 31, 3)]
     assert all(grid_property_holds(determinant, ap, k) for ap, k in cases)
     assert not all(grid_property_holds(mutant, ap, k) for ap, k in cases), name
+
+
+@st.composite
+def unit_matrices(draw):
+    """Square {0, +-1} matrices up to 12 x 12; half of those of size 2 or
+    more repeat their first row last, so singular ones are common."""
+    k = draw(st.integers(0, 12))
+    row = st.lists(st.sampled_from((0, 1, -1)), min_size=k, max_size=k)
+    m = draw(st.lists(row, min_size=k, max_size=k))
+    if k >= 2 and draw(st.booleans()):
+        m[-1] = list(m[0])
+    return m
+
+
+def unit_pivot_agrees(det, m):
+    """det(m) is |det m| by the dense Bareiss, the reference."""
+    return det(copy.deepcopy(m)) == abs(_int_bareiss(copy.deepcopy(m)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(unit_matrices())
+def test_unit_pivots_give_the_dense_determinant(m):
+    assert unit_pivot_agrees(invariants._unit_pivot_det, m)
+
+
+@pytest.fixture(scope="module")
+def grid_matrices():
+    """The matrices determinant hands to _unit_pivot_det for seeded n = 3..96."""
+    recorded, real = [], invariants._unit_pivot_det
+
+    def recording(m):
+        recorded.append(copy.deepcopy(m))
+        return real(m)
+
+    with mock.patch.object(invariants, "_unit_pivot_det", recording):
+        for n in range(3, 97):
+            determinant(random_presentation(n, 7400 + n))
+    return recorded
+
+
+def test_unit_pivots_on_the_seeded_grid_matrices(grid_matrices):
+    assert [len(m) for m in grid_matrices] == list(range(3, 97))
+    assert all(unit_pivot_agrees(invariants._unit_pivot_det, m) for m in grid_matrices)
+
+
+# (name, source text of invariants._unit_pivot_det, its replacement)
+UNIT_PIVOT_MUTANTS = [
+    ("pivot sign dropped", "f * pv * v", "f * v"),
+    ("pivot row left live", "prow = rows.pop(min(ones)[1])", "prow = rows[min(ones)[1]]"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, old, new", UNIT_PIVOT_MUTANTS, ids=[m[0] for m in UNIT_PIVOT_MUTANTS]
+)
+def test_unit_pivot_property_catches_mutants(name, old, new, grid_matrices):
+    rng = random.Random(7411)
+    cases = [
+        [[rng.choice((0, 1, -1)) for _ in range(k)] for _ in range(k)]
+        for k in range(1, 13)
+        for _ in range(10)
+    ]
+    cases += grid_matrices[:30]
+    mutant = _mutant(invariants._unit_pivot_det, old, new)
+    assert all(unit_pivot_agrees(invariants._unit_pivot_det, m) for m in cases)
+    assert not all(unit_pivot_agrees(mutant, m) for m in cases), name
 
 
 @pytest.mark.parametrize(
@@ -870,6 +937,66 @@ def test_project_on_the_lattice_matches_the_fraction_projection():
             assert c == w
         attempts.add(got.attempt)
     assert {None, 0, 1} <= attempts
+
+
+FRACTIONS = st.tuples(
+    st.integers(0, 1 << 64), st.one_of(st.integers(1, 16), st.integers(1, 1 << 64))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(FRACTIONS, min_size=2, max_size=8))
+def test_projection_keys_order_like_fractions(pairs):
+    k = invariants._key_shift(den for _, den in pairs)
+    keyed = [((num << k) // den, Fraction(num, den)) for num, den in pairs]
+    for (a, x), (b, y) in itertools.combinations(keyed, 2):
+        assert (a < b, a == b) == (x < y, x == y)
+
+
+def test_key_shift_separates_two_fifths_from_three_sevenths():
+    k = invariants._key_shift([5, 7])
+    assert (2 << k) // 5 < (3 << k) // 7
+    b = max(d.bit_length() for d in (5, 7))
+    assert (2 << b) // 5 == (3 << b) // 7  # a key with k = b would merge them
+
+
+# shadows of a hexagon whose edge 0, from (0, 0) to (1, 0), edge 2 crosses at
+# x = 2/5 and edge 4 at x = 3/7, over denominators 5 and 7; edges 2 and 4
+# cross at (1/2, 1/2) over denominator 2
+COMB = [(0, 0), (1, 0), (1, 3), (0, -2), (0, -3), (1, 4)]
+
+
+def test_project_once_orders_two_fifths_before_three_sevenths(monkeypatch):
+    verts = tuple((x, y, z) for (x, y), z in zip(COMB, (0, 0, 1, 2, 3, 4)))
+    diag, failed = _project_once(verts, COMB)
+    assert failed is None and (diag, failed) == project_once_reference(verts, COMB)
+    assert [(diag.crossings[cid].over, is_over) for cid, is_over in diag.gauss[:2]] == [
+        (2, False),
+        (4, False),
+    ]
+    monkeypatch.setattr(invariants, "_key_shift", lambda dens: max(d.bit_length() for d in dens))
+    assert _project_once(verts, COMB) == (None, "no-triple-points")
+
+
+def test_project_past_the_lattice_cap_matches_the_lattice_ints(monkeypatch):
+    """On Fraction vertices, as lattice returns them past LATTICE_MAX_BITS,
+    project clears each crossing's denominators and gives the diagram it
+    gives on the lattice's ints."""
+    polygons = [build_full(random_presentation(n, 7500 + n))[0].vertices for n in range(5, 17)]
+    for verts in _grid_polygons(1729, 200):
+        polygons.append([(Fraction(x, 2), Fraction(y, 3), z) for x, y, z in verts])
+    want = [_projection(project, geom.lattice(verts)[1]) for verts in polygons]
+    monkeypatch.setattr(geom, "LATTICE_MAX_BITS", 0)
+    crossings = 0
+    for verts, w in zip(polygons, want):
+        scale, image = geom.lattice(verts)
+        assert scale == 1 and any(type(c) is Fraction for v in image for c in v)
+        got = _projection(project, image)
+        assert (got is None) == (w is None)
+        if got is not None:
+            assert (got.diagram, got.direction, got.attempt) == (w.diagram, w.direction, w.attempt)
+            crossings += len(got.diagram.crossings)
+    assert crossings > 0 and None in want
 
 
 def test_seg2_line_intersection():

@@ -147,8 +147,8 @@ MIRROR_MUTANTS = [
     (
         "every project sign negated",
         invariants._project_once,
-        "(i, j, sign, s, u) if zi > zj else (j, i, -sign, u, s)",
-        "(i, j, -sign, s, u) if zi > zj else (j, i, sign, u, s)",
+        "(i, j, sign, ks, ku) if zi > zj else (j, i, -sign, ku, ks)",
+        "(i, j, -sign, ks, ku) if zi > zj else (j, i, sign, ku, ks)",
     ),
 ]
 
