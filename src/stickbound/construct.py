@@ -12,6 +12,7 @@ geometric certificates, never by construction alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .errors import InternalVerificationError, InvalidArcPresentation
 from .geom import (
     DISJOINT,
     SHARED_ENDPOINT,
+    Plane,
     _cross3,
     _dot3,
     _sub3,
@@ -205,6 +207,10 @@ class TriangleInfo:
     anchor: int
     triangle: tuple  # (A, B, C) = (apex low corner, right-angle corner, far corner)
 
+    @functools.cached_property
+    def plane(self):  # one for the sweep and the collapse
+        return Plane(self.triangle)
+
 
 def reduction_triangles(ap: ArcPresentation, z: tuple, pts) -> list:
     """The right triangle attached to every type-II/III chord (including n)."""
@@ -238,7 +244,7 @@ def _triangle_clear(edges, info: TriangleInfo, boxes=None):
     for (p, q), e_box in zip(edges, map(bbox, edges) if boxes is None else boxes):
         if boxes_apart(box, e_box) or {p, q} in legs:
             continue
-        if triangle_pierced(info.triangle, (p, q), allowed):
+        if triangle_pierced(info.plane, (p, q), allowed):
             return (p, q)
     return None
 
@@ -278,11 +284,11 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts):
     nxt, prv = [*range(1, m), 0], [m - 1, *range(m - 1)]
     removed, roles = [False] * m, list(k2.roles)
     reduced = []
-    hypotenuses = []  # of the chords in reduced, in order
+    hypotenuses, hyp_boxes = [], []  # of the chords in reduced, in order
     for info in triangles:
         if info.chord == ap.n:
             continue
-        hit = _triangle_clear(hypotenuses, info)
+        hit = _triangle_clear(hypotenuses, info, hyp_boxes)
         if hit is not None:
             raise InternalVerificationError(
                 f"triangle of chord {info.chord} pierced by stick: the hypotenuse "
@@ -298,6 +304,7 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts):
         nxt[prv[k]], prv[nxt[k]] = nxt[k], prv[k]
         removed[k] = True
         hypotenuses.append((a, c))
+        hyp_boxes.append(bbox((a, c)))
         reduced.append(info.chord)
     left = [i for i in range(m) if not removed[i]]
     knot = StickKnot(tuple(k2.vertices[i] for i in left), tuple(roles[i] for i in left))
@@ -312,31 +319,33 @@ def _within_shared(inter, shared) -> bool:
     """Is an exact intersection result contained in the allowed shared simplex?"""
     if inter is None:
         return True
-    if not shared:
-        return False
-    if len(shared) == 1:
-        return inter[0] == "point" and inter[1] == shared[0]
-    seg = (shared[0], shared[1])
-    if inter[0] == "point":
-        return point_on_segment3(inter[1], seg)
-    return point_on_segment3(inter[1], seg) and point_on_segment3(inter[2], seg)
+    if len(shared) < 2:
+        return all(p in shared for p in inter[1:])
+    return all(point_on_segment3(p, shared) for p in inter[1:])
 
 
-def _surface_clean(tris, shared_map) -> bool:
-    """Pairwise triangle contact limited to the declared shared simplices."""
+def _off_plane(plane, tri, shared) -> bool:
+    """Are the corners of ``tri`` outside ``shared`` strictly on one side?"""
+    hs = [plane.height(c) for c in tri if c not in shared]
+    return all(h > 0 for h in hs) or all(h < 0 for h in hs)
+
+
+def _surface_clean(planes, shared_map) -> bool:
+    """Disk triangles (their planes) meet only in their shared simplices.
+
+    If the corners of triangle Y outside the shared corners S lie strictly on
+    one side of X's plane, a point of Y on it has zero weight on them, so Y
+    meets X only in conv(S); likewise with X and Y swapped.  Other pairs
+    test each side of either triangle against the other."""
     for (x, y), shared in shared_map.items():
-        tx, ty = tris[x], tris[y]
-        for e in _tri_edges(tx):
-            if not _within_shared(seg_triangle_intersection(ty, e), shared):
-                return False
-        for e in _tri_edges(ty):
-            if not _within_shared(seg_triangle_intersection(tx, e), shared):
-                return False
+        pair = ((planes[x], planes[y]), (planes[y], planes[x]))
+        if any(_off_plane(u, v.triangle, shared) for u, v in pair):
+            continue
+        for u, v in pair:
+            for e in _tri_edges(u.triangle):
+                if not _within_shared(seg_triangle_intersection(v, e), shared):
+                    return False
     return True
-
-
-def _nondegenerate(tri) -> bool:
-    return _cross3(_sub3(tri[1], tri[0]), _sub3(tri[2], tri[0])) != (0, 0, 0)
 
 
 def top_reduction(knot: StickKnot):
@@ -388,20 +397,20 @@ def _tips(v, length):
     return [tuple(x + length * (x - y) for x, y in zip(j, f)) for j, f in ends]
 
 
-def _disk_avoids(tris, rim, sticks, boxes):
+def _disk_avoids(planes, rim, sticks, boxes):
     """No stationary stick meets any disk triangle illegally.
 
     A stick may touch a triangle only at a point that is its own endpoint, a
     corner of the triangle, and a rim vertex of the disk (the polygon's
     pinned joints); everywhere else the closed triangles must be clear.
     """
-    tri_boxes = [bbox(tri) for tri in tris]
+    tri_boxes = [bbox(pl.triangle) for pl in planes]
     for e, e_box in zip(sticks, boxes):
-        for tri, box in zip(tris, tri_boxes):
+        for pl, box in zip(planes, tri_boxes):
             if boxes_apart(box, e_box):
                 continue
-            ig = frozenset(p for p in e if p in tri and p in rim)
-            if triangle_pierced(tri, e, ig):
+            ig = frozenset(p for p in e if p in pl.triangle and p in rim)
+            if triangle_pierced(pl, e, ig):
                 return False
     return True
 
@@ -505,11 +514,15 @@ def _certify_top(rot_v, t_a, t_b, stationary):
                 continue
         for before, tris in zip((_OLD_PATH, interim), steps):
             disk, shared, rim, kept = _disk_parts(corners, before, tris)
-            if not all(map(_nondegenerate, disk)) or not _surface_clean(disk, shared):
+            try:
+                planes = [Plane(t) for t in disk]
+            except ValueError:  # a degenerate disk triangle
+                planes = None
+            if planes is None or not _surface_clean(planes, shared):
                 reason = "self-intersecting-spanning-surface"
                 break
             boxes = stationary[1] + [bbox(e) for e in kept]
-            if not _disk_avoids(disk, rim, stationary[0] + kept, boxes):
+            if not _disk_avoids(planes, rim, stationary[0] + kept, boxes):
                 reason = "stationary-stick-meets-spanning-surface"
                 break
         else:

@@ -15,7 +15,9 @@ fractions, so the points keep their own coordinates (scale 1) and the same
 predicates run on them.
 A segment crossing a triangle's plane is tested as the homogeneous point X / w,
 so only a contact strictly inside a segment builds a ``Fraction``; a contact
-at a segment's end returns the caller's own point tuple.
+at a segment's end returns the caller's own point tuple.  A triangle met by
+many segments is prepared once as a :class:`Plane`, whose height signs also
+settle most pairs of the spanning-disk check (``construct._surface_clean``).
 
 Loops over many segment/segment or segment/triangle pairs first compare
 exact axis-aligned bounding boxes (:func:`bbox`, :func:`boxes_apart`).  Two
@@ -175,28 +177,28 @@ def seg3_relation(s1: Segment3, s2: Segment3) -> str:
     c, d = s2
     if a == b or c == d:
         raise ValueError("degenerate segment")
-    w1 = _sub3(b, a)
-    w2 = _sub3(d, c)
-    r = _sub3(c, a)
-    n = _cross3(w1, w2)
-    if n != _ZERO3:
-        if _dot3(r, n) != 0:
+    w0, w1, w2 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    v0, v1, v2 = d[0] - c[0], d[1] - c[1], d[2] - c[2]
+    r0, r1, r2 = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    n0, n1, n2 = w1 * v2 - w2 * v1, w2 * v0 - w0 * v2, w0 * v1 - w1 * v0
+    if n0 or n1 or n2:
+        if r0 * n0 + r1 * n1 + r2 * n2:
             return DISJOINT  # skew lines
-        nn = _dot3(n, n)
-        s = _dot3(_cross3(r, w2), n)  # parameters s / nn and u / nn
-        u = _dot3(_cross3(r, w1), n)
+        nn = n0 * n0 + n1 * n1 + n2 * n2  # parameters s / nn and u / nn
+        s = (r1 * v2 - r2 * v1) * n0 + (r2 * v0 - r0 * v2) * n1 + (r0 * v1 - r1 * v0) * n2
+        u = (r1 * w2 - r2 * w1) * n0 + (r2 * w0 - r0 * w2) * n1 + (r0 * w1 - r1 * w0) * n2
         if 0 <= s <= nn and 0 <= u <= nn:
             if (s == 0 or s == nn) and (u == 0 or u == nn):
                 return SHARED_ENDPOINT
             return IMPROPER
         return DISJOINT
     # parallel lines
-    if _cross3(r, w1) != _ZERO3:
+    if r1 * w2 != r2 * w1 or r2 * w0 != r0 * w2 or r0 * w1 != r1 * w0:
         return DISJOINT
-    # collinear: reduce to 1D parameter overlap along w1, in units of 1 / ww
-    ww = _dot3(w1, w1)
-    tc = _dot3(r, w1)
-    td = _dot3(_sub3(d, a), w1)
+    # collinear: reduce to 1D parameter overlap along w, in units of 1 / ww
+    ww = w0 * w0 + w1 * w1 + w2 * w2
+    tc = r0 * w0 + r1 * w1 + r2 * w2
+    td = tc + v0 * w0 + v1 * w1 + v2 * w2
     lo = max(min(tc, td), 0)
     hi = min(max(tc, td), ww)
     if lo > hi:
@@ -221,37 +223,55 @@ def _orient_val(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def seg_triangle_intersection(t: Triangle3, s: Segment3):
+class Plane:
+    """A triangle prepared once for many segment tests: a point's height is
+    normal . p - offset, and each of ``edges`` is a side projected to ``axes``
+    as (e0, e1, k), with (x, y) at weight w inside iff e0 y - e1 x >= k w.
+    Raises ValueError on a degenerate triangle."""
+
+    __slots__ = ("triangle", "normal", "offset", "axes", "edges")
+
+    def __init__(self, t: Triangle3):
+        a, b, c = t
+        nrm = _cross3(_sub3(b, a), _sub3(c, a))
+        if nrm == _ZERO3:
+            raise ValueError("degenerate triangle")
+        i, j = _drop_axis(nrm)
+        a2, b2, c2 = (a[i], a[j]), (b[i], b[j]), (c[i], c[j])
+        if _orient_val(a2, b2, c2) < 0:
+            b2, c2 = c2, b2
+        self.triangle, self.normal, self.offset, self.axes = t, nrm, _dot3(nrm, a), (i, j)
+        sides = ((a2, b2), (b2, c2), (c2, a2))
+        self.edges = [(v[0] - u[0], v[1] - u[1], v[0] * u[1] - v[1] * u[0]) for u, v in sides]
+
+    def height(self, p):
+        n0, n1, n2 = self.normal
+        return n0 * p[0] + n1 * p[1] + n2 * p[2] - self.offset
+
+
+def seg_triangle_intersection(t, s: Segment3):
     """Exact intersection of a segment with a closed triangle.
 
-    Returns None, ("point", p) or ("segment", p, q).  A crossing of the
-    plane is the point X / w, X = h0 * q - h1 * p and w = h0 - h1 > 0 for the
-    ends' signed heights h, and the edge tests are orientations scaled by w.
-    Only a point strictly inside the segment is divided out.
+    ``t`` is the triangle or its :class:`Plane`.  Returns None, ("point", p)
+    or ("segment", p, q).  A crossing of the plane is the point X / w, X =
+    h0 * q - h1 * p and w = h0 - h1 > 0 for the ends' signed heights h, and
+    the edge tests are orientations scaled by w.  Only a point strictly
+    inside the segment is divided out.
     """
-    a, b, c = t
-    nrm = _cross3(_sub3(b, a), _sub3(c, a))
-    if nrm == _ZERO3:
-        raise ValueError("degenerate triangle")
+    pl = t if type(t) is Plane else Plane(t)
     p, q = s
     if p == q:
         raise ValueError("degenerate segment")
-    h0 = _dot3(nrm, _sub3(p, a))
-    h1 = _dot3(nrm, _sub3(q, a))
+    h0, h1 = pl.height(p), pl.height(q)
     if (h0 > 0 and h1 > 0) or (h0 < 0 and h1 < 0):
         return None
-    i, j = _drop_axis(nrm)
-    a2, b2, c2 = (a[i], a[j]), (b[i], b[j]), (c[i], c[j])
-    if _orient_val(a2, b2, c2) < 0:
-        b2, c2 = c2, b2
-    edges = ((a2, b2), (b2, c2), (c2, a2))
+    i, j = pl.axes
     if h0 == 0 and h1 == 0:
         # coplanar: clip the segment's parameter interval by the three edges
-        p2, q2 = (p[i], p[j]), (q[i], q[j])
         lo, hi = 0, 1
-        for u, v in edges:
-            f0 = _orient_val(u, v, p2)
-            f1 = _orient_val(u, v, q2)
+        for e0, e1, k in pl.edges:
+            f0 = e0 * p[j] - e1 * p[i] - k
+            f1 = e0 * q[j] - e1 * q[i] - k
             if f0 < 0 and f1 < 0:
                 return None
             if f0 >= 0 and f1 >= 0:
@@ -275,13 +295,13 @@ def seg_triangle_intersection(t: Triangle3, s: Segment3):
         w = h0 - h1
         x0, x1 = h0 * q[i] - h1 * p[i], h0 * q[j] - h1 * p[j]
         x = None
-    for u, v in edges:
-        if (v[0] - u[0]) * (x1 - u[1] * w) - (v[1] - u[1]) * (x0 - u[0] * w) < 0:
+    for e0, e1, k in pl.edges:
+        if e0 * x1 - e1 * x0 < k * w:
             return None
     return ("point", x if x is not None else _lerp3(p, q, Fraction(h0, w)))
 
 
-def triangle_pierced(t: Triangle3, s: Segment3, ignore=frozenset()) -> bool:
+def triangle_pierced(t, s: Segment3, ignore=frozenset()) -> bool:
     """True iff s meets the closed triangle anywhere outside ``ignore``.
 
     ``ignore`` is a set of exact points (attachment points of the polygon);
@@ -290,11 +310,7 @@ def triangle_pierced(t: Triangle3, s: Segment3, ignore=frozenset()) -> bool:
     nonempty.
     """
     hit = seg_triangle_intersection(t, s)
-    if hit is None:
-        return False
-    if hit[0] == "point":
-        return hit[1] not in ignore
-    return True
+    return hit is not None and (hit[0] == "segment" or hit[1] not in ignore)
 
 
 def point_on_segment3(p: Point3, s: Segment3) -> bool:

@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stickbound import arcpres, construct, geom, invariants
@@ -28,7 +28,6 @@ from stickbound.construct import (
     _disk_avoids,
     _disk_parts,
     _new_edge_failures,
-    _nondegenerate,
     _surface_clean,
     _triangle_clear,
     assign_heights,
@@ -45,7 +44,15 @@ from stickbound.construct import (
     verify_heights,
 )
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
-from stickbound.geom import bbox, lattice, polygon_embedded, triangle_pierced
+from stickbound.geom import (
+    Plane,
+    bbox,
+    lattice,
+    point_on_segment3,
+    polygon_embedded,
+    seg_triangle_intersection,
+    triangle_pierced,
+)
 from stickbound.invariants import alexander
 from test_invariants import reintersecting_diagram
 
@@ -397,6 +404,24 @@ def test_capped_build_json_matches_golden_digest(n, seed, monkeypatch):
     assert build_digest(n, seed) == GOLDEN_CAPPED_SHA256[n, seed]
 
 
+# One sha256 over the build JSON and repr(Certificate) of a wider corpus,
+# recorded before the disk check's separating-plane rule: the first 128
+# seeded 8-chord inputs, the two known 8-chord skips and the first 16 seeded
+# 24-chord inputs.
+CORPUS = [(8, 1000003 + i) for i in range(128)] + [(8, 601001851), (8, 941003160)]
+CORPUS += [(24, 1000003 + i) for i in range(16)]
+CORPUS_SHA256 = "fc45961cded80e71e2e011179adc6233e58a81dafaa6515c4ecf31211d1d330a"
+
+
+def test_corpus_builds_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for n, seed in CORPUS:
+        knot, cert = build_full(random_presentation(n, seed))
+        text = json.dumps(polygon_json(cert, knot), indent=2) + "\n" + repr(cert) + "\n"
+        digest.update(text.encode())
+    assert digest.hexdigest() == CORPUS_SHA256
+
+
 def test_disk_table_derives_the_hand_written_tables():
     # The tables the top-move certificate spelled out by hand before the
     # shapes became data, kept here as the reference: per shape its interim
@@ -516,6 +541,34 @@ def avoids_reference(tris, rim, sticks):
     return True
 
 
+def nondegenerate(tri):
+    a, b, c = tri
+    u, v = [tuple(x - y for x, y in zip(p, a)) for p in (b, c)]
+    return any(u[i] * v[j] != u[j] * v[i] for i, j in ((0, 1), (1, 2), (2, 0)))
+
+
+def within_reference(hit, shared):
+    """Does a seg_triangle_intersection result lie in conv(shared)?"""
+    if hit is None:
+        return True
+    if not shared:
+        return False
+    if len(shared) == 1:
+        return hit == ("point", shared[0])
+    return all(point_on_segment3(p, shared) for p in hit[1:])
+
+
+def surface_reference(tris, shared_map):
+    """The six-edge loop, with no separating-plane rule: each side of either
+    triangle of a pair meets the other only in their shared simplex."""
+    for (x, y), shared in shared_map.items():
+        for t, u in ((tris[x], tris[y]), (tris[y], tris[x])):
+            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+                if not within_reference(seg_triangle_intersection(u, e), shared):
+                    return False
+    return True
+
+
 def _grid_point(rng):
     return tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(3))
 
@@ -523,7 +576,7 @@ def _grid_point(rng):
 def _random_triangle(rng):
     while True:
         tri = tuple(_grid_point(rng) for _ in range(3))
-        if _nondegenerate(tri):
+        if nondegenerate(tri):
             return tri
 
 
@@ -549,8 +602,47 @@ def test_filtered_triangle_checks_agree_with_unfiltered_loops():
         sticks = knot.edges()[2:]
         rim = frozenset(verts[:3])
         boxes = [bbox(e) for e in sticks]
-        assert _disk_avoids(others, rim, sticks, boxes) == avoids_reference(others, rim, sticks)
+        planes = [Plane(t) for t in others]
+        assert _disk_avoids(planes, rim, sticks, boxes) == avoids_reference(others, rim, sticks)
     assert outcomes == {True, False}
+
+
+_HALF = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
+_POINT = st.tuples(_HALF, _HALF, _HALF)
+
+
+@st.composite
+def _disk_pair(draw):
+    """Non-degenerate triangles X, Y of the half-integer grid and the k = 0,
+    1 or 2 corners they share, in X's order as in _disk_parts.  Each other
+    corner of Y is a free grid point or a point a + (i(b - a) + j(c - a)) / 2
+    of X's plane (a corner, side or inner point, or one outside X), so
+    coplanar and touching pairs are common."""
+    x = draw(st.tuples(_POINT, _POINT, _POINT).filter(nondegenerate))
+    k = draw(st.integers(0, 2))
+    shared = tuple(x[i] for i in sorted(draw(st.permutations(range(3)))[:k]))
+
+    def other():
+        if draw(st.booleans()):
+            return draw(_POINT)
+        i, j = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+        return tuple(a + (i * (b - a) + j * (c - a)) / 2 for a, b, c in zip(*x))
+
+    y = tuple(draw(st.permutations(shared + tuple(other() for _ in range(3 - k)))))
+    assume(nondegenerate(y))
+    return x, y, shared
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(pair=_disk_pair())
+def test_separating_plane_rule_matches_the_six_edge_loop(pair):
+    """_surface_clean, which accepts a pair when the corners of one triangle
+    off the shared simplex lie strictly on one side of the other's plane,
+    gives the verdict of the plain six-edge loop."""
+    x, y, shared = pair
+    shared_map = {(0, 1): shared}
+    planes = [Plane(x), Plane(y)]
+    assert _surface_clean(planes, shared_map) == surface_reference([x, y], shared_map)
 
 
 def test_pierced_reduction_triangle_is_rejected_by_both_loops():
@@ -766,7 +858,9 @@ def test_build_full_diagram_is_the_diagram_of_the_input(concurrence9, monkeypatc
 
 def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):
     """The former _certify_top, which runs every check on the points as
-    given, Fractions included: nothing in it scales them to a lattice."""
+    given, Fractions included: nothing in it scales them to a lattice, and
+    its disk triangles are checked against each other by the plain six-edge
+    loop, with no separating-plane rule."""
     emb = polygon_embedded(cand_v)
     if not emb.ok:
         return False, f"result-not-embedded:{emb.failures[0]}"
@@ -781,11 +875,12 @@ def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):
                 continue
         for before, tris in zip((_OLD_PATH, interim), steps):
             disk, shared, rim, kept = _disk_parts(corners, before, tris)
-            if not all(map(_nondegenerate, disk)) or not _surface_clean(disk, shared):
+            if not all(map(nondegenerate, disk)) or not surface_reference(disk, shared):
                 reason = "self-intersecting-spanning-surface"
                 break
             sticks = outside + kept
-            if not _disk_avoids(disk, rim, sticks, [bbox(e) for e in sticks]):
+            planes = [Plane(t) for t in disk]
+            if not _disk_avoids(planes, rim, sticks, [bbox(e) for e in sticks]):
                 reason = "stationary-stick-meets-spanning-surface"
                 break
         else:

@@ -16,6 +16,7 @@ from stickbound.geom import (
     DISJOINT,
     IMPROPER,
     SHARED_ENDPOINT,
+    Plane,
     bbox,
     binding_points,
     boxes_apart,
@@ -161,6 +162,11 @@ def test_polygon_embedded_flags_crossing():
 def test_polygon_embedded_rejects_too_short():
     with pytest.raises(ValueError):
         polygon_embedded([(0, 0, 0), (1, 0, 0)])
+
+
+def test_preparing_a_degenerate_plane_raises():
+    with pytest.raises(ValueError, match="degenerate triangle"):
+        Plane(((0, 0, 0), (1, 1, 1), (2, 2, 2)))
 
 
 def test_seg_triangle_rejects_degenerate():
@@ -548,6 +554,28 @@ def test_integer_seg_triangle_matches_the_fraction_reference(case, den):
         got = _seg_triangle_outcome(seg_triangle_intersection, t, s)
         want = _seg_triangle_outcome(seg_triangle_on_fractions, t, s)
         assert got == want and hash(got) == hash(want)
+
+
+@settings(derandomize=True, database=None, max_examples=800, deadline=None)
+@given(case=_triangle_and_segment(), den=st.integers(1, 7))
+@example(case=(_FLAT, ((1, 1, 3), (1, 1, -3))), den=3)  # crossing downwards
+@example(case=(_FLAT, ((-3, 1, 0), (9, 1, 0))), den=5)  # coplanar, clipped twice
+def test_prepared_plane_matches_the_raw_triangle_and_the_reference(case, den):
+    """One Plane, prepared before any segment is tested, gives the raw
+    triangle's result and the dividing reference's for the segment either
+    way round; a degenerate triangle raises as its plane is prepared."""
+    scaled = tuple(tuple(tuple(F(c, den) for c in x) for x in y) for y in case)
+    for t, (p, q) in (case, scaled):
+        try:
+            plane = Plane(t)
+        except ValueError as exc:
+            assert str(exc) == "degenerate triangle"
+            assert _seg_triangle_outcome(seg_triangle_on_fractions, t, (p, q)) == str(exc)
+            continue
+        for s in ((p, q), (q, p)):
+            want = _seg_triangle_outcome(seg_triangle_on_fractions, t, s)
+            assert _seg_triangle_outcome(seg_triangle_intersection, plane, s) == want
+            assert _seg_triangle_outcome(seg_triangle_intersection, t, s) == want
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)
