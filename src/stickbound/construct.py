@@ -17,7 +17,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from . import invariants
@@ -44,8 +43,6 @@ from .geom import (
     lattice,
     polygon_embedded,
     seg3_relation,
-    seg_triangle_intersection,
-    point_on_segment3,
     triangle_pierced,
 )
 
@@ -230,21 +227,24 @@ def reduction_triangles(ap: ArcPresentation, z: tuple, pts) -> list:
     return out
 
 
-def _triangle_clear(edges, info: TriangleInfo, boxes=None):
-    """First of ``edges`` meeting the closed triangle beyond its own legs, if any.
+def _triangle_clear(plane, edges, boxes, insertion=False):
+    """First of ``edges`` meeting the closed triangle (u, x, v) of ``plane``
+    beyond its legs, if any; ``boxes`` are the boxes of ``edges``.
 
-    The two legs (vertical to the anchor, horizontal of the chord) are
-    skipped; contact exactly at the lower apex corner or the far corner is
-    allowed, since the polygon is attached there.
+    The triangle is a Δ-move's: it deletes corner x between u and v, as a
+    collapse does, or for an ``insertion`` puts x between them.  Its legs,
+    the sides that are edges of the polygon before the move (u-x and x-v,
+    or u-v), are skipped, and contact exactly at u or v is allowed, since
+    the polygon is attached there.
     """
-    a, b, c = info.triangle
-    legs = ({a, b}, {b, c})
-    allowed = frozenset((a, c))
-    box = bbox(info.triangle)
-    for (p, q), e_box in zip(edges, map(bbox, edges) if boxes is None else boxes):
+    u, x, v = plane.triangle
+    legs = ({u, v},) if insertion else ({u, x}, {x, v})
+    allowed = frozenset((u, v))
+    box = bbox(plane.triangle)
+    for (p, q), e_box in zip(edges, boxes):
         if boxes_apart(box, e_box) or {p, q} in legs:
             continue
-        if triangle_pierced(info.plane, (p, q), allowed):
+        if triangle_pierced(plane, (p, q), allowed):
             return (p, q)
     return None
 
@@ -253,7 +253,7 @@ def sweep_triangles(knot: StickKnot, triangles) -> list:
     """All (triangle, offending stick) pairs; empty means every triangle clear."""
     edges = knot.edges()
     boxes = [bbox(e) for e in edges]
-    return [(t, hit) for t in triangles if (hit := _triangle_clear(edges, t, boxes))]
+    return [(t, hit) for t in triangles if (hit := _triangle_clear(t.plane, edges, boxes))]
 
 
 def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts):
@@ -288,7 +288,7 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts):
     for info in triangles:
         if info.chord == ap.n:
             continue
-        hit = _triangle_clear(hypotenuses, info, hyp_boxes)
+        hit = _triangle_clear(info.plane, hypotenuses, hyp_boxes)
         if hit is not None:
             raise InternalVerificationError(
                 f"triangle of chord {info.chord} pierced by stick: the hypotenuse "
@@ -311,43 +311,6 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts):
     return knot, tuple(reduced)
 
 
-def _tri_edges(t):
-    return ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-
-
-def _within_shared(inter, shared) -> bool:
-    """Is an exact intersection result contained in the allowed shared simplex?"""
-    if inter is None:
-        return True
-    if len(shared) < 2:
-        return all(p in shared for p in inter[1:])
-    return all(point_on_segment3(p, shared) for p in inter[1:])
-
-
-def _off_plane(plane, tri, shared) -> bool:
-    """Are the corners of ``tri`` outside ``shared`` strictly on one side?"""
-    hs = [plane.height(c) for c in tri if c not in shared]
-    return all(h > 0 for h in hs) or all(h < 0 for h in hs)
-
-
-def _surface_clean(planes, shared_map) -> bool:
-    """Disk triangles (their planes) meet only in their shared simplices.
-
-    If the corners of triangle Y outside the shared corners S lie strictly on
-    one side of X's plane, a point of Y on it has zero weight on them, so Y
-    meets X only in conv(S); likewise with X and Y swapped.  Other pairs
-    test each side of either triangle against the other."""
-    for (x, y), shared in shared_map.items():
-        pair = ((planes[x], planes[y]), (planes[y], planes[x]))
-        if any(_off_plane(u, v.triangle, shared) for u, v in pair):
-            continue
-        for u, v in pair:
-            for e in _tri_edges(u.triangle):
-                if not _within_shared(seg_triangle_intersection(v, e), shared):
-                    return False
-    return True
-
-
 def top_reduction(knot: StickKnot):
     """Replace the five-stick path through the top chord by three sticks.
 
@@ -355,9 +318,10 @@ def top_reduction(knot: StickKnot):
     beyond their junctions by L times their own length and joined by one
     connector stick.  L is searched by doubling (4, 8, ..., up to the
     module's DEFAULT_MAX_L = 2^16, read at each call).  A candidate is
-    accepted only if the new polygon is embedded and a triangulated spanning
-    surface between the old and new arcs is pierced by no stationary stick;
-    otherwise the move is skipped and the polygon returned unchanged.
+    accepted only if the new polygon is embedded and four certified Δ-moves
+    carry the old path onto the new one (:func:`_certify_top`); otherwise
+    the move is skipped and the polygon returned unchanged.  The stationary
+    sticks and their boxes are built once per call.
     Every check runs on the polygon's own coordinates, which hold every tip
     as L is an integer.
 
@@ -397,69 +361,6 @@ def _tips(v, length):
     return [tuple(x + length * (x - y) for x, y in zip(j, f)) for j, f in ends]
 
 
-def _disk_avoids(planes, rim, sticks, boxes):
-    """No stationary stick meets any disk triangle illegally.
-
-    A stick may touch a triangle only at a point that is its own endpoint, a
-    corner of the triangle, and a rim vertex of the disk (the polygon's
-    pinned joints); everywhere else the closed triangles must be clear.
-    """
-    tri_boxes = [bbox(pl.triangle) for pl in planes]
-    for e, e_box in zip(sticks, boxes):
-        for pl, box in zip(planes, tri_boxes):
-            if boxes_apart(box, e_box):
-                continue
-            ig = frozenset(p for p in e if p in pl.triangle and p in rim)
-            if triangle_pierced(pl, e, ig):
-                return False
-    return True
-
-
-# The top move's six corners, by index: the old path j_a, top_a, top_b, j_b
-# and the extension tips t_a, t_b.
-J_A, TOP_A, TOP_B, J_B, T_A, T_B = range(6)
-_OLD_PATH = (J_A, TOP_A, TOP_B, J_B)
-_S1 = (J_A, TOP_A, T_A)  # swing triangles of sides a and b
-_S2 = (J_B, TOP_B, T_B)
-
-# Spanning-disk shapes in the order they are tried: (interim path or None,
-# steps).  Each step is a tuple of disk triangles; the first step starts from
-# the old path, the second from the interim path.
-_DISKS = (
-    # ruled_a, ruled_b: one ruled step, the middle quad split along either diagonal
-    (None, ((_S1, _S2, (TOP_A, TOP_B, T_B), (TOP_A, T_B, T_A)),)),
-    (None, ((_S1, _S2, (TOP_A, TOP_B, T_A), (TOP_B, T_B, T_A)),)),
-    # two-step-b: the top stick and vertical b onto T_b, then vertical a and
-    # the interim stick onto T_a
-    ((J_A, TOP_A, T_B, J_B), ((_S2, (TOP_A, TOP_B, T_B)), (_S1, (TOP_A, T_B, T_A)))),
-    # two-step-a mirrors it
-    ((J_A, T_A, TOP_B, J_B), ((_S1, (TOP_A, TOP_B, T_A)), (_S2, (TOP_B, T_B, T_A)))),
-)
-
-
-def _disk_parts(corners, before, tris):
-    """Triangles, shared simplices, rim and kept path sticks of one disk step.
-
-    ``tris`` index into ``corners``, and ``before`` is the path the step
-    starts from.  Two triangles may meet only in their common corners, the
-    rim is every corner of the step, and the sticks of the path that are no
-    side of a disk triangle stay where they are during the step.
-    """
-    disk = tuple(tuple(corners[i] for i in t) for t in tris)
-    shared = {
-        (x, y): tuple(corners[i] for i in sorted(set(tris[x]) & set(tris[y])))
-        for x, y in combinations(range(len(tris)), 2)
-    }
-    rim = frozenset(corners[i] for t in tris for i in t)
-    sides = {frozenset(e) for t in tris for e in _tri_edges(t)}
-    kept = [
-        (corners[a], corners[b])
-        for a, b in zip(before, before[1:])
-        if frozenset((a, b)) not in sides
-    ]
-    return disk, shared, rim, kept
-
-
 def _new_edge_failures(pts, fresh):
     """:func:`polygon_embedded`'s failures, in its order, for points ``pts``
     whose edges outside the index set ``fresh`` are edges of an embedded
@@ -478,26 +379,72 @@ def _new_edge_failures(pts, fresh):
     return failures
 
 
+# The top move's corners, by index: the old path j_a, top_a, top_b, j_b and
+# the extension tips t_a, t_b.
+J_A, TOP_A, TOP_B, J_B, T_A, T_B = range(6)
+
+# The shapes of the move in the order they are tried, each four Δ-moves that
+# carry the old path onto j_a, t_a, t_b, j_b: (u, p) inserts corner p after
+# corner u, and w deletes corner w.
+_SHAPES = (
+    # ruled_a, ruled_b: the quad top_a, top_b, t_b, t_a cut along either diagonal
+    ((J_A, T_A), (TOP_A, T_B), TOP_A, TOP_B),
+    ((J_A, T_A), TOP_A, (T_A, T_B), TOP_B),
+    # two-step-b: side b onto t_b, then side a onto t_a; two-step-a mirrors it
+    ((TOP_B, T_B), TOP_B, (J_A, T_A), TOP_A),
+    ((J_A, T_A), TOP_A, (TOP_B, T_B), TOP_B),
+)
+
+
+def _shape_failure(corners, moves, stationary):
+    """Why the first illegal Δ-move of ``moves`` is illegal, or None.
+
+    A move's triangle is (u, p, v) for an insertion between u and v and
+    (u, w, v) for a deletion.  It is legal when it is not degenerate and its
+    closed triangle meets the polygon before the move only in the sides it
+    replaces and at u and v; the stationary sticks are tested first.
+    """
+    sticks, boxes = stationary
+    path = [J_A, TOP_A, TOP_B, J_B]
+    for move in moves:
+        edges = [(corners[x], corners[y]) for x, y in zip(path, path[1:])]
+        insertion = type(move) is tuple
+        if insertion:
+            u, p = move
+            k = path.index(u) + 1
+            tri = (u, p, path[k])
+            path.insert(k, p)
+        else:
+            k = path.index(move)
+            tri = path[k - 1 : k + 2]
+            del path[k]
+        try:
+            plane = Plane(tuple(corners[i] for i in tri))
+        except ValueError:  # a degenerate triangle
+            return "self-intersecting-spanning-surface"
+        if _triangle_clear(plane, sticks, boxes, insertion) is not None:
+            return "stationary-stick-meets-spanning-surface"
+        if _triangle_clear(plane, edges, [bbox(e) for e in edges], insertion) is not None:
+            return "self-intersecting-spanning-surface"
+    return None
+
+
 def _certify_top(rot_v, t_a, t_b, stationary):
     """Exact certificate for one candidate top reduction.
 
     ``rot_v`` is the reduced polygon from j_a on (vertical a, top stick,
     vertical b, chain f_b .. f_a) and t_a, t_b the tips, all in the same
     coordinates; ``stationary`` holds the other sticks and their boxes.
-    Requires the new polygon to be embedded, plus some certified spanning
-    disk between the old path (vertical, top stick, vertical) and the new one
-    (extension, connector, extension) pierced by nothing stationary.  The
-    shapes of ``_DISKS`` are tried in order: the one-step ruled surface with
-    either diagonal of its middle quad, and two two-step variants that swing
-    one side at a time through a certified-embedded intermediate polygon
-    (these survive the configurations where the two extension rays cross in
-    the shadow, since the lower extension passes under the other side's
-    swing triangle).  Coinciding tips reject the candidate, and an interim
-    path with a repeated corner rejects its shape, before the embedding test.
-    That test covers only the edges a polygon adds (connector and extensions,
-    or an interim path's two): the rest are edges of the reduced polygon,
-    embedded as K2 passed the full check and every reduction triangle was
-    proved empty, so the first failure is the full check's.
+    Coinciding tips reject the candidate, and so does a new polygon that is
+    not embedded.  That test covers only its three new edges (connector and
+    extensions): the rest are edges of the reduced polygon, embedded as K2
+    passed the full check and every reduction triangle was proved empty, so
+    the first failure is the full check's.  Then the shapes of ``_SHAPES``
+    are tried in order, each four Δ-moves (Reidemeister, Knotentheorie,
+    1932) carrying the old path (vertical, top stick, vertical) onto the new
+    one (extension, connector, extension).  Legal moves keep the polygon
+    embedded and its knot type, so the first shape whose moves are all legal
+    certifies the candidate; else the last shape's reason is returned.
     """
     if t_a == t_b:
         return False, "extension-tips-coincide"
@@ -505,27 +452,9 @@ def _certify_top(rot_v, t_a, t_b, stationary):
     if bad := _new_edge_failures(cand_v, {0, 1, len(cand_v) - 1}):
         return False, f"result-not-embedded:{bad[0]}"
     corners = (*rot_v[:4], t_a, t_b)
-    for interim, steps in _DISKS:
-        if interim is not None:
-            path = [corners[i] for i in interim]
-            fresh = {i for i in range(3) if max(interim[i : i + 2]) >= T_A}  # at a tip
-            if len(set(path)) < 4 or _new_edge_failures(path + rot_v[4:], fresh):
-                reason = "interim-polygon-not-embedded"
-                continue
-        for before, tris in zip((_OLD_PATH, interim), steps):
-            disk, shared, rim, kept = _disk_parts(corners, before, tris)
-            try:
-                planes = [Plane(t) for t in disk]
-            except ValueError:  # a degenerate disk triangle
-                planes = None
-            if planes is None or not _surface_clean(planes, shared):
-                reason = "self-intersecting-spanning-surface"
-                break
-            boxes = stationary[1] + [bbox(e) for e in kept]
-            if not _disk_avoids(planes, rim, stationary[0] + kept, boxes):
-                reason = "stationary-stick-meets-spanning-surface"
-                break
-        else:
+    for moves in _SHAPES:
+        reason = _shape_failure(corners, moves, stationary)
+        if reason is None:
             return True, ""
     return False, reason
 

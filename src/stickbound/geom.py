@@ -16,8 +16,8 @@ predicates run on them.
 A segment crossing a triangle's plane is tested as the homogeneous point X / w,
 so only a contact strictly inside a segment builds a ``Fraction``; a contact
 at a segment's end returns the caller's own point tuple.  A triangle met by
-many segments is prepared once as a :class:`Plane`, whose height signs also
-settle most pairs of the spanning-disk check (``construct._surface_clean``).
+many segments, a reduction triangle or a Δ-move triangle of the top move
+(``construct._certify_top``), is prepared once as a :class:`Plane`.
 
 Loops over many segment/segment or segment/triangle pairs first compare
 exact axis-aligned bounding boxes (:func:`bbox`, :func:`boxes_apart`).  Two
@@ -311,16 +311,6 @@ def triangle_pierced(t, s: Segment3, ignore=frozenset()) -> bool:
     """
     hit = seg_triangle_intersection(t, s)
     return hit is not None and (hit[0] == "segment" or hit[1] not in ignore)
-
-
-def point_on_segment3(p: Point3, s: Segment3) -> bool:
-    """True iff p lies on the closed segment s (exact)."""
-    a, b = s
-    w = _sub3(b, a)
-    if _cross3(_sub3(p, a), w) != _ZERO3:
-        return False
-    d = _dot3(_sub3(p, a), w)
-    return 0 <= d <= _dot3(w, w)
 
 
 @dataclass(frozen=True)

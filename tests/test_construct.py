@@ -8,7 +8,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stickbound import arcpres, construct, geom, invariants
@@ -20,15 +20,12 @@ from stickbound.arcpres import (
     random_presentation,
 )
 from stickbound.construct import (
-    _DISKS,
-    _OLD_PATH,
+    _SHAPES,
     _certify_top,
+    _shape_failure,
     StickKnot,
     TriangleInfo,
-    _disk_avoids,
-    _disk_parts,
     _new_edge_failures,
-    _surface_clean,
     _triangle_clear,
     assign_heights,
     build_full,
@@ -45,21 +42,25 @@ from stickbound.construct import (
 )
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.geom import (
-    Plane,
     bbox,
     lattice,
-    point_on_segment3,
     polygon_embedded,
     seg_triangle_intersection,
     triangle_pierced,
 )
 from stickbound.invariants import alexander
+from test_geom import point_on_segment3
 from test_invariants import reintersecting_diagram
 
 
 def reductions_of(ap, k2):
     """triangle_reductions of k2 at ap's assigned heights and layout points."""
     return triangle_reductions(ap, k2, assign_heights(ap), layout(ap)[0])
+
+
+def clear(edges, info):
+    """_triangle_clear of a reduction triangle against ``edges``."""
+    return _triangle_clear(info.plane, edges, [bbox(e) for e in edges])
 
 
 def test_assign_heights_constraints(ap5):
@@ -307,7 +308,7 @@ def test_build_full_leaves_the_height_recheck_to_the_sweep(monkeypatch, n, seed)
     ((k2, triangles),) = swept
     assert 0 <= edge < len(k2.vertices) == 2 * n
     info = next(t for t in triangles if t.chord == chord)
-    assert _triangle_clear([k2.edges()[edge]], info) == k2.edges()[edge]
+    assert clear([k2.edges()[edge]], info) == k2.edges()[edge]
 
 
 def test_stick_count_merges_collinear_runs():
@@ -422,11 +423,78 @@ def test_corpus_builds_match_the_recorded_digest():
     assert digest.hexdigest() == CORPUS_SHA256
 
 
+# Seeded inputs past 12 chords whose top move is skipped, and their sticks
+SKIPPED_PAST_12 = {(64, 448000194): 82, (32, 1000055): 42}
+
+
+@pytest.mark.parametrize("n,seed", sorted(SKIPPED_PAST_12))
+def test_skipped_moves_past_12_chords_keep_an_embedded_polygon_in_the_bound(n, seed):
+    knot, cert = build_full(random_presentation(n, seed))
+    assert cert.top_reduction == "skipped:stationary-stick-meets-spanning-surface"
+    assert cert.sticks_final == stick_count(knot) == SKIPPED_PAST_12[n, seed]
+    assert polygon_embedded(lattice(knot.vertices)[1]).ok
+    assert cert.invariants_match and cert.bound_satisfied
+
+
+STATIONARY = "stationary-stick-meets-spanning-surface"
+SELF = "self-intersecting-spanning-surface"
+
+# The top move's certificate before it became four Δ-moves per shape, kept
+# here as the reference: a triangulated spanning disk per shape between the
+# old and the new path.  The corners by index: the old path j_a, top_a,
+# top_b, j_b and the extension tips t_a, t_b.
+J_A, TOP_A, TOP_B, J_B, T_A, T_B = range(6)
+OLD_PATH = (J_A, TOP_A, TOP_B, J_B)
+S1 = (J_A, TOP_A, T_A)  # swing triangles of sides a and b
+S2 = (J_B, TOP_B, T_B)
+
+# Spanning-disk shapes in the order they are tried: (interim path or None,
+# steps).  Each step is a tuple of disk triangles; the first step starts from
+# the old path, the second from the interim path.
+DISKS = (
+    # ruled_a, ruled_b: one ruled step, the middle quad split along either diagonal
+    (None, ((S1, S2, (TOP_A, TOP_B, T_B), (TOP_A, T_B, T_A)),)),
+    (None, ((S1, S2, (TOP_A, TOP_B, T_A), (TOP_B, T_B, T_A)),)),
+    # two-step-b: the top stick and vertical b onto T_b, then vertical a and
+    # the interim stick onto T_a; two-step-a mirrors it
+    ((J_A, TOP_A, T_B, J_B), ((S2, (TOP_A, TOP_B, T_B)), (S1, (TOP_A, T_B, T_A)))),
+    ((J_A, T_A, TOP_B, J_B), ((S1, (TOP_A, TOP_B, T_A)), (S2, (TOP_B, T_B, T_A)))),
+)
+
+
+def tri_edges(t):
+    return ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
+
+
+def disk_parts(corners, before, tris):
+    """Triangles, shared simplices, rim and kept path sticks of one disk step.
+
+    ``tris`` index into ``corners``, and ``before`` is the path the step
+    starts from.  Two triangles may meet only in their common corners, the
+    rim is every corner of the step, and the sticks of the path that are no
+    side of a disk triangle stay where they are during the step.
+    """
+    disk = tuple(tuple(corners[i] for i in t) for t in tris)
+    shared = {
+        (x, y): tuple(corners[i] for i in sorted(set(tris[x]) & set(tris[y])))
+        for x in range(len(tris))
+        for y in range(x + 1, len(tris))
+    }
+    rim = frozenset(corners[i] for t in tris for i in t)
+    sides = {frozenset(e) for t in tris for e in tri_edges(t)}
+    kept = [
+        (corners[a], corners[b])
+        for a, b in zip(before, before[1:])
+        if frozenset((a, b)) not in sides
+    ]
+    return disk, shared, rim, kept
+
+
 def test_disk_table_derives_the_hand_written_tables():
-    # The tables the top-move certificate spelled out by hand before the
-    # shapes became data, kept here as the reference: per shape its interim
-    # path, and per step the triangles, shared simplices, rim and the path
-    # sticks that stay put (besides the sticks off the old path).
+    # The tables the disk certificate spelled out by hand before its shapes
+    # became data: per shape its interim path, and per step the triangles,
+    # shared simplices, rim and the path sticks that stay put (besides the
+    # sticks off the old path).
     corners = ("j_a", "top_a", "top_b", "j_b", "t_a", "t_b")
     j_a, top_a, top_b, j_b, t_a, t_b = corners
     s1 = (j_a, top_a, t_a)
@@ -493,19 +561,21 @@ def test_disk_table_derives_the_hand_written_tables():
         ((j_a, t_a, top_b, j_b), two_step_a),
     ]
     derived = []
-    for interim, steps in _DISKS:
+    for interim, steps in DISKS:
         path = None if interim is None else tuple(corners[i] for i in interim)
         parts = tuple(
-            _disk_parts(corners, before, tris)
-            for before, tris in zip((_OLD_PATH, interim), steps)
+            disk_parts(corners, before, tris) for before, tris in zip((OLD_PATH, interim), steps)
         )
         derived.append((path, parts))
     assert derived == expected
 
 
-# (n, seed) of a seeded input whose top move is first certified, at L = 4, by
-# the shape _DISKS[k]: ruled_a, ruled_b, two-step-b, two-step-a
+# (n, seed) of a seeded input whose top move the shape _SHAPES[k] certifies
+# at L = 4 (ruled_a, ruled_b, two-step-b, two-step-a), and the first shape
+# that does.  The four Δ-moves of ruled_a certify (8, 7), although its disk's
+# swing triangles meet: s1 has left the polygon when s2's move is made.
 CERTIFIED_BY = {0: (5, 1), 1: (6, 9), 2: (6, 15), 3: (8, 7)}
+FIRST_SHAPE = {0: 0, 1: 1, 2: 2, 3: 0}
 
 
 @pytest.mark.parametrize("k", sorted(CERTIFIED_BY))
@@ -514,10 +584,13 @@ def test_each_disk_shape_certifies_a_seeded_input(k, monkeypatch):
     reduced, _ = reductions_of(ap, build_k2(ap))
     assert top_reduction(reduced)[1:] == ("applied", 4)
     monkeypatch.setattr(construct, "DEFAULT_MAX_L", 4)
-    monkeypatch.setattr(construct, "_DISKS", _DISKS[: k + 1])
+    monkeypatch.setattr(construct, "_SHAPES", _SHAPES[k : k + 1])
     assert top_reduction(reduced)[1:] == ("applied", 4)
-    if k:  # the shapes tried before it do not certify the move
-        monkeypatch.setattr(construct, "_DISKS", _DISKS[:k])
+    first = FIRST_SHAPE[k]
+    monkeypatch.setattr(construct, "_SHAPES", _SHAPES[: first + 1])
+    assert top_reduction(reduced)[1:] == ("applied", 4)
+    if first:  # the shapes tried before it do not certify the move
+        monkeypatch.setattr(construct, "_SHAPES", _SHAPES[:first])
         assert top_reduction(reduced)[1].startswith("skipped:")
 
 
@@ -533,6 +606,8 @@ def clear_reference(knot, info):
 
 
 def avoids_reference(tris, rim, sticks):
+    """No stick meets a disk triangle except at its own end that is a corner
+    of the triangle and of the disk's rim."""
     for e in sticks:
         for tri in tris:
             ig = frozenset(p for p in e if p in tri and p in rim)
@@ -595,54 +670,10 @@ def test_filtered_triangle_checks_agree_with_unfiltered_loops():
             continue
         knot = StickKnot(tuple(verts), ("?",) * len(verts))
         info = TriangleInfo(2, 1, tri)
-        hit = _triangle_clear(knot.edges(), info)
+        hit = clear(knot.edges(), info)
         assert hit == clear_reference(knot, info)
         outcomes.add(hit is None)
-        others = [_random_triangle(rng), tri]
-        sticks = knot.edges()[2:]
-        rim = frozenset(verts[:3])
-        boxes = [bbox(e) for e in sticks]
-        planes = [Plane(t) for t in others]
-        assert _disk_avoids(planes, rim, sticks, boxes) == avoids_reference(others, rim, sticks)
     assert outcomes == {True, False}
-
-
-_HALF = st.integers(-4, 4).map(lambda k: Fraction(k, 2))
-_POINT = st.tuples(_HALF, _HALF, _HALF)
-
-
-@st.composite
-def _disk_pair(draw):
-    """Non-degenerate triangles X, Y of the half-integer grid and the k = 0,
-    1 or 2 corners they share, in X's order as in _disk_parts.  Each other
-    corner of Y is a free grid point or a point a + (i(b - a) + j(c - a)) / 2
-    of X's plane (a corner, side or inner point, or one outside X), so
-    coplanar and touching pairs are common."""
-    x = draw(st.tuples(_POINT, _POINT, _POINT).filter(nondegenerate))
-    k = draw(st.integers(0, 2))
-    shared = tuple(x[i] for i in sorted(draw(st.permutations(range(3)))[:k]))
-
-    def other():
-        if draw(st.booleans()):
-            return draw(_POINT)
-        i, j = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
-        return tuple(a + (i * (b - a) + j * (c - a)) / 2 for a, b, c in zip(*x))
-
-    y = tuple(draw(st.permutations(shared + tuple(other() for _ in range(3 - k)))))
-    assume(nondegenerate(y))
-    return x, y, shared
-
-
-@settings(derandomize=True, database=None, max_examples=600, deadline=None)
-@given(pair=_disk_pair())
-def test_separating_plane_rule_matches_the_six_edge_loop(pair):
-    """_surface_clean, which accepts a pair when the corners of one triangle
-    off the shared simplex lie strictly on one side of the other's plane,
-    gives the verdict of the plain six-edge loop."""
-    x, y, shared = pair
-    shared_map = {(0, 1): shared}
-    planes = [Plane(x), Plane(y)]
-    assert _surface_clean(planes, shared_map) == surface_reference([x, y], shared_map)
 
 
 def test_pierced_reduction_triangle_is_rejected_by_both_loops():
@@ -651,7 +682,7 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     pts, _, _ = layout(ap)
     infos = reduction_triangles(ap, assign_heights(ap), pts)
     for info in infos:
-        assert _triangle_clear(k2.edges(), info) is None
+        assert clear(k2.edges(), info) is None
         assert clear_reference(k2, info) is None
     # a stick through the centroid of a triangle, across its plane
     info = infos[-1]
@@ -664,12 +695,12 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     )
     # prepended, so the stick is the first edge both loops test
     pierced = StickKnot(stick + k2.vertices, ("?", "?") + k2.roles)
-    assert _triangle_clear(pierced.edges(), info) == stick
+    assert clear(pierced.edges(), info) == stick
     assert clear_reference(pierced, info) == stick
     # a stick along the triangle's horizontal leg, overlapping it in a segment
     mid = tuple(Fraction(x + y, 2) for x, y in zip(b, c))
     along = StickKnot((mid, c) + k2.vertices, ("?", "?") + k2.roles)
-    assert _triangle_clear(along.edges(), info) == (mid, c)
+    assert clear(along.edges(), info) == (mid, c)
     assert clear_reference(along, info) == (mid, c)
     # a slanted stick through the centroid, as a hypotenuse laid down by an
     # earlier collapse would be: the only kind of stick checked after the sweep
@@ -677,8 +708,8 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
         tuple(u - v for u, v in zip(g, normal + (1,))),
         tuple(u + v for u, v in zip(g, normal + (1,))),
     )
-    assert _triangle_clear([hyp], info) == hyp
-    assert _triangle_clear(k2.edges() + [hyp], info) == hyp
+    assert clear([hyp], info) == hyp
+    assert clear(k2.edges() + [hyp], info) == hyp
     laid = StickKnot(hyp + k2.vertices, ("hypotenuse", "?") + k2.roles)
     assert clear_reference(laid, info) == hyp
 
@@ -687,13 +718,13 @@ def two_pass_reference(ap, k2, z, pts):
     """The former reduction loop: a sweep of k2, then a check of each
     triangle against the whole current polygon before it collapses."""
     infos = reduction_triangles(ap, z, pts)
-    if any(_triangle_clear(k2.edges(), info) is not None for info in infos):
+    if any(clear(k2.edges(), info) is not None for info in infos):
         raise InternalVerificationError("triangle not empty in lifted polygon")
     knot, chords = k2, []
     for info in infos:
         if info.chord >= ap.n or info.chord < 2:
             continue
-        if _triangle_clear(knot.edges(), info) is not None:
+        if clear(knot.edges(), info) is not None:
             raise InternalVerificationError("triangle pierced")
         a, b, c = info.triangle
         verts, roles = list(knot.vertices), list(knot.roles)
@@ -775,11 +806,11 @@ def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
     scale, grid = lattice(pts)
     lifted = [scale * h for h in z]
     seen = []
-    clear = construct._triangle_clear
+    original = construct._triangle_clear
 
-    def recorded(edges, info, boxes=None):
+    def recorded(plane, edges, boxes):
         seen.append(list(edges))
-        return clear(edges, info, boxes)
+        return original(plane, edges, boxes)
 
     monkeypatch.setattr(construct, "_triangle_clear", recorded)
     for k2, heights, points in (
@@ -857,35 +888,44 @@ def test_build_full_diagram_is_the_diagram_of_the_input(concurrence9, monkeypatc
 
 
 def certify_top_on_fractions(rot_v, cand_v, t_a, t_b):
-    """The former _certify_top, which runs every check on the points as
-    given, Fractions included: nothing in it scales them to a lattice, and
-    its disk triangles are checked against each other by the plain six-edge
-    loop, with no separating-plane rule."""
+    """The spanning-disk _certify_top, which runs every check on the points
+    as given, Fractions included, each embedding test on the whole polygon
+    and each pair of disk triangles by the plain six-edge loop.
+
+    The new polygon must be embedded, and some shape of DISKS must span the
+    old and the new path by a disk whose triangles meet each other only in
+    their shared simplices and no stationary stick except at the rim.  A
+    two-step shape also needs an embedded interim polygon.
+    """
+    if t_a == t_b:
+        return False, "extension-tips-coincide"
     emb = polygon_embedded(cand_v)
     if not emb.ok:
         return False, f"result-not-embedded:{emb.failures[0]}"
-    corners = (*rot_v[:4], t_a, t_b)
+    for shape in DISKS:
+        reason = disk_failure(rot_v, (*rot_v[:4], t_a, t_b), shape)
+        if reason is None:
+            return True, ""
+    return False, reason
+
+
+def disk_failure(rot_v, corners, shape):
+    """Why the disk of one shape of DISKS fails, or None."""
+    interim, steps = shape
     m = len(rot_v)
     outside = [(rot_v[i], rot_v[i + 1]) for i in range(4, m - 1)]
     outside += [(rot_v[-1], rot_v[0]), (rot_v[3], rot_v[4])]
-    for interim, steps in _DISKS:
-        if interim is not None:
-            if not polygon_embedded([corners[i] for i in interim] + rot_v[4:]).ok:
-                reason = "interim-polygon-not-embedded"
-                continue
-        for before, tris in zip((_OLD_PATH, interim), steps):
-            disk, shared, rim, kept = _disk_parts(corners, before, tris)
-            if not all(map(nondegenerate, disk)) or not surface_reference(disk, shared):
-                reason = "self-intersecting-spanning-surface"
-                break
-            sticks = outside + kept
-            planes = [Plane(t) for t in disk]
-            if not _disk_avoids(planes, rim, sticks, [bbox(e) for e in sticks]):
-                reason = "stationary-stick-meets-spanning-surface"
-                break
-        else:
-            return True, ""
-    return False, reason
+    if interim is not None:
+        path = [corners[i] for i in interim]
+        if len(set(path)) < 4 or not polygon_embedded(path + rot_v[4:]).ok:
+            return "interim-polygon-not-embedded"
+    for before, tris in zip((OLD_PATH, interim), steps):
+        disk, shared, rim, kept = disk_parts(corners, before, tris)
+        if not all(map(nondegenerate, disk)) or not surface_reference(disk, shared):
+            return "self-intersecting-spanning-surface"
+        if not avoids_reference(disk, rim, outside + kept):
+            return "stationary-stick-meets-spanning-surface"
+    return None
 
 
 def _top_move(ap):
@@ -941,6 +981,10 @@ def certify_on_lattice(rot_v, t_a, t_b):
 
 
 def test_certify_top_on_the_lattice_matches_the_fraction_checks():
+    """The Δ-moves on one lattice image give the spanning-disk reference's
+    verdict on every candidate, and its reason at the lengths L >= 4 the
+    doubling search tries.  At the other lengths a Δ-move may fail first
+    where the reference rejects an interim polygon."""
     # (L_a, L_b): the doubling search's lengths, shorter ones, and asymmetric
     # pairs with one tip pulled back along its stick
     half, eighth = Fraction(1, 2), Fraction(1, 8)
@@ -952,18 +996,50 @@ def test_certify_top_on_the_lattice_matches_the_fraction_checks():
         cands = [_tips(move, la, lb) for la, lb in pairs]
         # pinched: tip b on a vertex of the unchanged chain
         cands.append((cands[4][0], rot_v[len(rot_v) // 2 + 2]))
-        for t_a, t_b in cands:
+        for (la, lb), (t_a, t_b) in zip(pairs + [(4, None)], cands):
             cand_v = [t_a, t_b] + rot_v[4:]
             got = certify_on_lattice(rot_v, t_a, t_b)
-            assert got == certify_top_on_fractions(rot_v, cand_v, t_a, t_b)
+            want = certify_top_on_fractions(rot_v, cand_v, t_a, t_b)
+            assert got[0] == want[0]
+            if la == lb and la in (4, 1 << 10):
+                assert got == want
             reasons.add(got[1].split(":")[0])
-    assert reasons == {
-        "",
-        "result-not-embedded",
-        "interim-polygon-not-embedded",
-        "self-intersecting-spanning-surface",
-        "stationary-stick-meets-spanning-surface",
-    }
+    assert reasons == {"", "result-not-embedded", "stationary-stick-meets-spanning-surface"}
+
+
+def test_top_moves_of_the_corpus_certify_as_the_disk_reference_did(monkeypatch):
+    """Every candidate the builds of CORPUS and of SKIPPED_PAST_12 try gets
+    the verdict and the reason of the spanning-disk reference.  Shape by
+    shape, the four Δ-moves are legal where the reference's disk certifies
+    and not where a stationary stick meets the disk.  A disk whose triangles
+    meet each other decides nothing: its Δ-moves may still be legal."""
+    calls = []
+    certify = construct._certify_top
+
+    def recorded(*args):
+        calls.append((*args, certify(*args)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(construct, "_certify_top", recorded)
+    for n, seed in CORPUS + sorted(SKIPPED_PAST_12):
+        build_full(random_presentation(n, seed))
+    reasons, pairs = set(), set()
+    for rot_v, t_a, t_b, stationary, got in calls:
+        assert got == certify_top_on_fractions(rot_v, [t_a, t_b] + rot_v[4:], t_a, t_b)
+        reasons.add(got[1].split(":")[0])
+        if got[1].startswith(("result", "extension")):
+            continue
+        corners = (*rot_v[:4], t_a, t_b)
+        for shape, moves in zip(DISKS, _SHAPES):
+            disk = disk_failure(rot_v, corners, shape)
+            legal = _shape_failure(corners, moves, stationary) is None
+            if disk is None:
+                assert legal
+            elif disk == STATIONARY:
+                assert not legal
+            pairs.add((disk, legal))
+    assert reasons == {"", "result-not-embedded", STATIONARY}
+    assert pairs == {(None, True), (STATIONARY, False), (SELF, True), (SELF, False)}
 
 
 def test_coinciding_top_move_corners_reject_without_raising():
@@ -975,15 +1051,19 @@ def test_coinciding_top_move_corners_reject_without_raising():
     assert certify_on_lattice(rot_v, t_a, t_b) == (False, "extension-tips-coincide")
     t_a, t_b = _tips(move, Fraction(1, 4), Fraction(1, 4))
     assert certify_on_lattice(rot_v, t_a, t_b) == (True, "")
-    # a tip on the other side's top corner repeats a corner of an interim
-    # path: two-step-b's when t_b = top_a, two-step-a's when t_a = top_b
+    # a tip on the other side's top corner makes a triangle of a two-step
+    # shape degenerate: two-step-b's when t_b = top_a, two-step-a's when
+    # t_a = top_b
     moves = _top_moves(10, 1203)
     t_a, _ = _tips(moves[0], 4, 4)
     rot_v = moves[0][0]
     assert certify_on_lattice(rot_v, t_a, rot_v[1]) == (True, "")
     _, t_b = _tips(moves[9], 4, 4)
     rot_v = moves[9][0]
-    assert certify_on_lattice(rot_v, rot_v[2], t_b) == (False, "interim-polygon-not-embedded")
+    assert certify_on_lattice(rot_v, rot_v[2], t_b) == (
+        False,
+        "stationary-stick-meets-spanning-surface",
+    )
 
 
 def test_a_corner_off_its_neighbours_raises():
@@ -1100,24 +1180,3 @@ def test_incremental_embedding_equals_the_full_check(k, la, lb, pinch, at):
         construct._new_edge_failures = incremental
     for pts, fresh in calls:
         assert incremental(pts, fresh) == list(polygon_embedded(pts).failures)
-
-
-def test_both_interim_paths_are_checked_on_their_new_edges(monkeypatch):
-    """On a grid of L, the interim paths of two-step-b (t_b third) and of
-    two-step-a (t_a second) each fail the full check somewhere, and the
-    incremental check reports the same failures on every path it sees."""
-    incremental, calls, failing = construct._new_edge_failures, [], set()
-    monkeypatch.setattr(construct, "_new_edge_failures", lambda *a: calls.append(a) or incremental(*a))
-    lengths = (1, 4, 64, Fraction(1, 16), Fraction(-1, 2), Fraction(7, 4))
-    for move in _property_moves():
-        for la in lengths:
-            for lb in lengths:
-                calls.clear()
-                certify_on_lattice(move[0], *_tips(move, la, lb))
-                (cand, _), *interims = calls
-                for pts, fresh in interims:
-                    full = list(polygon_embedded(pts).failures)
-                    assert incremental(pts, fresh) == full
-                    if full:
-                        failing.add("b" if pts[2] == cand[1] else "a")
-    assert failing == {"a", "b"}

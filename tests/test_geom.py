@@ -17,12 +17,14 @@ from stickbound.geom import (
     IMPROPER,
     SHARED_ENDPOINT,
     Plane,
+    _cross3,
+    _dot3,
+    _sub3,
     bbox,
     binding_points,
     boxes_apart,
     lattice,
     orient2d,
-    point_on_segment3,
     polygon_embedded,
     seg3_relation,
     seg_triangle_intersection,
@@ -132,6 +134,16 @@ def test_triangle_pierced_ignore_semantics():
     # positive-length contact cannot be excused pointwise
     chord = ((-1, 1, 0), (5, 1, 0))
     assert triangle_pierced(TRI, chord, ignore=frozenset({(0, 1, 0), (3, 1, 0)}))
+
+
+def point_on_segment3(p, s):
+    """True iff p lies on the closed segment s (exact)."""
+    a, b = s
+    w = _sub3(b, a)
+    if _cross3(_sub3(p, a), w) != (0, 0, 0):
+        return False
+    d = _dot3(_sub3(p, a), w)
+    return 0 <= d <= _dot3(w, w)
 
 
 def test_point_on_segment3():
