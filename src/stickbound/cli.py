@@ -98,6 +98,8 @@ def _stored(data, key, *types):
 
 
 def cmd_verify(args) -> int:
+    """Recheck a stored polygon against an .arc file, every check on one per-axis
+    lattice image of its vertices, whose two scales the projection takes."""
     ap = parse(_read_text(args.arc))
     try:
         data = json.loads(_read_text(args.polygon))
@@ -111,8 +113,8 @@ def cmd_verify(args) -> int:
         print(f"error: malformed polygon JSON: {e}", file=sys.stderr)
         return EXIT_INVALID
 
-    # every check below runs on one lattice image of the stored vertices
-    knot = StickKnot(tuple(lattice(knot.vertices)[1]), knot.roles)
+    scales, image = lattice(knot.vertices)
+    knot = StickKnot(tuple(image), knot.roles)
     try:
         emb = polygon_embedded(knot.vertices)
     except ValueError as e:  # degenerate polygon (repeated vertex, too short)
@@ -131,7 +133,7 @@ def cmd_verify(args) -> int:
     if (sticks <= theorem2_upper(ap.n)) != stored_bound_ok:
         print("error: stored bound verdict does not match recount", file=sys.stderr)
         return EXIT_INTERNAL
-    report = match(ap, diagram(ap), project(knot))
+    report = match(ap, diagram(ap), project(knot, scales))
     if stored_det is not None and report.det2 != stored_det:
         print(
             f"error: stored determinant {stored_det} but polygon has {report.det2}",

@@ -13,7 +13,6 @@ geometric certificates, never by construction alone.
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,17 +31,13 @@ from .arcpres import (
 from .bounds import theorem2_upper
 from .errors import InternalVerificationError, InvalidArcPresentation
 from .geom import (
-    DISJOINT,
-    SHARED_ENDPOINT,
     Plane,
-    _cross3,
-    _dot3,
-    _sub3,
     bbox,
     boxes_apart,
+    edge_failures,
+    joint,
     lattice,
     polygon_embedded,
-    seg3_relation,
     triangle_pierced,
 )
 
@@ -78,13 +73,7 @@ def stick_count(knot: StickKnot) -> int:
     """Number of maximal straight runs of the polygon (collinear runs merge)."""
     v = knot.vertices
     m = len(v)
-    count = 0
-    for i in range(m):
-        d1 = _sub3(v[i], v[i - 1])
-        d2 = _sub3(v[(i + 1) % m], v[i])
-        if _cross3(d1, d2) != (0, 0, 0) or _dot3(d1, d2) < 0:
-            count += 1
-    return count
+    return sum(joint(v[i - 1], v[i], v[(i + 1) % m]) != 1 for i in range(m))
 
 
 def _anchor_and_apex(nb, i):
@@ -95,11 +84,12 @@ def _anchor_and_apex(nb, i):
 
 
 def _crossed_from_apex(ap, crossings, i, apex):
-    """(k, t) for each chord k < i crossing chord i at fraction t from apex."""
+    """(k, num, den) for each chord k < i crossing chord i at fraction
+    t = num / den from apex, den > 0, read off layout's ``crossings``."""
     hits = [(k, crossings[k, i]) for k in range(1, i) if (k, i) in crossings]
     if apex == ap.chords[i - 1][0]:
-        return hits
-    return [(k, 1 - u) for k, u in hits]
+        return [(k, u.numerator, u.denominator) for k, u in hits]
+    return [(k, u.denominator - u.numerator, u.denominator) for k, u in hits]
 
 
 def _assign_heights(ap: ArcPresentation, crossings) -> tuple:
@@ -113,21 +103,17 @@ def _assign_heights(ap: ArcPresentation, crossings) -> tuple:
             z[i] = z[i - 1] + 1
             continue
         j, apex = anchor
-        worst = None
-        # the anchor shares the apex with chord i, so it is never among the k
-        for k, t in _crossed_from_apex(ap, crossings, i, apex):
+        cand = z[i - 1] + 1
+        # the anchor shares the apex with chord i, so it is never among the k;
+        # 1 + floor(z_j + (z_k - z_j) / t) clears k, and max of floors = floor of max
+        for k, num, den in _crossed_from_apex(ap, crossings, i, apex):
             if z[k] <= z[j]:
                 continue
-            if not 0 < t < 1:
+            if not 0 < num < den:
                 raise InternalVerificationError(
                     f"crossing of chords {i},{k} off the open chord"
                 )
-            val = z[j] + Fraction(z[k] - z[j]) / t
-            if worst is None or val > worst:
-                worst = val
-        cand = z[i - 1] + 1
-        if worst is not None:
-            cand = max(cand, 1 + math.floor(worst))
+            cand = max(cand, 1 + z[j] + (z[k] - z[j]) * den // num)
         z[i] = cand
     return tuple(z[1:])
 
@@ -150,10 +136,11 @@ def verify_heights(ap: ArcPresentation, z: tuple, crossings) -> None:
 
     Checks strict monotonicity and, for every type-II/III chord i with anchor
     j and apex P, that every chord k < i crossing chord i at fraction t from P
-    satisfies z_k < z_j + t*(z_i - z_j) strictly; ``crossings`` is the third
-    value of ``layout``.  Raises on any violation.  ``build_full`` does not
-    run it: the sweep of :func:`triangle_reductions` tests every stick of the
-    lifted polygon against every reduction triangle, which covers this.
+    satisfies z_k < z_j + t*(z_i - z_j) strictly, compared on integers with
+    t = num / den; ``crossings`` is the third value of ``layout``.  Raises on
+    any violation.  ``build_full`` does not run it: the sweep of
+    :func:`triangle_reductions` tests every stick of the lifted polygon
+    against every reduction triangle, which covers this.
     """
     if list(z) != sorted(set(z)):
         raise InternalVerificationError("heights are not strictly increasing")
@@ -165,8 +152,8 @@ def verify_heights(ap: ArcPresentation, z: tuple, crossings) -> None:
         if anchor is None:  # type I
             continue
         j, apex = anchor
-        for k, t in _crossed_from_apex(ap, crossings, i, apex):
-            if not z[k - 1] < z[j - 1] + t * (z[i - 1] - z[j - 1]):
+        for k, num, den in _crossed_from_apex(ap, crossings, i, apex):
+            if not (z[k - 1] - z[j - 1]) * den < num * (z[i - 1] - z[j - 1]):
                 raise InternalVerificationError(
                     f"chord {k} touches or pierces the triangle of chord {i}"
                 )
@@ -361,24 +348,6 @@ def _tips(v, length):
     return [tuple(x + length * (x - y) for x, y in zip(j, f)) for j, f in ends]
 
 
-def _new_edge_failures(pts, fresh):
-    """:func:`polygon_embedded`'s failures, in its order, for points ``pts``
-    whose edges outside the index set ``fresh`` are edges of an embedded
-    polygon with the same neighbours: only pairs holding a fresh edge can fail."""
-    m = len(pts)
-    edges = [(pts[i], pts[(i + 1) % m]) for i in range(m)]
-    boxes = [bbox(e) for e in edges]
-    failures = []
-    for i in range(m):
-        for j in range(i + 1, m) if i in fresh else sorted(j for j in fresh if j > i):
-            if boxes_apart(boxes[i], boxes[j]):
-                continue
-            rel = seg3_relation(edges[i], edges[j])
-            if rel != (SHARED_ENDPOINT if j - i in (1, m - 1) else DISJOINT):
-                failures.append((i, j, rel))
-    return failures
-
-
 # The top move's corners, by index: the old path j_a, top_a, top_b, j_b and
 # the extension tips t_a, t_b.
 J_A, TOP_A, TOP_B, J_B, T_A, T_B = range(6)
@@ -449,7 +418,7 @@ def _certify_top(rot_v, t_a, t_b, stationary):
     if t_a == t_b:
         return False, "extension-tips-coincide"
     cand_v = [t_a, t_b] + rot_v[4:]
-    if bad := _new_edge_failures(cand_v, {0, 1, len(cand_v) - 1}):
+    if bad := edge_failures(cand_v, {0, 1, len(cand_v) - 1}):
         return False, f"result-not-embedded:{bad[0]}"
     corners = (*rot_v[:4], t_a, t_b)
     for moves in _SHAPES:
@@ -487,10 +456,10 @@ def build_full(ap: ArcPresentation, top: bool = True):
     The invariant check compares the exact diagram of the input presentation
     with a generic projection of the output polygon (determinant and
     normalized Alexander polynomial); a mismatch is reported, not repaired.
-    K2 is lifted from the layout points' :func:`lattice` image with every
-    height times its scale D, so every stage from the embedding check of K2
-    to the projection runs on that image; the polygon is divided by D once,
-    on return.
+    K2 is lifted from the layout points' :func:`lattice` image at the integer
+    heights themselves (the lattice's scale D_z is 1), so every stage from
+    the embedding check of K2 to the projection runs on that image; x and y
+    are divided by the plan scale D_p once, on return.
     """
     if ap.n < 3:
         raise InvalidArcPresentation("full build needs at least 3 chords")
@@ -499,13 +468,12 @@ def build_full(ap: ArcPresentation, top: bool = True):
     z = _assign_heights(norm, crossings)
     _, beta = classify(norm)
     n = norm.n
-    scale, grid = lattice(pts)
-    lifted = [scale * h for h in z]
-    k2 = _polygon(norm, lifted, grid)
+    scales, grid = lattice(pts)
+    k2 = _polygon(norm, z, grid)
     emb2 = polygon_embedded(k2.vertices)
     if not emb2.ok:
         raise InternalVerificationError(f"lifted polygon not embedded: {emb2.failures}")
-    reduced, reduced_chords = triangle_reductions(norm, k2, lifted, grid)
+    reduced, reduced_chords = triangle_reductions(norm, k2, z, grid)
     expected_reduced = 2 * n - (beta.beta2 + beta.beta3 - 1)
     if len(reduced.vertices) != expected_reduced:
         raise InternalVerificationError(
@@ -525,7 +493,7 @@ def build_full(ap: ArcPresentation, top: bool = True):
             f"stick accounting: counted {sticks}, expected {expected}"
         )
     bound = theorem2_upper(n)
-    rep = invariants.match(ap, diagram(ap), invariants.project(final))
+    rep = invariants.match(ap, diagram(ap), invariants.project(final, scales))
     cert = Certificate(
         n=n,
         shift=shift,
@@ -544,7 +512,8 @@ def build_full(ap: ArcPresentation, top: bool = True):
         alexander_in=str(rep.alex1),
         alexander_out=str(rep.alex2),
     )
-    true_v = tuple(tuple(Fraction(c, scale) for c in v) for v in final.vertices)
+    dp = scales[0]
+    true_v = tuple((Fraction(x, dp), Fraction(y, dp), Fraction(h)) for x, y, h in final.vertices)
     return StickKnot(true_v, final.roles), cert
 
 

@@ -5,14 +5,15 @@ exact and deterministic.  No floating point, no tolerances, no rounding
 anywhere.
 
 Every predicate runs on the points it is given.  A command scales its points
-onto an integer lattice once, where they enter it, with :func:`lattice`:
-every coordinate times D, the lcm of all coordinate denominators.  One
-positive factor on all three axes keeps every incidence, orientation sign,
-box comparison and segment parameter, so the predicates give the same
-verdicts on Python ints at a fraction of the cost of ``Fraction``
-arithmetic.  Past ``LATTICE_MAX_BITS`` bits the big ints cost more than the
-fractions, so the points keep their own coordinates (scale 1) and the same
-predicates run on them.
+onto an integer lattice once, where they enter it, with :func:`lattice`: x
+and y times a plan scale D_p, z times its own D_z (1 for integer heights).
+A positive scale per axis keeps every incidence, orientation sign, box
+comparison, segment parameter, zero pattern of a plane normal and sign of a
+dot product of parallel vectors, so the predicates give the same verdicts on
+Python ints at a fraction of the cost of ``Fraction`` arithmetic.  Past
+``LATTICE_MAX_BITS`` bits the big ints cost more than the fractions, so the
+points keep their own coordinates (scale 1) and the same predicates run on
+them.
 A segment crossing a triangle's plane is tested as the homogeneous point X / w,
 so only a contact strictly inside a segment builds a ``Fraction``; a contact
 at a segment's end returns the caller's own point tuple.  A triangle met by
@@ -145,23 +146,36 @@ def boxes_apart(b1, b2) -> bool:
 
 
 def lattice(points) -> tuple:
-    """The batch's integer lattice: ``(scale, image)``.
+    """The batch's integer lattice, one positive scale per axis: ``(scales, image)``.
 
-    ``scale`` is D, the lcm of the denominators of every coordinate of
-    ``points`` (a sequence of point tuples), and ``image[i]`` is
-    ``points[i]`` times D, a tuple of ints.  Once D passes
-    ``LATTICE_MAX_BITS`` bits the result is ``(1, list(points))``.  The image
-    is a list, not a map keyed by point: hashing a tuple of ``Fraction``s
-    costs about as much as a predicate.
+    ``scales`` is (D_p, D_z): D_p is the lcm of the denominators of the x and
+    y coordinates of ``points`` (a sequence of point tuples), D_z that of the
+    z coordinates (1 for plane points), and ``image[i]`` is ``points[i]`` with
+    x and y times D_p and z times D_z, a tuple of ints.  Once either scale
+    passes ``LATTICE_MAX_BITS`` bits the result is ``((1, 1), list(points))``.
+    The image is a list, not a map keyed by point: hashing a tuple of
+    ``Fraction``s costs about as much as a predicate.
     """
-    dens = {c.denominator for p in points for c in p}
-    scale = 1
-    for den in dens:
-        scale = math.lcm(scale, den)
-        if scale.bit_length() > LATTICE_MAX_BITS:
-            return 1, list(points)
-    factor = {den: scale // den for den in dens}
-    return scale, [tuple(c.numerator * factor[c.denominator] for c in p) for p in points]
+    axes = (
+        {c.denominator for p in points for c in p[:2]},
+        {c.denominator for p in points for c in p[2:]},
+    )
+    scales = tuple(math.lcm(*dens) for dens in axes)
+    if max(scales).bit_length() > LATTICE_MAX_BITS:
+        return (1, 1), list(points)
+    f = [{den: scale // den for den in dens} for scale, dens in zip(scales, axes)]  # xy, z
+    image = [tuple(c.numerator * f[k > 1][c.denominator] for k, c in enumerate(p)) for p in points]
+    return scales, image
+
+
+def joint(a, b, c) -> int:
+    """How the path a, b, c runs on at b: 0 where it bends, 1 where it runs
+    straight on and -1 where it doubles back.  Edges ab and bc meet only in b
+    unless it doubles back; a stick of a polygon ends at b unless it runs on."""
+    d1, d2 = _sub3(b, a), _sub3(c, b)
+    if _cross3(d1, d2) != _ZERO3:
+        return 0
+    return 1 if _dot3(d1, d2) > 0 else -1
 
 
 def seg3_relation(s1: Segment3, s2: Segment3) -> str:
@@ -326,10 +340,10 @@ def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
 
     Consecutive edges must meet exactly at their shared vertex; all other pairs
     must be disjoint.  Collinear continuation at a vertex is allowed (it is a
-    shared-endpoint contact); doubling back or overlap is not.  Pairs whose
-    boxes are apart are disjoint and skip ``seg3_relation``.  The predicates
-    run on the vertices as given; a caller holding ``Fraction``s passes their
-    :func:`lattice` image to run them on ints.
+    shared-endpoint contact); doubling back or overlap is not.  The pairs are
+    tested by :func:`edge_failures`.  The predicates run on the vertices as
+    given; a caller holding ``Fraction``s passes their :func:`lattice` image
+    to run them on ints.
     """
     m = len(vertices)
     if m < 3:
@@ -337,17 +351,30 @@ def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
     for i in range(m):
         if vertices[i] == vertices[(i + 1) % m]:
             raise ValueError(f"repeated consecutive vertices at index {i}")
+    failures = edge_failures(vertices, range(m))
+    return EmbeddingReport(not failures, tuple(failures))
+
+
+def edge_failures(vertices, among) -> list:
+    """The failed pairs (i, j, relation), i < j, of the edges of the closed
+    polygon ``vertices``, in :func:`polygon_embedded`'s order, testing only
+    the pairs that hold an edge index of ``among``.
+
+    Consecutive edges share a vertex, so their :func:`joint` alone decides
+    them, and a doubling back is ``improper``.  Any other pair fails unless
+    it is disjoint; a pair whose boxes are apart skips ``seg3_relation``.
+    """
+    m = len(vertices)
     edges = [(vertices[i], vertices[(i + 1) % m]) for i in range(m)]
     boxes = [bbox(e) for e in edges]
     failures = []
     for i in range(m):
-        for j in range(i + 1, m):
-            # consecutive edges share a vertex, so their boxes are never apart
-            if boxes_apart(boxes[i], boxes[j]):
-                continue
-            rel = seg3_relation(edges[i], edges[j])
-            consecutive = j == i + 1 or (i == 0 and j == m - 1)
-            want = SHARED_ENDPOINT if consecutive else DISJOINT
-            if rel != want:
-                failures.append((i, j, rel))
-    return EmbeddingReport(not failures, tuple(failures))
+        for j in range(i + 1, m) if i in among else sorted(j for j in among if j > i):
+            if j - i in (1, m - 1):  # they share vertex j, or 0 for the pair (0, m - 1)
+                k = j if j == i + 1 else 0
+                if joint(vertices[k - 1], vertices[k], vertices[(k + 1) % m]) < 0:
+                    failures.append((i, j, IMPROPER))
+            elif not boxes_apart(boxes[i], boxes[j]):
+                if (rel := seg3_relation(edges[i], edges[j])) != DISJOINT:
+                    failures.append((i, j, rel))
+    return failures

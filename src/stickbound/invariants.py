@@ -501,22 +501,24 @@ def _project_once(verts, shadows):
     return _gauss_diagram(over_under, range(m)), None
 
 
-def project(knot) -> ProjectedDiagram:
+def project(knot, scales=(1, 1)) -> ProjectedDiagram:
     """Project a polygon along (1/(7+m), 1/(11+2m), 1) for the first generic m.
 
     Larger z is the over strand.  Every genericity condition is checked
     exactly; a failed check moves to the next direction, and running out of
     directions raises.  The checks run on the vertices as given, which
-    callers pass as a :func:`geom.lattice` image so that they run on ints:
-    with a = 7+m and b = 11+2m the shadows (b(aX - Z), a(bY - Z)) of the
-    points (X, Y, Z) are the shadows along the direction times a*b, a
-    positive factor.
+    callers pass as a :func:`geom.lattice` image with its ``scales``
+    (D_p, D_z) so that they run on ints: with a = 7+m and b = 11+2m the
+    shadows (b(a D_z X - D_p Z), a(b D_z Y - D_p Z)) of the points (X, Y, Z)
+    are the shadows of the true points along the direction times a b D_p D_z,
+    a positive factor.  The default scales take the vertices as true points.
     """
     verts = getattr(knot, "vertices", knot)
+    dp, dz = scales
     last = "no directions tried"
     for attempt in range(PROJECTION_ATTEMPTS):
         a, b = 7 + attempt, 11 + 2 * attempt
-        shadows = [(b * (a * x - z), a * (b * y - z)) for x, y, z in verts]
+        shadows = [(b * (a * dz * x - dp * z), a * (b * dz * y - dp * z)) for x, y, z in verts]
         diag, failed = _project_once(verts, shadows)
         if diag is not None:
             return ProjectedDiagram(

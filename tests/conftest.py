@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from stickbound.arcpres import ArcPresentation, random_presentation
+from stickbound.errors import InternalVerificationError
+from stickbound.invariants import PROJECTION_ATTEMPTS, ProjectedDiagram, _project_once
 
 
 @pytest.fixture
@@ -66,3 +69,18 @@ def capped_polygon(seed, bits=64):
     return [
         (k + jitter(), k * k + jitter(), jitter()) for k in range(48)
     ]
+
+
+def project_on_one_scale(verts):
+    """Reference projection: ``invariants.project`` as it ran when one scale D,
+    the lcm of every coordinate's denominator, multiplied all three axes, so
+    that the shadows (b(aX - Z), a(bY - Z)) were those of the points times D."""
+    d = math.lcm(*(Fraction(c).denominator for v in verts for c in v))
+    image = [tuple(int(c * d) for c in v) for v in verts]
+    for attempt in range(PROJECTION_ATTEMPTS):
+        a, b = 7 + attempt, 11 + 2 * attempt
+        shadows = [(b * (a * x - z), a * (b * y - z)) for x, y, z in image]
+        diag, _ = _project_once(image, shadows)
+        if diag is not None:
+            return ProjectedDiagram(diag, (Fraction(1, a), Fraction(1, b), Fraction(1)), attempt)
+    raise InternalVerificationError("no generic projection direction found")

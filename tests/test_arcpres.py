@@ -345,7 +345,7 @@ def test_integer_layout_matches_the_fraction_layout(concurrence9):
         retries.append(laid[1])
     assert sum(r > 0 for r in retries) >= 20
     # n = 96 after a retry: the lattice passes the cap, so the layout ran on Fractions
-    assert retries[-1] >= 1 and lattice(binding_points(96, retries[-1]))[0] == 1
+    assert retries[-1] >= 1 and lattice(binding_points(96, retries[-1]))[0] == (1, 1)
     # the concurrence key names the point (x/w, y/w): multiples and Fractions agree
     for x, y, w in ((3, -6, 9), (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7))):
         assert arcpres._point_key(-2 * x, -2 * y, -2 * w) == arcpres._point_key(x, y, w)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import capped_polygon
+from conftest import capped_polygon, project_on_one_scale
 from stickbound import arcpres, cli, construct, geom
 from stickbound.arcpres import diagram, parse, random_presentation, serialize
 from stickbound.construct import StickKnot, stick_count
@@ -127,6 +127,34 @@ def test_one_lattice_per_build_and_per_verify(ap6_fig8, concurrence9, tmp_path, 
     calls.clear()
     assert cli.main(["verify", str(arc), str(out)]) == 0
     assert calls == ["stickbound.cli"]
+
+
+def test_verify_projects_heights_at_their_own_scale(tmp_path, monkeypatch):
+    """A stored polygon whose heights are divided by 3 has D_z = 3: verify
+    passes both scales of its lattice to project, which draws the diagram
+    that the one-scale lattice drew, and exits 0.  random_presentation(24, 2
+    * 1_000_003) takes layout retry 1, so D_p is hundreds of bits."""
+    ap = random_presentation(24, 2 * 1_000_003)
+    knot, cert = construct.build_full(ap)
+    assert cert.layout_retry == 1
+    doc = construct.polygon_json(cert, knot)
+    doc["vertices"] = [[x, y, str(Fraction(z) / 3)] for x, y, z in doc["vertices"]]
+    arc, poly = tmp_path / "n24.arc", tmp_path / "n24-thirds.json"
+    arc.write_text(serialize(ap))
+    poly.write_text(json.dumps(doc))
+    drawn = []
+    real = cli.project
+
+    def recorded(knot, scales):
+        drawn.append((scales, real(knot, scales)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(cli, "project", recorded)
+    assert cli.main(["verify", str(arc), str(poly)]) == 0
+    [(scales, pd)] = drawn
+    assert scales[1] == 3 and scales[0].bit_length() > 100
+    verts = construct.knot_from_json(doc).vertices
+    assert pd == project_on_one_scale(verts)
 
 
 def test_the_kink_builds_and_verifies(tmp_path):

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import random
 import re
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from stickbound import arcpres, construct, geom, invariants
 from stickbound.arcpres import (
     ArcPresentation,
+    _neighbours,
     classify,
     layout,
     normalize,
@@ -25,7 +27,7 @@ from stickbound.construct import (
     _shape_failure,
     StickKnot,
     TriangleInfo,
-    _new_edge_failures,
+    _assign_heights,
     _triangle_clear,
     assign_heights,
     build_full,
@@ -43,6 +45,7 @@ from stickbound.construct import (
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.geom import (
     bbox,
+    edge_failures,
     lattice,
     polygon_embedded,
     seg_triangle_intersection,
@@ -89,6 +92,70 @@ def test_verify_heights_rejects_squashed_clearance(ap5):
     z[3] = z[2] + 1
     with pytest.raises(InternalVerificationError):
         verify_heights(ap5, tuple(z), crossings)
+
+
+def _clearances_on_fractions(ap, crossings, i):
+    """(k, j, t) for each chord k < i crossing type-II/III chord i at fraction
+    t from its apex, j its anchor, t a Fraction; None for a type-I chord."""
+    nb = _neighbours(ap)
+    anchor = max(((j + 1, p) for j, p in nb[i - 1] if j < i - 1), default=None)
+    if anchor is None:
+        return None
+    j, apex = anchor
+    near = apex == ap.chords[i - 1][0]
+    hits = [(k, crossings[k, i]) for k in range(1, i) if (k, i) in crossings]
+    return [(k, j, u if near else 1 - u) for k, u in hits]
+
+
+def assign_heights_on_fractions(ap, crossings):
+    """The former _assign_heights: the max of z_j + (z_k - z_j) / t as a
+    Fraction, then its floor."""
+    z = [0, 1, 2]
+    for i in range(3, ap.n + 1):
+        hits = _clearances_on_fractions(ap, crossings, i)
+        vals = [z[j] + Fraction(z[k] - z[j]) / t for k, j, t in hits or () if z[k] > z[j]]
+        z.append(max(z[i - 1] + 1, 1 + math.floor(max(vals))) if vals else z[i - 1] + 1)
+    return tuple(z[1:])
+
+
+def verify_heights_on_fractions(ap, z, crossings):
+    """The first chord pair (k, i) of the former verify_heights' clearance
+    test with z_k >= z_j + t (z_i - z_j), on a Fraction t, or None."""
+    for i in range(3, ap.n + 1):
+        for k, j, t in _clearances_on_fractions(ap, crossings, i) or ():
+            if not z[k - 1] < z[j - 1] + t * (z[i - 1] - z[j - 1]):
+                return k, i
+    return None
+
+
+def test_integer_heights_match_the_fraction_heights(concurrence9):
+    """_assign_heights on each crossing's numerator and denominator gives the
+    Fraction heights at n = 5..48 and on concurrence9; verify_heights, on
+    integers too, rejects exactly the squashed heights the Fraction test
+    rejects, naming the same chords."""
+    aps = [random_presentation(n, 7919 * n + s) for n in range(5, 49) for s in range(2)]
+    aps.append(concurrence9)
+    rejected = 0
+    for ap in aps:
+        _, _, crossings = layout(ap)
+        z = _assign_heights(ap, crossings)
+        assert z == assign_heights_on_fractions(ap, crossings)
+        verify_heights(ap, z, crossings)
+        assert verify_heights_on_fractions(ap, z, crossings) is None
+        for squash in (1, 2, 5, 1 << 20):
+            low = list(z)
+            for i in range(2, ap.n):
+                low[i] = max(low[i - 1] + 1, z[i] - squash)
+            want = verify_heights_on_fractions(ap, low, crossings)
+            if want is None:
+                verify_heights(ap, tuple(low), crossings)
+                continue
+            rejected += 1
+            k, i = want
+            with pytest.raises(InternalVerificationError) as err:
+                verify_heights(ap, tuple(low), crossings)
+            assert str(err.value) == f"chord {k} touches or pierces the triangle of chord {i}"
+    assert rejected > len(aps)
 
 
 def test_build_k1_counts_and_embedding():
@@ -798,13 +865,14 @@ def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
 
 def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
     """On K2 in true coordinates and on its lattice image, lifted as
-    build_full lifts it: the sweep sees K2's edges, and each collapse only
-    the hypotenuses laid down before it, in the coordinates K2 was given."""
+    build_full lifts it, at the integer heights themselves: the sweep sees
+    K2's edges, and each collapse only the hypotenuses laid down before it,
+    in the coordinates K2 was given."""
     ap, _ = normalize(random_presentation(10, 3))
     pts, _, _ = layout(ap)
     z = assign_heights(ap)
-    scale, grid = lattice(pts)
-    lifted = [scale * h for h in z]
+    (dp, dz), grid = lattice(pts)
+    assert dp > 1 and dz == 1
     seen = []
     original = construct._triangle_clear
 
@@ -815,7 +883,7 @@ def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
     monkeypatch.setattr(construct, "_triangle_clear", recorded)
     for k2, heights, points in (
         (build_k2(ap), z, pts),
-        (construct._polygon(ap, lifted, grid), lifted, grid),
+        (construct._polygon(ap, z, grid), z, grid),
     ):
         seen.clear()
         reduced, chords = triangle_reductions(ap, k2, heights, points)
@@ -1131,7 +1199,7 @@ def test_incremental_and_full_checks_reject_the_same_mutants(chain, pinch, want)
     cand_v = [t_a, t_b] + rot_v[4:]
     fresh = {0, 1, len(cand_v) - 1}
     full = list(polygon_embedded(cand_v).failures)
-    assert _new_edge_failures(lattice(cand_v)[1], fresh) == full
+    assert edge_failures(lattice(cand_v)[1], fresh) == full
     assert certify_on_lattice(rot_v, t_a, t_b) == want
     assert certify_top_on_fractions(rot_v, cand_v, t_a, t_b) == want
     if not want[1].startswith("result"):  # the stick misses s1, or pierces it
@@ -1167,16 +1235,16 @@ def test_incremental_embedding_equals_the_full_check(k, la, lb, pinch, at):
     if pinch and chain:
         t_a, t_b = (chain[at % len(chain)], t_b) if pinch == "a" else (t_a, chain[at % len(chain)])
     calls = []
-    incremental = construct._new_edge_failures
+    incremental = construct.edge_failures
 
     def recorded(pts, fresh):
         calls.append((list(pts), fresh))
         return incremental(pts, fresh)
 
-    construct._new_edge_failures = recorded
+    construct.edge_failures = recorded
     try:
         certify_on_lattice(rot_v, t_a, t_b)
     finally:
-        construct._new_edge_failures = incremental
+        construct.edge_failures = incremental
     for pts, fresh in calls:
         assert incremental(pts, fresh) == list(polygon_embedded(pts).failures)

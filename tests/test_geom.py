@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import capped_polygon
 from stickbound import geom
 from stickbound.arcpres import random_presentation
-from stickbound.construct import build_full
+from stickbound.construct import StickKnot, build_full, stick_count
 from stickbound.geom import (
     DISJOINT,
     IMPROPER,
@@ -23,6 +23,7 @@ from stickbound.geom import (
     bbox,
     binding_points,
     boxes_apart,
+    joint,
     lattice,
     orient2d,
     polygon_embedded,
@@ -429,13 +430,21 @@ def test_lattice_scales_to_distinct_integer_points():
             for _ in range(rng.randint(1, 12))
         })
         pts += rng.sample(pts, len(pts) // 2)  # repeated points map alike
-        scale, img = lattice(pts)
-        assert scale == _lcm_by_divisibility([c for p in pts for c in p])
+        scales, img = lattice(pts)
+        assert scales == (
+            _lcm_by_divisibility([c for p in pts for c in p[:2]]),
+            _lcm_by_divisibility([p[2] for p in pts]),
+        )
         assert len(img) == len(pts)
         assert len(set(img)) == len(set(pts))
         for p, q in zip(pts, img):
             assert all(type(c) is int for c in q)
-            assert q == tuple(scale * c for c in p)
+            assert q == (scales[0] * p[0], scales[0] * p[1], scales[1] * p[2])
+        # integer heights keep their own values; plane points have D_z = 1
+        flat = [(x, y, F(rng.randint(-9, 9))) for x, y, _ in pts]
+        flat_img = [q[:2] + (int(p[2]),) for p, q in zip(flat, img)]
+        assert lattice(flat) == ((scales[0], 1), flat_img)
+        assert lattice([p[:2] for p in pts]) == ((scales[0], 1), [q[:2] for q in img])
 
 
 def test_scaled_copies_get_equal_embedding_reports():
@@ -453,9 +462,15 @@ def test_scaled_copies_get_equal_embedding_reports():
 
 def test_lattice_past_the_cap_keeps_the_points():
     verts = capped_polygon(48)
-    scale, img = lattice(verts)
-    assert scale == 1
+    scales, img = lattice(verts)
+    assert scales == (1, 1)
     assert all(q is p for p, q in zip(verts, img, strict=True))
+    # the cap holds for each scale: heights alone past it keep the points too
+    cap = geom.LATTICE_MAX_BITS
+    for bits, want in ((cap - 1, (1, 1 << cap - 1)), (cap, (1, 1))):
+        tall = [(F(0), F(0), F(0)), (F(1), F(0), F(1, 1 << bits)), (F(0), F(1), F(1))]
+        scales, img = lattice(tall)
+        assert scales == want and (img == tall) == (want == (1, 1))
     assert math.lcm(*(c.denominator for v in verts for c in v)).bit_length() > (
         geom.LATTICE_MAX_BITS
     )
@@ -607,3 +622,89 @@ def test_seg_triangle_returns_the_callers_ends(case):
         if x in s:
             assert x is s[0] or x is s[1]
             assert all(type(c) is int for c in x)
+
+
+_SCALES = st.tuples(*[st.integers(1, 60) | st.fractions(F(1, 40), 40)] * 3)
+
+
+def _scaled(p, scales):
+    return tuple(c * k for c, k in zip(p, scales))
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(case=_triangle_and_segment(), scales=_SCALES, seed=st.integers(0, 1 << 32))
+@example(case=(_FLAT, ((-3, 1, 0), (9, 1, 0))), scales=(1, 7, F(1, 3)), seed=0)  # coplanar
+@example(case=(_FLAT, ((0, 0, -1), (0, 0, 1))), scales=(5, 5, 2), seed=1)  # through a corner
+def test_a_positive_scale_per_axis_keeps_every_verdict(case, scales, seed):
+    """A positive scale on each axis, as the per-axis lattice applies, leaves
+    the verdicts of seg3_relation and triangle_pierced (with its ignore set
+    scaled alike), and polygon_embedded's failures and stick_count on a
+    polygon through the case's points, unchanged."""
+    (a, b, c), (p, q) = case
+
+    def s(x):
+        return _scaled(x, scales)
+
+    try:
+        plane = Plane((a, b, c))
+    except ValueError:
+        plane = None
+    if plane is not None and p != q:
+        image = Plane((s(a), s(b), s(c)))
+        for ignore in (frozenset(), frozenset((a, c)), frozenset((p,))):
+            want = triangle_pierced(plane, (p, q), ignore)
+            assert triangle_pierced(image, (s(p), s(q)), set(map(s, ignore))) == want
+    for s1, s2 in (((a, b), (p, q)), ((b, c), (q, p)), ((a, p), (p, b))):
+        if s1[0] != s1[1] and s2[0] != s2[1]:
+            assert seg3_relation(tuple(map(s, s1)), tuple(map(s, s2))) == seg3_relation(s1, s2)
+    verts = [a, b, c, p, q]
+    random.Random(seed).shuffle(verts)
+    verts = [v for i, v in enumerate(verts) if v != verts[i - 1]]
+    if len(verts) >= 3:
+        image = [s(v) for v in verts]
+        assert polygon_embedded(image) == polygon_embedded(verts)
+        knots = [StickKnot(tuple(vs), ("?",) * len(vs)) for vs in (verts, image)]
+        assert stick_count(knots[1]) == stick_count(knots[0])
+
+
+@st.composite
+def _joints(draw):
+    """(kind, a, b, c): the path a, b, c runs straight on, doubles back
+    (short of a, onto a, or past it), turns a right angle, or goes anywhere."""
+    coord = st.integers(-4, 4)
+    a = tuple(draw(coord) for _ in range(3))
+    b = draw(st.tuples(coord, coord, coord).filter(lambda x: x != a))
+    kind = draw(st.sampled_from(("on", "back", "right", "free")))
+    d = _sub3(b, a)
+    lam = draw(st.fractions(F(1, 4), 3))
+    if kind == "on":
+        c = tuple(x + lam * y for x, y in zip(b, d))
+    elif kind == "back":
+        c = tuple(x - lam * y for x, y in zip(b, d))
+    elif kind == "right":
+        u = draw(st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3))))
+        w = _cross3(d, u)
+        if w == (0, 0, 0):
+            w = _cross3(d, (u[1], u[2], u[0] + 1))
+        c = tuple(x + lam * y for x, y in zip(b, w))
+    else:
+        c = draw(st.tuples(coord, coord, coord).filter(lambda x: x != b))
+    return kind, a, b, c
+
+
+@settings(derandomize=True, database=None, max_examples=800, deadline=None)
+@given(case=_joints())
+@example(case=("back", (0, 0, 0), (2, 0, 0), (0, 0, 0)))  # onto a
+@example(case=("on", (0, 0, 0), (1, 1, 1), (3, 3, 3)))
+def test_the_joint_test_agrees_with_seg3_relation(case):
+    """On two consecutive edges a-b and b-c, joint's verdict is
+    seg3_relation's: shared-endpoint unless the path doubles back, improper
+    when it does, and never disjoint."""
+    kind, a, b, c = case
+    j = joint(a, b, c)
+    want = {"on": 1, "back": -1, "right": 0}.get(kind)
+    assert want is None or j == want
+    assert seg3_relation((a, b), (b, c)) == (IMPROPER if j < 0 else SHARED_ENDPOINT)
+    assert seg3_relation((b, c), (a, b)) == (IMPROPER if j < 0 else SHARED_ENDPOINT)
+    # the joint of the reversed path is the same
+    assert joint(c, b, a) == j

@@ -22,6 +22,7 @@ from unittest import mock
 
 import pytest
 import sympy
+from conftest import project_on_one_scale
 from hypothesis import given, settings, strategies as st
 
 from stickbound.arcpres import (
@@ -981,22 +982,52 @@ def test_project_once_orders_two_fifths_before_three_sevenths(monkeypatch):
 def test_project_past_the_lattice_cap_matches_the_lattice_ints(monkeypatch):
     """On Fraction vertices, as lattice returns them past LATTICE_MAX_BITS,
     project clears each crossing's denominators and gives the diagram it
-    gives on the lattice's ints."""
+    gives on the lattice's ints at the lattice's scales."""
     polygons = [build_full(random_presentation(n, 7500 + n))[0].vertices for n in range(5, 17)]
     for verts in _grid_polygons(1729, 200):
         polygons.append([(Fraction(x, 2), Fraction(y, 3), z) for x, y, z in verts])
-    want = [_projection(project, geom.lattice(verts)[1]) for verts in polygons]
+
+    def on_the_lattice(verts):
+        scales, image = geom.lattice(verts)
+        return project(image, scales)
+
+    want = [_projection(on_the_lattice, verts) for verts in polygons]
     monkeypatch.setattr(geom, "LATTICE_MAX_BITS", 0)
     crossings = 0
     for verts, w in zip(polygons, want):
-        scale, image = geom.lattice(verts)
-        assert scale == 1 and any(type(c) is Fraction for v in image for c in v)
+        scales, image = geom.lattice(verts)
+        assert scales == (1, 1) and any(type(c) is Fraction for v in image for c in v)
         got = _projection(project, image)
         assert (got is None) == (w is None)
         if got is not None:
             assert (got.diagram, got.direction, got.attempt) == (w.diagram, w.direction, w.attempt)
             crossings += len(got.diagram.crossings)
     assert crossings > 0 and None in want
+
+
+def test_project_on_per_axis_scales_matches_the_one_scale_projection(concurrence9):
+    """project on a per-axis lattice image, given its scales, draws the
+    diagram that the one-scale lattice drew: built polygons at layout retry 0
+    and 1 (n = 8 at retry 0 and the 9-chord concurrence9 at retry 1, since no
+    n = 8 seed below 2,000 needs a retry; n = 24 and 48 at both), and the
+    same polygons with every height divided by 3, where D_z = 3."""
+    aps = [random_presentation(8, 0), concurrence9]
+    aps += [random_presentation(n, seed) for n, seed in ((24, 2), (24, 0), (48, 7), (48, 0))]
+    retries = []
+    for ap in aps:
+        knot, cert = build_full(ap)
+        retries.append(cert.layout_retry)
+        for dz in (1, 3):
+            verts = [(x, y, z / dz) for x, y, z in knot.vertices]
+            scales, image = geom.lattice(verts)
+            assert scales[1] == dz
+            want = project_on_one_scale(verts)
+            assert project(image, scales) == want
+            assert len(want.diagram.crossings) > 0
+            # the heights keep their own scale, however large the plan's
+            assert [v[2] for v in image] == [z * dz for _, _, z in verts]
+            assert scales[0].bit_length() > (100 if cert.layout_retry else 8)
+    assert retries == [0, 1, 0, 1, 0, 1]
 
 
 def test_seg2_line_intersection():
