@@ -9,9 +9,9 @@ under.
 This module owns the combinatorics (validation, crossing pairs, chord types),
 the moves (cyclic shift, top destabilization), the text format, random
 generation, the circle layout the construction lifts, and the planar
-diagram of a presentation.  The layout runs on the binding points' integer
-lattice, or on the ``Fraction``s past ``geom.LATTICE_MAX_BITS``.  The
-diagram is read from the presentation's grid, on integers, with no layout.
+diagram of a presentation.  The layout runs on each binding point's own
+homogeneous integers.  The diagram is read from the presentation's grid, on
+integers, with no layout.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InternalVerificationError, InvalidArcPresentation
-from .geom import binding_points, lattice
+from .geom import _cross3, _dot3, binding_points
 
 MAX_LAYOUT_RETRIES = 64
 
@@ -254,18 +254,6 @@ def _neighbours(ap: ArcPresentation) -> list:
     return out
 
 
-def _point_key(x, y, w):
-    """The point (x/w, y/w) as a gcd-reduced integer triple with w > 0.
-
-    Fractions (past the lattice cap) are first cleared of their denominators.
-    """
-    if type(w) is not int:
-        d = math.lcm(x.denominator, y.denominator, w.denominator)
-        x, y, w = int(x * d), int(y * d), int(w * d)
-    g = math.gcd(x, y, w) if w > 0 else -math.gcd(x, y, w)
-    return x // g, y // g, w // g
-
-
 def layout(ap: ArcPresentation):
     """Generic circle layout for ap: binding points with no chord concurrence.
 
@@ -273,32 +261,35 @@ def layout(ap: ArcPresentation):
     schedule, and fails loudly if 64 retries cannot separate a concurrence.
     Returns (pts, retry, crossings): ``crossings`` maps each pair (i, j) of
     ``crossing_pairs`` to the u at which chord j (the higher) meets chord i,
-    measured along chord j from its smaller label.  The chords meet on
-    the points' :func:`lattice` image, a triple point shows as a repeated
-    :func:`_point_key`, and past the lattice cap the same code runs on the
-    ``Fraction``s.
+    measured along chord j from its smaller label.  Each binding point is
+    the integer triple (X, Y, W), W > 0 the lcm of its own denominators;
+    each chord's line is the cross product of its ends and each crossing
+    the cross product of two lines, W = 0 when they are parallel.  A triple
+    point shows as a repeated crossing, reduced by its gcd with W > 0.
     """
     pairs = crossing_pairs(ap)
     for retry in range(MAX_LAYOUT_RETRIES + 1):
         pts = binding_points(ap.n, retry)
-        _, image = lattice(pts)
-        chords = [(image[a - 1], image[b - 1]) for a, b in ap.chords]
+        hom = []
+        for x, y in pts:
+            w = math.lcm(x.denominator, y.denominator)
+            hom.append((x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w))
+        ends = [(hom[a - 1], hom[b - 1]) for a, b in ap.chords]
+        lines = [_cross3(c, d) for c, d in ends]
         crossings = {}
         seen = set()
         for i, j in pairs:
-            (ax, ay), (bx, by) = chords[i - 1]
-            (cx, cy), (dx, dy) = chords[j - 1]
-            abx, aby, cdx, cdy = bx - ax, by - ay, dx - cx, dy - cy
-            den = abx * cdy - aby * cdx
-            if den == 0:
+            x, y, w = _cross3(lines[i - 1], lines[j - 1])
+            if w == 0:
                 break  # crossing chords turned parallel: not generic
-            rx, ry = cx - ax, cy - ay
-            sn = rx * cdy - ry * cdx
-            key = _point_key(ax * den + sn * abx, ay * den + sn * aby, den)
+            g = math.gcd(x, y, w) if w > 0 else -math.gcd(x, y, w)
+            key = x // g, y // g, w // g
             if key in seen:
                 break  # three chords meet: not generic
             seen.add(key)
-            crossings[i, j] = Fraction(rx * aby - ry * abx, den)
+            c, d = ends[j - 1]
+            s_c, s_d = _dot3(lines[i - 1], c) * d[2], _dot3(lines[i - 1], d) * c[2]
+            crossings[i, j] = Fraction(s_c, s_c - s_d)
         else:
             return pts, retry, crossings
     raise InternalVerificationError(

@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-Point3 = tuple  # (x, y, z)
-Segment3 = tuple  # (Point3, Point3)
-Triangle3 = tuple  # (Point3, Point3, Point3)
+Segment3 = tuple  # ((x, y, z), (x, y, z))
+Triangle3 = tuple  # three (x, y, z) points
 
 DISJOINT = "disjoint"
 SHARED_ENDPOINT = "shared-endpoint"

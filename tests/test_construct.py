@@ -912,8 +912,9 @@ def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
 
 
 def test_build_full_intersects_chords_only_in_layout(ap6_fig8, concurrence9, monkeypatch):
-    """layout intersects the chords, and project the edge shadows, each on
-    lattice ints of its own: no stickbound module holds a line intersection."""
+    """layout intersects the chords on the binding points' own integers, and
+    project the edge shadows on the build's lattice ints: no stickbound
+    module holds a line intersection."""
     layouts = []
     lay_out = arcpres.layout
 
