@@ -98,8 +98,9 @@ def _stored(data, key, *types):
 
 
 def cmd_verify(args) -> int:
-    """Recheck a stored polygon against an .arc file, every check on one per-axis
-    lattice image of its vertices, whose two scales the projection takes."""
+    """Recheck a stored polygon against an .arc file: the embedding check and
+    the stick count on one per-axis lattice image of its vertices, the
+    projection on the vertices themselves, each on its own integers."""
     ap = parse(_read_text(args.arc))
     try:
         data = json.loads(_read_text(args.polygon))
@@ -113,17 +114,16 @@ def cmd_verify(args) -> int:
         print(f"error: malformed polygon JSON: {e}", file=sys.stderr)
         return EXIT_INVALID
 
-    scales, image = lattice(knot.vertices)
-    knot = StickKnot(tuple(image), knot.roles)
+    image = StickKnot(tuple(lattice(knot.vertices)[1]), knot.roles)
     try:
-        emb = polygon_embedded(knot.vertices)
+        emb = polygon_embedded(image.vertices)
     except ValueError as e:  # degenerate polygon (repeated vertex, too short)
         print(f"error: stored polygon is degenerate: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     if not emb.ok:
         print(f"error: stored polygon is not embedded: {emb.failures[0]}", file=sys.stderr)
         return EXIT_INTERNAL
-    sticks = stick_count(knot)
+    sticks = stick_count(image)
     if sticks != stored_sticks:
         print(
             f"error: stored stick count {stored_sticks}, recount {sticks}",
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
     if (sticks <= theorem2_upper(ap.n)) != stored_bound_ok:
         print("error: stored bound verdict does not match recount", file=sys.stderr)
         return EXIT_INTERNAL
-    report = match(ap, diagram(ap), project(knot, scales))
+    report = match(ap, diagram(ap), project(knot))
     if stored_det is not None and report.det2 != stored_det:
         print(
             f"error: stored determinant {stored_det} but polygon has {report.det2}",

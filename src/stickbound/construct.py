@@ -34,6 +34,7 @@ from .geom import (
     Plane,
     bbox,
     boxes_apart,
+    convex_failure,
     edge_failures,
     joint,
     lattice,
@@ -407,9 +408,9 @@ def _certify_top(rot_v, t_a, t_b, stationary):
     Coinciding tips reject the candidate, and so does a new polygon that is
     not embedded.  That test covers only its three new edges (connector and
     extensions): the rest are edges of the reduced polygon, embedded as K2
-    passed the full check and every reduction triangle was proved empty, so
-    the first failure is the full check's.  Then the shapes of ``_SHAPES``
-    are tried in order, each four Δ-moves (Reidemeister, Knotentheorie,
+    met the lemma's conditions and every reduction triangle was proved
+    empty, so the first failure is the full check's.  Then the shapes of
+    ``_SHAPES`` are tried in order, each four Δ-moves (Reidemeister, Knotentheorie,
     1932) carrying the old path (vertical, top stick, vertical) onto the new
     one (extension, connector, extension).  Legal moves keep the polygon
     embedded and its knot type, so the first shape whose moves are all legal
@@ -453,13 +454,19 @@ class Certificate:
 def build_full(ap: ArcPresentation, top: bool = True):
     """Normalize, lift, reduce, certify; returns (StickKnot, Certificate).
 
-    The invariant check compares the exact diagram of the input presentation
-    with a generic projection of the output polygon (determinant and
-    normalized Alexander polynomial); a mismatch is reported, not repaired.
-    K2 is lifted from the layout points' :func:`lattice` image at the integer
-    heights themselves (the lattice's scale D_z is 1), so every stage from
-    the embedding check of K2 to the projection runs on that image; x and y
-    are divided by the plan scale D_p once, on return.
+    K2 is proved embedded by the paper's lemma, not by the full check: its
+    horizontals sit at strictly increasing heights, so no two meet, and its
+    verticals stand at binding points in strictly convex position, so no
+    two meet and none meets a horizontal off its own two ends, the corners
+    it shares with its neighbours.  Both conditions are checked, in O(n).
+    K2 is lifted from the layout points' :func:`lattice` image at the
+    integer heights themselves (the lattice's scale D_z is 1), so every
+    stage from the lemma's checks to the final embedding check runs on that
+    image.  x and y are then divided by the plan scale D_p once, and the
+    projection takes those true points.  The invariant check compares the
+    exact diagram of the input presentation with a generic projection of
+    the output polygon (determinant and normalized Alexander polynomial); a
+    mismatch is reported, not repaired.
     """
     if ap.n < 3:
         raise InvalidArcPresentation("full build needs at least 3 chords")
@@ -469,10 +476,14 @@ def build_full(ap: ArcPresentation, top: bool = True):
     _, beta = classify(norm)
     n = norm.n
     scales, grid = lattice(pts)
+    for k in range(1, n):
+        if z[k] <= z[k - 1]:
+            raise InternalVerificationError(f"chord {k + 1} is not above chord {k}")
+    if (i := convex_failure(grid)) is not None:
+        raise InternalVerificationError(
+            f"binding point {i + 1} is not in strictly convex position"
+        )
     k2 = _polygon(norm, z, grid)
-    emb2 = polygon_embedded(k2.vertices)
-    if not emb2.ok:
-        raise InternalVerificationError(f"lifted polygon not embedded: {emb2.failures}")
     reduced, reduced_chords = triangle_reductions(norm, k2, z, grid)
     expected_reduced = 2 * n - (beta.beta2 + beta.beta3 - 1)
     if len(reduced.vertices) != expected_reduced:
@@ -493,7 +504,9 @@ def build_full(ap: ArcPresentation, top: bool = True):
             f"stick accounting: counted {sticks}, expected {expected}"
         )
     bound = theorem2_upper(n)
-    rep = invariants.match(ap, diagram(ap), invariants.project(final, scales))
+    dp = scales[0]
+    true_v = tuple((Fraction(x, dp), Fraction(y, dp), Fraction(h)) for x, y, h in final.vertices)
+    rep = invariants.match(ap, diagram(ap), invariants.project(true_v))
     cert = Certificate(
         n=n,
         shift=shift,
@@ -512,8 +525,6 @@ def build_full(ap: ArcPresentation, top: bool = True):
         alexander_in=str(rep.alex1),
         alexander_out=str(rep.alex2),
     )
-    dp = scales[0]
-    true_v = tuple((Fraction(x, dp), Fraction(y, dp), Fraction(h)) for x, y, h in final.vertices)
     return StickKnot(true_v, final.roles), cert
 
 

@@ -89,6 +89,36 @@ def orient2d(a, b, c) -> int:
     return 0
 
 
+def convex_failure(points):
+    """Index of the first point at which the cycle ``points`` fails to be in
+    strictly convex position counterclockwise, or None.
+
+    Point i fails where the cycle does not turn left at it, or where it
+    winds a second time: with every turn left, each edge direction turns by
+    less than a half turn, so the cycle winds once per point at which the
+    direction passes from the lower half-plane (or the negative x axis) back
+    to the upper one.  A cycle with every turn left that winds once is a
+    convex polygon; a pentagram order winds twice.  O(len(points)).
+    """
+    m = len(points)
+    wraps = 0
+    for i in range(m):
+        a, b, c = points[i - 1], points[i], points[(i + 1) % m]
+        if orient2d(a, b, c) <= 0:
+            return i
+        into, out = (b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1])
+        if not _upper(into) and _upper(out):
+            wraps += 1
+            if wraps > 1:
+                return i
+    return None
+
+
+def _upper(d):
+    """Whether direction d has angle in [0, pi)."""
+    return d[1] > 0 or (d[1] == 0 and d[0] > 0)
+
+
 def _sub3(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 

@@ -14,10 +14,11 @@ of fewest coefficients; every polynomial is kept as an offset pair
 zeros.  The determinant of an arc presentation is read from its grid
 instead (unit pivots, then Bareiss on the core), by code that shares
 nothing with diagrams or relation rows, and :func:`match` checks it against
-|Alexander(-1)| of the presentation's diagram.  A projection tests pairs of
-edge shadows for crossings only when their exact 2D bounding boxes are not
-strictly apart, and tests them on integer numerators whose denominator's
-sign gives the crossing's sign, and sorts them by integer keys.
+|Alexander(-1)| of the presentation's diagram.  A projection carries each
+vertex on its own integers (X, Y, Z, W), tests a pair of edge shadows for a
+crossing only when boxes holding them are not strictly apart, tests it on
+integer numerators whose denominator's sign gives the crossing's sign, and
+sorts the crossings by integer keys.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from .arcpres import Diagram, _gauss_diagram
 from .errors import InternalVerificationError
-from .geom import orient2d
+from .geom import _cross3, _dot3
 
 PROJECTION_ATTEMPTS = 65
 
@@ -432,32 +433,43 @@ def _key_shift(dens):
     return 2 * max((den.bit_length() for den in dens), default=0) + 1
 
 
-def _project_once(verts, shadows):
+def _project_once(points, shadows):
     """One projection attempt: a Diagram, or the name of the failed check.
 
-    A zero-length edge shadow, or a vertex on a neighbouring edge's line,
-    makes a joint collinear.  Any other vertex on an edge, or two equal
-    vertex shadows, puts a parameter 0 or 1 on a pair of non-adjacent edges,
-    which the crossing loop rejects.  That loop skips a pair whose shadow
-    boxes are strictly apart on an axis, since such edges share no point;
-    boxes that touch still go through the full test.  It tests the pair's
-    parameters as numerators sn, un over their common denominator den > 0
-    (cleared of ``Fraction`` denominators), keeping the sign den had, the
-    crossing's sign when edge i is over.  Crossings sort by the int keys of
-    :func:`_key_shift`; a repeated (edge, key) is a triple point.
+    ``points`` are the vertices as ints (X, Y, Z, W), W > 0, the point
+    (X, Y, Z) / W, and ``shadows`` their shadows as (x, y, W), the plane
+    point (x, y) / W.  A zero-length edge shadow, or a vertex on a
+    neighbouring edge's line, makes a joint collinear.  Any other vertex on
+    an edge, or two equal vertex shadows, puts a parameter 0 or 1 on a pair
+    of non-adjacent edges, which the crossing loop rejects.  That loop skips
+    a pair whose shadow boxes are strictly apart on an axis, since such
+    edges share no point.  The boxes are taken on the floors of the
+    coordinates, and floor(p) < floor(q) implies p < q, so the skip stays
+    exact.  With each edge's direction scaled by the W of its
+    ends, the parameters of a pair i, j with ends a, b and c, d are
+    (sn W_b) / (den W_c) along i and (un W_d) / (den W_a) along j, den > 0
+    keeping the sign den had, the crossing's sign when edge i is over; the
+    two heights there share the denominator den W_a W_c.  Crossings sort by
+    the int keys of :func:`_key_shift`; a repeated (edge, key) is a triple
+    point.
     """
-    m = len(verts)
+    m = len(points)
     for i in range(m):
-        if orient2d(shadows[i - 1], shadows[i], shadows[(i + 1) % m]) == 0:
+        if _dot3(shadows[i - 1], _cross3(shadows[i], shadows[(i + 1) % m])) == 0:
             return None, "no-collinear-joints"
-    boxes = []
+    floors = [(x // w, y // w) for x, y, w in shadows]
+    edges, boxes = [], []  # direction (x, y, Z) times W_a W_b; box of floors
     for i in range(m):
-        (ax, ay), (bx, by) = shadows[i], shadows[(i + 1) % m]
-        boxes.append((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
+        (ax, ay, wa), (bx, by, wb) = shadows[i], shadows[(i + 1) % m]
+        za, zb = points[i][2], points[(i + 1) % m][2]
+        edges.append((bx * wa - ax * wb, by * wa - ay * wb, zb * wa - za * wb))
+        (fax, fay), (fbx, fby) = floors[i], floors[(i + 1) % m]
+        boxes.append((min(fax, fbx), max(fax, fbx), min(fay, fby), max(fay, fby)))
     hits = []
     for i in range(m):
         a, b = shadows[i], shadows[(i + 1) % m]
-        abx, aby = b[0] - a[0], b[1] - a[1]
+        wa, wb, za = a[2], b[2], points[i][2]
+        abx, aby, abz = edges[i]
         xi0, xi1, yi0, yi1 = boxes[i]
         for j in range(i + 2, m):
             if i == 0 and j == m - 1:
@@ -466,60 +478,67 @@ def _project_once(verts, shadows):
             if xi1 < xj0 or xj1 < xi0 or yi1 < yj0 or yj1 < yi0:
                 continue  # boxes strictly apart: the edges share no point
             c, d = shadows[j], shadows[(j + 1) % m]
-            cdx, cdy = d[0] - c[0], d[1] - c[1]
+            wc = c[2]
+            cdx, cdy, cdz = edges[j]
             den = abx * cdy - aby * cdx
+            rx, ry = c[0] * wa - a[0] * wc, c[1] * wa - a[1] * wc  # c - a times W_a W_c
+            un = rx * aby - ry * abx
             if den == 0:
-                if orient2d(a, b, c) == 0:
-                    xs1 = sorted((a, b))
-                    xs2 = sorted((c, d))
-                    if max(xs1[0], xs2[0]) <= min(xs1[1], xs2[1]):
-                        return None, "no-parallel-overlap"
+                if un == 0 and any(_on_segment(*e) for e in ((c, a, b), (d, a, b), (a, c, d))):
+                    return None, "no-parallel-overlap"
                 continue
-            rx, ry = c[0] - a[0], c[1] - a[1]
-            sn, un = rx * cdy - ry * cdx, rx * aby - ry * abx
+            sn = rx * cdy - ry * cdx
             sign = 1
             if den < 0:
                 sign, den, sn, un = -1, -den, -sn, -un
-            if 0 < sn < den and 0 < un < den:
-                if type(den) is not int:  # Fraction shadows, past the lattice cap
-                    q = math.lcm(sn.denominator, un.denominator, den.denominator)
-                    sn, un, den = int(sn * q), int(un * q), int(den * q)
-                hits.append((i, j, sign, sn, un, den))
-            elif 0 <= sn <= den and 0 <= un <= den:
+            s_num, s_den, u_num, u_den = sn * wb, den * wc, un * d[2], den * wa
+            if 0 < s_num < s_den and 0 < u_num < u_den:
+                zi = za * s_den + sn * abz
+                zj = points[j][2] * u_den + un * cdz
+                hits.append((i, j, sign, s_num, s_den, u_num, u_den, zi, zj))
+            elif 0 <= s_num <= s_den and 0 <= u_num <= u_den:
                 return None, "no-vertex-on-edge"
-    k = _key_shift(hit[5] for hit in hits)
-    keys = [((i, (sn << k) // den), (j, (un << k) // den)) for i, j, _, sn, un, den in hits]
+    k = _key_shift(den for hit in hits for den in (hit[4], hit[6]))
+    keys = [((i, (sn << k) // sd), (j, (un << k) // ud)) for i, j, _, sn, sd, un, ud, _, _ in hits]
     if len({key for pair in keys for key in pair}) != 2 * len(hits):
         return None, "no-triple-points"
     over_under = []
-    for (i, j, sign, sn, un, den), ((_, ks), (_, ku)) in zip(hits, keys):
-        zi = verts[i][2] * den + sn * (verts[(i + 1) % m][2] - verts[i][2])
-        zj = verts[j][2] * den + un * (verts[(j + 1) % m][2] - verts[j][2])
+    for (i, j, sign, *_, zi, zj), ((_, ks), (_, ku)) in zip(hits, keys):
         if zi == zj:
             raise InternalVerificationError("polygon edges meet in space")
         over_under.append((i, j, sign, ks, ku) if zi > zj else (j, i, -sign, ku, ks))
     return _gauss_diagram(over_under, range(m)), None
 
 
-def project(knot, scales=(1, 1)) -> ProjectedDiagram:
+def _on_segment(p, a, b):
+    """Whether shadow p, on the line of shadows a and b, lies on the closed
+    segment ab: (p - a) . (p - b) <= 0, scaled by W_p^2 W_a W_b > 0."""
+    (px, py, wp), (ax, ay, wa), (bx, by, wb) = p, a, b
+    dot = (px * wa - ax * wp) * (px * wb - bx * wp) + (py * wa - ay * wp) * (py * wb - by * wp)
+    return dot <= 0
+
+
+def project(knot) -> ProjectedDiagram:
     """Project a polygon along (1/(7+m), 1/(11+2m), 1) for the first generic m.
 
     Larger z is the over strand.  Every genericity condition is checked
     exactly; a failed check moves to the next direction, and running out of
-    directions raises.  The checks run on the vertices as given, which
-    callers pass as a :func:`geom.lattice` image with its ``scales``
-    (D_p, D_z) so that they run on ints: with a = 7+m and b = 11+2m the
-    shadows (b(a D_z X - D_p Z), a(b D_z Y - D_p Z)) of the points (X, Y, Z)
-    are the shadows of the true points along the direction times a b D_p D_z,
-    a positive factor.  The default scales take the vertices as true points.
+    directions raises.  The vertices are true points, ints or ``Fraction``s.
+    Each runs on its own integers (X, Y, Z, W), W > 0 the lcm of its three
+    denominators: with a = 7+m and b = 11+2m its shadow (b(aX - Z),
+    a(bY - Z), W) is the plane point a b times the true shadow, so no
+    common scale carries one vertex's denominators to another's.
     """
-    verts = getattr(knot, "vertices", knot)
-    dp, dz = scales
+    points = []
+    for v in getattr(knot, "vertices", knot):
+        ratios = [c.as_integer_ratio() for c in v]
+        w = math.lcm(*(den for _, den in ratios))
+        points.append((*(num * (w // den) for num, den in ratios), w))
     last = "no directions tried"
     for attempt in range(PROJECTION_ATTEMPTS):
         a, b = 7 + attempt, 11 + 2 * attempt
-        shadows = [(b * (a * dz * x - dp * z), a * (b * dz * y - dp * z)) for x, y, z in verts]
-        diag, failed = _project_once(verts, shadows)
+        shadows = [(b * (a * x - z), a * (b * y - z), w) for x, y, z, w in points]
+        diag, failed = _project_once(points, shadows)
         if diag is not None:
             return ProjectedDiagram(
                 diagram=diag,

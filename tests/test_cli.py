@@ -130,9 +130,10 @@ def test_one_lattice_per_build_and_per_verify(ap6_fig8, concurrence9, tmp_path, 
 
 def test_verify_projects_heights_at_their_own_scale(tmp_path, monkeypatch):
     """A stored polygon whose heights are divided by 3 has D_z = 3: verify
-    passes both scales of its lattice to project, which draws the diagram
-    that the one-scale lattice drew, and exits 0.  random_presentation(24, 2
-    * 1_000_003) takes layout retry 1, so D_p is hundreds of bits."""
+    passes the stored vertices themselves to project, which draws the
+    diagram that the one-scale lattice drew, and exits 0.
+    random_presentation(24, 2 * 1_000_003) takes layout retry 1, so D_p is
+    hundreds of bits."""
     ap = random_presentation(24, 2 * 1_000_003)
     knot, cert = construct.build_full(ap)
     assert cert.layout_retry == 1
@@ -144,15 +145,17 @@ def test_verify_projects_heights_at_their_own_scale(tmp_path, monkeypatch):
     drawn = []
     real = cli.project
 
-    def recorded(knot, scales):
-        drawn.append((scales, real(knot, scales)))
+    def recorded(knot):
+        drawn.append((knot.vertices, real(knot)))
         return drawn[-1][1]
 
     monkeypatch.setattr(cli, "project", recorded)
     assert cli.main(["verify", str(arc), str(poly)]) == 0
-    [(scales, pd)] = drawn
-    assert scales[1] == 3 and scales[0].bit_length() > 100
+    [(projected, pd)] = drawn
     verts = construct.knot_from_json(doc).vertices
+    assert projected == verts
+    scales = geom.lattice(verts)[0]
+    assert scales[1] == 3 and scales[0].bit_length() > 100
     assert pd == project_on_one_scale(verts)
 
 

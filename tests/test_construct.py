@@ -45,6 +45,7 @@ from stickbound.construct import (
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.geom import (
     bbox,
+    convex_failure,
     edge_failures,
     lattice,
     polygon_embedded,
@@ -911,9 +912,79 @@ def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
     assert stick_count(sweeps[0]) == 2 * ap6_fig8.n
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 24),
+    seed=st.integers(0, 1 << 32),
+    gaps=st.lists(st.integers(1, 1 << 20), min_size=24, max_size=24),
+    low=st.integers(-(1 << 20), 1 << 20),
+)
+def test_k2_at_any_increasing_heights_is_embedded(n, seed, gaps, low):
+    """The lemma build_full rests on: K2 lifted from the layout's lattice
+    points, which are in strictly convex position, at any strictly
+    increasing integer heights passes the full embedding check."""
+    ap = random_presentation(n, seed)
+    pts, _, _ = layout(ap)
+    grid = lattice(pts)[1]
+    assert convex_failure(grid) is None
+    z = [low + sum(gaps[:k]) for k in range(n)]
+    k2 = construct._polygon(ap, z, grid)
+    assert polygon_embedded(k2.vertices).ok
+
+
+def _layout_reordered(monkeypatch, order):
+    """construct.layout with its points put in ``order`` (indices into them)."""
+    def reordered(ap):
+        pts, retry, crossings = layout(ap)
+        return [pts[k] for k in order(len(pts))], retry, crossings
+
+    monkeypatch.setattr(construct, "layout", reordered)
+
+
+def test_build_full_refuses_points_out_of_convex_position(ap5, ap6_fig8, monkeypatch):
+    """Two binding points swapped turn the cycle right at the first of them;
+    a pentagram order turns left everywhere but winds twice."""
+    _layout_reordered(monkeypatch, lambda n: [0, 2, 1, *range(3, n)])
+    with pytest.raises(InternalVerificationError, match="binding point 2 is not in strictly"):
+        build_full(ap6_fig8)
+    _layout_reordered(monkeypatch, lambda n: [0, 2, 4, 1, 3])
+    with pytest.raises(InternalVerificationError, match="binding point 4 is not in strictly"):
+        build_full(ap5)
+
+
+def test_build_full_refuses_a_repeated_height(ap6_fig8, monkeypatch):
+    real = construct._assign_heights
+
+    def repeated(ap, crossings):
+        z = list(real(ap, crossings))
+        z[3] = z[2]
+        return tuple(z)
+
+    monkeypatch.setattr(construct, "_assign_heights", repeated)
+    with pytest.raises(InternalVerificationError, match="chord 4 is not above chord 3"):
+        build_full(ap6_fig8)
+
+
+def test_build_full_checks_only_the_final_polygon_in_full(ap5, concurrence9, monkeypatch):
+    """K2 is proved embedded by the lemma; polygon_embedded runs once, on
+    the final polygon, with the top move applied or not."""
+    checked = []
+
+    def counted(vertices):
+        checked.append(len(vertices))
+        return polygon_embedded(vertices)
+
+    monkeypatch.setattr(construct, "polygon_embedded", counted)
+    for ap in (ap5, concurrence9, random_presentation(24, 5)):
+        for top in (True, False):
+            checked.clear()
+            knot, cert = build_full(ap, top=top)
+            assert checked == [len(knot.vertices)]
+
+
 def test_build_full_intersects_chords_only_in_layout(ap6_fig8, concurrence9, monkeypatch):
     """layout intersects the chords on the binding points' own integers, and
-    project the edge shadows on the build's lattice ints: no stickbound
+    project the edge shadows on each vertex's own integers: no stickbound
     module holds a line intersection."""
     layouts = []
     lay_out = arcpres.layout

@@ -23,6 +23,7 @@ from stickbound.geom import (
     bbox,
     binding_points,
     boxes_apart,
+    convex_failure,
     joint,
     lattice,
     orient2d,
@@ -39,6 +40,38 @@ def test_orient2d_signs():
     assert orient2d((0, 0), (1, 0), (0, 1)) > 0
     assert orient2d((0, 0), (0, 1), (1, 0)) < 0
     assert orient2d((0, 0), (1, 1), (2, 2)) == 0
+
+
+def test_convex_failure_names_the_first_bad_point():
+    square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    assert convex_failure(square) is None
+    assert convex_failure(square[::-1]) == 0  # clockwise
+    assert convex_failure([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]) == 1  # collinear
+    assert convex_failure([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2)]) == 2  # reflex
+    pentagon = [(-3, -4), (0, -5), (5, 0), (0, 5), (-3, 4)]
+    assert convex_failure(pentagon) is None
+    # the pentagram turns left everywhere and winds a second time at point 3
+    pentagram = [pentagon[k] for k in (0, 2, 4, 1, 3)]
+    turns = [orient2d(pentagram[k - 1], pentagram[k], pentagram[(k + 1) % 5]) for k in range(5)]
+    assert turns == [1] * 5
+    assert convex_failure(pentagram) == 3
+
+
+def strictly_convex_by_edges(pts):
+    """O(n^2) reference: every point off an edge lies strictly left of it."""
+    m = len(pts)
+    return all(
+        orient2d(pts[i], pts[(i + 1) % m], pts[k]) > 0
+        for i in range(m)
+        for k in range(m)
+        if k not in (i, (i + 1) % m)
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=3, max_size=8))
+def test_convex_failure_agrees_with_every_edge_test(pts):
+    assert (convex_failure(pts) is None) == strictly_convex_by_edges(pts)
 
 
 def test_binding_points_on_unit_circle_and_distinct():

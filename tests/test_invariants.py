@@ -22,7 +22,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from conftest import project_on_one_scale
+from conftest import project_on_one_scale, project_once_on_one_scale
 from hypothesis import given, settings, strategies as st
 
 from stickbound.arcpres import (
@@ -899,10 +899,15 @@ def project_reference(knot):
         dx = Fraction(1, 7 + attempt)
         dy = Fraction(1, 11 + 2 * attempt)
         shadows = [(v[0] - v[2] * dx, v[1] - v[2] * dy) for v in verts]
-        diag, _ = _project_once(tuple(verts), shadows)
+        diag, _ = project_once_on_one_scale(tuple(verts), shadows)
         if diag is not None:
             return invariants.ProjectedDiagram(diag, (dx, dy, Fraction(1)), attempt)
     raise InternalVerificationError("no generic projection direction found")
+
+
+def on_own_ints(verts, shadows):
+    """_project_once on int vertices and shadows, each at its own W = 1."""
+    return _project_once([(*v, 1) for v in verts], [(*p, 1) for p in shadows])
 
 
 def _projection(project_fn, poly):
@@ -969,29 +974,24 @@ COMB = [(0, 0), (1, 0), (1, 3), (0, -2), (0, -3), (1, 4)]
 
 def test_project_once_orders_two_fifths_before_three_sevenths(monkeypatch):
     verts = tuple((x, y, z) for (x, y), z in zip(COMB, (0, 0, 1, 2, 3, 4)))
-    diag, failed = _project_once(verts, COMB)
+    diag, failed = on_own_ints(verts, COMB)
     assert failed is None and (diag, failed) == project_once_reference(verts, COMB)
     assert [(diag.crossings[cid].over, is_over) for cid, is_over in diag.gauss[:2]] == [
         (2, False),
         (4, False),
     ]
     monkeypatch.setattr(invariants, "_key_shift", lambda dens: max(d.bit_length() for d in dens))
-    assert _project_once(verts, COMB) == (None, "no-triple-points")
+    assert on_own_ints(verts, COMB) == (None, "no-triple-points")
 
 
 def test_project_past_the_lattice_cap_matches_the_lattice_ints(monkeypatch):
     """On Fraction vertices, as lattice returns them past LATTICE_MAX_BITS,
-    project clears each crossing's denominators and gives the diagram it
-    gives on the lattice's ints at the lattice's scales."""
+    project carries each vertex on its own ints and gives the diagram that
+    the one-scale lattice's ints give."""
     polygons = [build_full(random_presentation(n, 7500 + n))[0].vertices for n in range(5, 17)]
     for verts in _grid_polygons(1729, 200):
         polygons.append([(Fraction(x, 2), Fraction(y, 3), z) for x, y, z in verts])
-
-    def on_the_lattice(verts):
-        scales, image = geom.lattice(verts)
-        return project(image, scales)
-
-    want = [_projection(on_the_lattice, verts) for verts in polygons]
+    want = [_projection(project_on_one_scale, verts) for verts in polygons]
     monkeypatch.setattr(geom, "LATTICE_MAX_BITS", 0)
     crossings = 0
     for verts, w in zip(polygons, want):
@@ -1006,8 +1006,9 @@ def test_project_past_the_lattice_cap_matches_the_lattice_ints(monkeypatch):
 
 
 def test_project_on_per_axis_scales_matches_the_one_scale_projection(concurrence9):
-    """project on a per-axis lattice image, given its scales, draws the
-    diagram that the one-scale lattice drew: built polygons at layout retry 0
+    """project on the true points, each vertex on its own ints, draws the
+    diagram that the one-scale lattice drew, on points whose per-axis
+    lattice has scales of different sizes: built polygons at layout retry 0
     and 1 (n = 8 at retry 0 and the 9-chord concurrence9 at retry 1, since no
     n = 8 seed below 2,000 needs a retry; n = 24 and 48 at both), and the
     same polygons with every height divided by 3, where D_z = 3."""
@@ -1022,7 +1023,7 @@ def test_project_on_per_axis_scales_matches_the_one_scale_projection(concurrence
             scales, image = geom.lattice(verts)
             assert scales[1] == dz
             want = project_on_one_scale(verts)
-            assert project(image, scales) == want
+            assert project(verts) == want
             assert len(want.diagram.crossings) > 0
             # the heights keep their own scale, however large the plan's
             assert [v[2] for v in image] == [z * dz for _, _, z in verts]
@@ -1135,7 +1136,7 @@ def _grid_polygons(seed, count):
 def test_project_once_agrees_with_the_separate_checks():
     outcomes = set()
     for verts in _grid_polygons(2718, 6000):
-        got = _attempt(_project_once, verts)
+        got = _attempt(on_own_ints, verts)
         assert got == _attempt(project_once_reference, verts), verts
         outcomes.add(got[0])
     assert outcomes == {"accept", "reject", "raise"}
@@ -1159,7 +1160,7 @@ def test_project_once_agrees_with_the_separate_checks():
 def test_project_once_still_rejects_what_the_deleted_checks_caught(shadows, former, now):
     verts = tuple((x, y, 0) for x, y in shadows)
     assert project_once_reference(verts, shadows) == (None, former)
-    assert _project_once(verts, shadows) == (None, now)
+    assert on_own_ints(verts, shadows) == (None, now)
 
 
 def project_once_unfiltered(verts, shadows):
@@ -1210,7 +1211,7 @@ def _named_attempt(project_once, verts):
 def test_box_filter_agrees_with_the_unfiltered_loop():
     outcomes = set()
     for verts in _grid_polygons(3141, 6000):
-        got = _named_attempt(_project_once, verts)
+        got = _named_attempt(on_own_ints, verts)
         assert got == _named_attempt(project_once_unfiltered, verts), verts
         outcomes.add(got if got[0] == "reject" else got[0])
     assert outcomes == {
@@ -1243,7 +1244,33 @@ def test_box_filter_agrees_with_the_unfiltered_loop():
 def test_box_filter_keeps_touching_boxes(shadows, failed):
     verts = tuple((x, y, 0) for x, y in shadows)
     assert project_once_unfiltered(verts, shadows) == (None, failed)
-    assert _project_once(verts, shadows) == (None, failed)
+    assert on_own_ints(verts, shadows) == (None, failed)
+
+
+def at_weights(weights):
+    """_project_once on int vertices and shadows, vertex k carried as its
+    coordinates times weights[k] over W = weights[k]."""
+
+    def project_once(verts, shadows):
+        return _project_once(
+            [(*(c * w for c in v), w) for v, w in zip(verts, weights)],
+            [(*(c * w for c in p), w) for p, w in zip(shadows, weights)],
+        )
+
+    return project_once
+
+
+def test_project_once_reads_each_vertex_at_its_own_weight():
+    """A weight w per vertex, the point (xw, yw, zw, w), changes no outcome,
+    failure name or diagram of a grid polygon."""
+    rng = random.Random(1618)
+    outcomes = set()
+    for verts in _grid_polygons(1618, 6000):
+        weights = [rng.randint(1, 7) for _ in verts]
+        got = _named_attempt(at_weights(weights), verts)
+        assert got == _named_attempt(on_own_ints, verts), (verts, weights)
+        outcomes.add(got if got[0] == "reject" else got[0])
+    assert len(outcomes) == 6
 
 
 # ---------------------------------------------------------------------- match
