@@ -6,13 +6,13 @@ shared binding points.  Re-lifting the horizontals to carefully chosen integer
 heights makes one right triangle per type-II/III chord empty of the rest of
 the polygon, so its two legs can be replaced by the hypotenuse (one stick
 saved each).  A final certified move replaces the five-stick path through the
-top chord by three sticks.  Every replacement is justified by exact
-geometric certificates, never by construction alone.
+top chord by three sticks.  Every replacement is justified by an exact
+certificate, never by construction alone: the reductions by the paper's
+lemma, checked on integers, and the top move by geometric Δ-move checks.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,22 +132,17 @@ def assign_heights(ap: ArcPresentation) -> tuple:
     return _assign_heights(ap, crossings)
 
 
-def verify_heights(ap: ArcPresentation, z: tuple, crossings) -> None:
-    """Independent exact recheck of the height assignment's guarantees.
+def sweep_triangles(ap: ArcPresentation, z: tuple, crossings) -> list:
+    """The pairs (k, i) failing the lemma's third condition; empty means
+    every reduction triangle is clear (see :func:`triangle_reductions`).
 
-    Checks strict monotonicity and, for every type-II/III chord i with anchor
-    j and apex P, that every chord k < i crossing chord i at fraction t from P
-    satisfies z_k < z_j + t*(z_i - z_j) strictly, compared on integers with
-    t = num / den; ``crossings`` is the third value of ``layout``.  Raises on
-    any violation.  ``build_full`` does not run it: the sweep of
-    :func:`triangle_reductions` tests every stick of the lifted polygon
-    against every reduction triangle, which covers this.
+    For each type-II/III chord i with anchor j and apex P, every chord k < i
+    crossing chord i at fraction t = num / den from P must satisfy
+    z_k < z_j + t*(z_i - z_j), compared on integers; ``crossings`` is the
+    third value of ``layout``.
     """
-    if list(z) != sorted(set(z)):
-        raise InternalVerificationError("heights are not strictly increasing")
-    if z[0] != 1 or z[1] != 2:
-        raise InternalVerificationError("heights must start 1, 2")
     nb = _neighbours(ap)
+    bad = []
     for i in range(3, ap.n + 1):
         anchor = _anchor_and_apex(nb, i)
         if anchor is None:  # type I
@@ -155,9 +150,29 @@ def verify_heights(ap: ArcPresentation, z: tuple, crossings) -> None:
         j, apex = anchor
         for k, num, den in _crossed_from_apex(ap, crossings, i, apex):
             if not (z[k - 1] - z[j - 1]) * den < num * (z[i - 1] - z[j - 1]):
-                raise InternalVerificationError(
-                    f"chord {k} touches or pierces the triangle of chord {i}"
-                )
+                bad.append((k, i))
+    return bad
+
+
+def _raise_pierced(bad):
+    k, i = bad[0]
+    raise InternalVerificationError(f"chord {k} touches or pierces the triangle of chord {i}")
+
+
+def verify_heights(ap: ArcPresentation, z: tuple, crossings) -> None:
+    """Independent exact recheck of the height assignment's guarantees.
+
+    Checks strict monotonicity, z_1 = 1 and z_2 = 2, and then the clearance
+    of every reduction triangle by :func:`sweep_triangles`.  Raises on any
+    violation.  ``build_full`` does not run it: :func:`triangle_reductions`
+    checks the lemma's three conditions itself.
+    """
+    if list(z) != sorted(set(z)):
+        raise InternalVerificationError("heights are not strictly increasing")
+    if z[0] != 1 or z[1] != 2:
+        raise InternalVerificationError("heights must start 1, 2")
+    if bad := sweep_triangles(ap, z, crossings):
+        _raise_pierced(bad)
 
 
 def _polygon(ap: ArcPresentation, z, pts) -> StickKnot:
@@ -192,10 +207,6 @@ class TriangleInfo:
     anchor: int
     triangle: tuple  # (A, B, C) = (apex low corner, right-angle corner, far corner)
 
-    @functools.cached_property
-    def plane(self):  # one for the sweep and the collapse
-        return Plane(self.triangle)
-
 
 def reduction_triangles(ap: ArcPresentation, z: tuple, pts) -> list:
     """The right triangle attached to every type-II/III chord (including n)."""
@@ -215,15 +226,15 @@ def reduction_triangles(ap: ArcPresentation, z: tuple, pts) -> list:
     return out
 
 
-def _triangle_clear(plane, edges, boxes, insertion=False):
+def _triangle_clear(plane, edges, boxes, insertion):
     """First of ``edges`` meeting the closed triangle (u, x, v) of ``plane``
     beyond its legs, if any; ``boxes`` are the boxes of ``edges``.
 
-    The triangle is a Δ-move's: it deletes corner x between u and v, as a
-    collapse does, or for an ``insertion`` puts x between them.  Its legs,
-    the sides that are edges of the polygon before the move (u-x and x-v,
-    or u-v), are skipped, and contact exactly at u or v is allowed, since
-    the polygon is attached there.
+    The triangle is a Δ-move's: it deletes corner x between u and v, or for
+    an ``insertion`` puts x between them.  Its legs, the sides that are
+    edges of the polygon before the move (u-x and x-v, or u-v), are
+    skipped, and contact exactly at u or v is allowed, since the polygon is
+    attached there.
     """
     u, x, v = plane.triangle
     legs = ({u, v},) if insertion else ({u, x}, {x, v})
@@ -237,64 +248,52 @@ def _triangle_clear(plane, edges, boxes, insertion=False):
     return None
 
 
-def sweep_triangles(knot: StickKnot, triangles) -> list:
-    """All (triangle, offending stick) pairs; empty means every triangle clear."""
-    edges = knot.edges()
-    boxes = [bbox(e) for e in edges]
-    return [(t, hit) for t in triangles if (hit := _triangle_clear(t.plane, edges, boxes))]
-
-
-def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts):
+def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts, crossings):
     """Replace both legs by the hypotenuse for chords 2..n-1 of type II/III.
 
-    One sweep proves every triangle empty in the lifted polygon k2.  The
-    triangles are then collapsed in increasing chord order, each tested only
-    against the hypotenuses laid down before it: a collapse keeps every other
-    stick, so those are the only sticks of the current polygon the sweep has
-    not seen.  A pierced triangle means the height assignment is broken and
-    raises, naming the offending stick by its edge index in k2 or by the
-    chord whose hypotenuse it is.  A collapse unlinks its corner's index from
-    k2's cycle.  ``z`` and ``pts`` are the heights and the layout points k2
-    was lifted from, so the triangle corners are vertices of k2, and both
-    checks run on those points as given.  Returns (knot, the collapsed
-    chords in order).
+    ``z`` and ``pts`` are the heights and layout points k2 was lifted from,
+    ``crossings`` the third value of ``layout``.  The paper's lemma proves
+    k2 embedded and every triangle empty, with no geometry, when the heights
+    strictly increase (no two horizontals meet), the points are in strictly
+    convex position counterclockwise (:func:`convex_failure`: no two
+    verticals meet, and a vertical meets a horizontal only at a shared
+    corner) and :func:`sweep_triangles` finds no chord in the way.  A stick
+    can then meet the triangle of chord i off its legs and its corners A and
+    C only as the horizontal of a chord k < i crossing chord i in plan, which
+    the third condition keeps below it: later chords lie above z_i, verticals
+    stand off chord i's open segment, the anchor's horizontal meets it only
+    at A and the other neighbour's vertical only at C.  An earlier
+    hypotenuse runs at or below its own horizontal, so it passes under too.
+    A failed condition raises.  The triangles collapse in increasing chord
+    order, each unlinking the index of its corner B once B's neighbours in
+    k2 are A and C.  Returns (knot, the collapsed chords in order).
     """
-    triangles = reduction_triangles(ap, z, pts)
-    bad = sweep_triangles(k2, triangles)
-    if bad:
-        info, hit = bad[0]
+    for k in range(1, ap.n):
+        if z[k] <= z[k - 1]:
+            raise InternalVerificationError(f"chord {k + 1} is not above chord {k}")
+    if (i := convex_failure(pts)) is not None:
         raise InternalVerificationError(
-            f"triangle of chord {info.chord} not empty in lifted polygon: "
-            f"edge {k2.edges().index(hit)}"
+            f"binding point {i + 1} is not in strictly convex position"
         )
+    if bad := sweep_triangles(ap, z, crossings):
+        _raise_pierced(bad)
     m = len(k2.vertices)
     index = {p: i for i, p in enumerate(k2.vertices)}
-    nxt, prv = [*range(1, m), 0], [m - 1, *range(m - 1)]
-    removed, roles = [False] * m, list(k2.roles)
-    reduced = []
-    hypotenuses, hyp_boxes = [], []  # of the chords in reduced, in order
-    for info in triangles:
+    roles, removed, reduced = list(k2.roles), set(), []
+    for info in reduction_triangles(ap, z, pts):
         if info.chord == ap.n:
             continue
-        hit = _triangle_clear(info.plane, hypotenuses, hyp_boxes)
-        if hit is not None:
-            raise InternalVerificationError(
-                f"triangle of chord {info.chord} pierced by stick: the hypotenuse "
-                f"of chord {reduced[hypotenuses.index(hit)]}"
-            )
         a, b, c = info.triangle
         k = index.get(b)
-        if k is None or removed[k] or {prv[k], nxt[k]} != {index.get(a), index.get(c)}:
+        if k is None or {(k - 1) % m, (k + 1) % m} != {index.get(a), index.get(c)}:
             raise InternalVerificationError(
                 f"polygon structure near chord {info.chord} unexpected"
             )
-        roles[prv[k]] = ROLE_HYP
-        nxt[prv[k]], prv[nxt[k]] = nxt[k], prv[k]
-        removed[k] = True
-        hypotenuses.append((a, c))
-        hyp_boxes.append(bbox((a, c)))
+        roles[k - 1] = ROLE_HYP
+        removed.add(k)
         reduced.append(info.chord)
-    left = [i for i in range(m) if not removed[i]]
+    # collapsed corners B_i = (apex_i, z_i) are never neighbours, as apex_j != apex_i
+    left = [i for i in range(m) if i not in removed]
     knot = StickKnot(tuple(k2.vertices[i] for i in left), tuple(roles[i] for i in left))
     return knot, tuple(reduced)
 
@@ -407,9 +406,9 @@ def _certify_top(rot_v, t_a, t_b, stationary):
     coordinates; ``stationary`` holds the other sticks and their boxes.
     Coinciding tips reject the candidate, and so does a new polygon that is
     not embedded.  That test covers only its three new edges (connector and
-    extensions): the rest are edges of the reduced polygon, embedded as K2
-    met the lemma's conditions and every reduction triangle was proved
-    empty, so the first failure is the full check's.  Then the shapes of
+    extensions): the rest are edges of the reduced polygon, which
+    :func:`triangle_reductions` proved embedded by the paper's lemma, so the
+    first failure is the full check's.  Then the shapes of
     ``_SHAPES`` are tried in order, each four Δ-moves (Reidemeister, Knotentheorie,
     1932) carrying the old path (vertical, top stick, vertical) onto the new
     one (extension, connector, extension).  Legal moves keep the polygon
@@ -454,15 +453,11 @@ class Certificate:
 def build_full(ap: ArcPresentation, top: bool = True):
     """Normalize, lift, reduce, certify; returns (StickKnot, Certificate).
 
-    K2 is proved embedded by the paper's lemma, not by the full check: its
-    horizontals sit at strictly increasing heights, so no two meet, and its
-    verticals stand at binding points in strictly convex position, so no
-    two meet and none meets a horizontal off its own two ends, the corners
-    it shares with its neighbours.  Both conditions are checked, in O(n).
-    K2 is lifted from the layout points' :func:`lattice` image at the
-    integer heights themselves (the lattice's scale D_z is 1), so every
-    stage from the lemma's checks to the final embedding check runs on that
-    image.  x and y are then divided by the plan scale D_p once, and the
+    K2 and its collapses are proved by the paper's lemma in
+    :func:`triangle_reductions`, not by the full check.  K2 is lifted from
+    the layout points' :func:`lattice` image at the integer heights
+    themselves (the lattice's scale D_z is 1), so every stage from the
+    lemma's checks to the final embedding check runs on that image.  x and y are then divided by the plan scale D_p once, and the
     projection takes those true points.  The invariant check compares the
     exact diagram of the input presentation with a generic projection of
     the output polygon (determinant and normalized Alexander polynomial); a
@@ -476,15 +471,8 @@ def build_full(ap: ArcPresentation, top: bool = True):
     _, beta = classify(norm)
     n = norm.n
     scales, grid = lattice(pts)
-    for k in range(1, n):
-        if z[k] <= z[k - 1]:
-            raise InternalVerificationError(f"chord {k + 1} is not above chord {k}")
-    if (i := convex_failure(grid)) is not None:
-        raise InternalVerificationError(
-            f"binding point {i + 1} is not in strictly convex position"
-        )
     k2 = _polygon(norm, z, grid)
-    reduced, reduced_chords = triangle_reductions(norm, k2, z, grid)
+    reduced, reduced_chords = triangle_reductions(norm, k2, z, grid, crossings)
     expected_reduced = 2 * n - (beta.beta2 + beta.beta3 - 1)
     if len(reduced.vertices) != expected_reduced:
         raise InternalVerificationError(

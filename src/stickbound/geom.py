@@ -17,8 +17,8 @@ them.
 A segment crossing a triangle's plane is tested as the homogeneous point X / w,
 so only a contact strictly inside a segment builds a ``Fraction``; a contact
 at a segment's end returns the caller's own point tuple.  A triangle met by
-many segments, a reduction triangle or a Δ-move triangle of the top move
-(``construct._certify_top``), is prepared once as a :class:`Plane`.
+many segments, a Δ-move triangle of the top move (``construct._certify_top``),
+is prepared once as a :class:`Plane`.
 
 Loops over many segment/segment or segment/triangle pairs first compare
 exact axis-aligned bounding boxes (:func:`bbox`, :func:`boxes_apart`).  Two

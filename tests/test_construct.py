@@ -44,6 +44,7 @@ from stickbound.construct import (
 )
 from stickbound.errors import InternalVerificationError, InvalidArcPresentation
 from stickbound.geom import (
+    Plane,
     bbox,
     convex_failure,
     edge_failures,
@@ -58,13 +59,15 @@ from test_invariants import reintersecting_diagram
 
 
 def reductions_of(ap, k2):
-    """triangle_reductions of k2 at ap's assigned heights and layout points."""
-    return triangle_reductions(ap, k2, assign_heights(ap), layout(ap)[0])
+    """triangle_reductions of k2 at ap's assigned heights and layout."""
+    pts, _, crossings = layout(ap)
+    return triangle_reductions(ap, k2, assign_heights(ap), pts, crossings)
 
 
 def clear(edges, info):
-    """_triangle_clear of a reduction triangle against ``edges``."""
-    return _triangle_clear(info.plane, edges, [bbox(e) for e in edges])
+    """_triangle_clear of a reduction triangle against ``edges``: the
+    geometric check the collapses made before the lemma replaced it."""
+    return _triangle_clear(Plane(info.triangle), edges, [bbox(e) for e in edges], False)
 
 
 def test_assign_heights_constraints(ap5):
@@ -255,7 +258,7 @@ def test_reduced_chords_are_the_hypotenuse_chords_in_order(n):
         ap, _ = normalize(random_presentation(n, seed))
         _, beta = classify(ap)
         z = assign_heights(ap)
-        reduced, chords = triangle_reductions(ap, build_k2(ap), z, layout(ap)[0])
+        reduced, chords = reductions_of(ap, build_k2(ap))
         tagged = [
             z.index(max(p[2], q[2])) + 1
             for (p, q), role in zip(reduced.edges(), reduced.roles)
@@ -334,21 +337,26 @@ def test_build_full_validates_only_the_shifts_it_constructs(monkeypatch):
     assert 0 < len(calls) <= ap.n
 
 
+PIERCED = r"chord (\d+) touches or pierces the triangle of chord (\d+)"
+
+
 @pytest.mark.parametrize("n, seed", [(5, 3), (9, 2), (12, 5), (16, 7)])
 def test_build_full_leaves_the_height_recheck_to_the_sweep(monkeypatch, n, seed):
-    """Heights with one chord squashed to the bare monotone minimum, which
-    verify_heights rejects, are rejected by the sweep of the lifted polygon;
-    build_full never calls verify_heights."""
+    """Heights with one chord squashed to the bare monotone minimum are
+    refused by sweep_triangles, the lemma's third condition, with
+    verify_heights' message: it names the squashed chord i and a chord k < i
+    whose horizontal meets the triangle of chord i in K2.  build_full never
+    calls verify_heights, and sweeps once."""
     original = construct._assign_heights
-    squashed_by = []
+    squashed = []
 
-    def squashed(ap, crossings):
+    def squash(ap, crossings):
         z = list(original(ap, crossings))
         i = next(i for i in range(2, len(z)) if z[i] > z[i - 1] + 1)
         z[i] = z[i - 1] + 1
-        with pytest.raises(InternalVerificationError, match="pierces the triangle"):
+        with pytest.raises(InternalVerificationError, match="pierces the triangle") as e:
             verify_heights(ap, tuple(z), crossings)
-        squashed_by.append(i)
+        squashed.append((i + 1, str(e.value), ap, tuple(z), crossings))
         return tuple(z)
 
     calls = []
@@ -360,23 +368,26 @@ def test_build_full_leaves_the_height_recheck_to_the_sweep(monkeypatch, n, seed)
     swept = []
     sweep = construct.sweep_triangles
 
-    def recorded(knot, triangles):
-        swept.append((knot, triangles))
-        return sweep(knot, triangles)
+    def recorded(*args):
+        swept.append(args)
+        return sweep(*args)
 
-    monkeypatch.setattr(construct, "_assign_heights", squashed)
+    monkeypatch.setattr(construct, "_assign_heights", squash)
     monkeypatch.setattr(construct, "verify_heights", counted)
     monkeypatch.setattr(construct, "sweep_triangles", recorded)
-    with pytest.raises(InternalVerificationError, match="not empty in lifted polygon") as e:
+    with pytest.raises(InternalVerificationError, match="pierces the triangle") as e:
         build_full(random_presentation(n, seed))
-    assert len(squashed_by) == 1 and calls == []
-    # the message names the offending stick by its edge index in K2
-    message = r"triangle of chord (\d+) not empty in lifted polygon: edge (\d+)"
-    chord, edge = map(int, re.fullmatch(message, str(e.value)).groups())
-    ((k2, triangles),) = swept
-    assert 0 <= edge < len(k2.vertices) == 2 * n
-    info = next(t for t in triangles if t.chord == chord)
-    assert clear([k2.edges()[edge]], info) == k2.edges()[edge]
+    ((chord, message, ap, z, crossings),) = squashed
+    assert str(e.value) == message and calls == []
+    # one sweep by the verify_heights call in squash, one by build_full
+    assert swept == [(ap, z, crossings)] * 2
+    k, i = map(int, re.fullmatch(PIERCED, message).groups())
+    assert i == chord and k < i
+    # the geometric sweep agrees: chord k's horizontal meets chord i's triangle
+    k2 = construct._polygon(ap, z, layout(ap)[0])
+    (horizontal,) = [(p, q) for p, q in k2.edges() if p[2] == q[2] == z[k - 1]]
+    info = next(t for t in reduction_triangles(ap, z, layout(ap)[0]) if t.chord == i)
+    assert clear([horizontal], info) == horizontal
 
 
 def test_stick_count_merges_collinear_runs():
@@ -771,7 +782,7 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     assert clear(along.edges(), info) == (mid, c)
     assert clear_reference(along, info) == (mid, c)
     # a slanted stick through the centroid, as a hypotenuse laid down by an
-    # earlier collapse would be: the only kind of stick checked after the sweep
+    # earlier collapse would be, which the lemma rules out
     hyp = (
         tuple(u - v for u, v in zip(g, normal + (1,))),
         tuple(u + v for u, v in zip(g, normal + (1,))),
@@ -782,11 +793,18 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     assert clear_reference(laid, info) == hyp
 
 
+def sweep_reference(knot, triangles):
+    """The geometric sweep the lemma replaced: all (triangle, offending
+    stick) pairs of ``knot``; empty means every triangle clear."""
+    edges = knot.edges()
+    return [(t, hit) for t in triangles if (hit := clear(edges, t))]
+
+
 def two_pass_reference(ap, k2, z, pts):
-    """The former reduction loop: a sweep of k2, then a check of each
-    triangle against the whole current polygon before it collapses."""
+    """The reductions proved by geometry: a sweep of k2, then a check of
+    each triangle against the whole current polygon before it collapses."""
     infos = reduction_triangles(ap, z, pts)
-    if any(clear(k2.edges(), info) is not None for info in infos):
+    if sweep_reference(k2, infos):
         raise InternalVerificationError("triangle not empty in lifted polygon")
     knot, chords = k2, []
     for info in infos:
@@ -826,20 +844,20 @@ def _height_mutants(heights, rng):
         yield w
 
 
-HYPOTENUSE_HIT = r"triangle of chord (\d+) pierced by stick: the hypotenuse of chord (\d+)"
-
-
-def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
+def test_lemma_matches_the_two_pass_loop():
+    """On assigned, squashed and swapped heights, also with K2 rotated so
+    that the first collapsed corner sits at index 0: strictly increasing
+    heights get the geometric reference's verdict and result, and the others
+    are refused as not increasing."""
     rng = random.Random(1603)
     outcomes = set()
     for n in range(5, 9):
         for seed in range(8):
             ap, _ = normalize(random_presentation(n, seed))
-            pts, _, _ = layout(ap)
+            pts, _, crossings = layout(ap)
             for z in _height_mutants(assign_heights(ap), rng):
                 hz = tuple(z)
                 k2 = construct._polygon(ap, z, pts)
-                # also rotated so that the first collapsed corner sits at index 0
                 first = [t for t in reduction_triangles(ap, hz, pts) if 2 <= t.chord < n]
                 r = k2.vertices.index(first[0].triangle[1]) if first else 0
                 rotated = StickKnot(
@@ -847,69 +865,95 @@ def test_one_sweep_and_hypotenuse_checks_match_the_two_pass_loop():
                 )
                 for knot in (k2, rotated):
                     try:
+                        got, why = triangle_reductions(ap, knot, hz, pts, crossings), ""
+                    except InternalVerificationError as e:
+                        got, why = None, str(e)
+                    if any(a >= b for a, b in zip(hz, hz[1:])):
+                        assert re.fullmatch(r"chord (\d+) is not above chord (\d+)", why)
+                        outcomes.add("not increasing")
+                        continue
+                    try:
                         expected = two_pass_reference(ap, knot, hz, pts)
                     except InternalVerificationError:
                         expected = None
-                    try:
-                        got = triangle_reductions(ap, knot, hz, pts)
-                    except InternalVerificationError as e:
-                        got = None
-                        pierced = re.fullmatch(HYPOTENUSE_HIT, str(e))
-                        if pierced:  # by the hypotenuse of an earlier chord
-                            assert int(pierced[2]) < int(pierced[1])
-                            outcomes.add("hypotenuse")
                     assert got == expected, (n, seed, z)
+                    assert got is not None or re.fullmatch(PIERCED, why)
                     outcomes.add(got is None)
-    # returned, raised, and raised by a hypotenuse after a clean sweep
-    assert outcomes == {True, False, "hypotenuse"}
+    # returned, refused by the third condition, refused as not increasing
+    assert outcomes == {True, False, "not increasing"}
 
 
-def test_reductions_check_only_earlier_hypotenuses_after_the_sweep(monkeypatch):
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 24),
+    seed=st.integers(0, 1 << 32),
+    squash=st.lists(st.integers(0, 1 << 20), min_size=24, max_size=24),
+    swap=st.integers(0, 1 << 32),
+)
+def test_lemma_verdict_matches_the_reference_at_squashed_heights(n, seed, squash, swap):
+    """K2 lifted as build_full lifts it, at the assigned heights with each
+    chord from the third on pulled down by a random amount but kept above
+    the one before it: triangle_reductions refuses exactly where the
+    geometric reference does, and otherwise returns its result.  The same
+    heights with a neighbouring pair swapped are refused."""
+    ap, _ = normalize(random_presentation(n, seed))
+    pts, _, crossings = layout(ap)
+    grid = lattice(pts)[1]
+    z = list(assign_heights(ap))
+    for i in range(2, n):
+        z[i] = max(z[i - 1] + 1, z[i] - squash[i])
+    k2 = construct._polygon(ap, z, grid)
+    try:
+        expected = two_pass_reference(ap, k2, tuple(z), grid)
+    except InternalVerificationError:
+        expected = None
+    try:
+        got = triangle_reductions(ap, k2, tuple(z), grid, crossings)
+    except InternalVerificationError as e:
+        assert re.fullmatch(PIERCED, str(e))
+        got = None
+    assert got == expected
+    i = swap % (n - 1)
+    z[i], z[i + 1] = z[i + 1], z[i]
+    with pytest.raises(InternalVerificationError, match=f"chord {i + 2} is not above chord {i + 1}"):
+        triangle_reductions(ap, construct._polygon(ap, z, grid), tuple(z), grid, crossings)
+
+
+def test_reductions_make_no_geometric_check(monkeypatch):
     """On K2 in true coordinates and on its lattice image, lifted as
-    build_full lifts it, at the integer heights themselves: the sweep sees
-    K2's edges, and each collapse only the hypotenuses laid down before it,
-    in the coordinates K2 was given."""
+    build_full lifts it, at the integer heights themselves: the collapses
+    make no triangle_pierced call and give the two-pass reference's
+    result."""
     ap, _ = normalize(random_presentation(10, 3))
-    pts, _, _ = layout(ap)
+    pts, _, crossings = layout(ap)
     z = assign_heights(ap)
     (dp, dz), grid = lattice(pts)
     assert dp > 1 and dz == 1
-    seen = []
-    original = construct._triangle_clear
-
-    def recorded(plane, edges, boxes):
-        seen.append(list(edges))
-        return original(plane, edges, boxes)
-
-    monkeypatch.setattr(construct, "_triangle_clear", recorded)
-    for k2, heights, points in (
-        (build_k2(ap), z, pts),
-        (construct._polygon(ap, z, grid), z, grid),
-    ):
-        seen.clear()
-        reduced, chords = triangle_reductions(ap, k2, heights, points)
-        infos = {t.chord: t for t in reduction_triangles(ap, heights, points)}
-        swept = len(infos)
-        assert len(chords) >= 3
-        assert seen[:swept] == [k2.edges()] * swept
-        hyps = [infos[c].triangle[::2] for c in chords]
-        assert seen[swept:] == [hyps[:k] for k in range(len(chords))]
-    # the second pass ran on ints alone
-    assert {type(c) for edges in seen for e in edges for p in e for c in p} == {int}
+    for k2, points in ((build_k2(ap), pts), (construct._polygon(ap, z, grid), grid)):
+        expected = two_pass_reference(ap, k2, z, points)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(construct, "triangle_pierced", lambda *args: calls.append(args))
+            got = triangle_reductions(ap, k2, z, points, crossings)
+        assert calls == [] and got == expected
+        assert len(got[1]) >= 3
 
 
 def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
+    """sweep_triangles, the lemma's proof of every triangle of the lifted
+    polygon, runs once per build, on its heights and layout crossings."""
     sweeps = []
     sweep = construct.sweep_triangles
 
-    def counted(knot, triangles):
-        sweeps.append(knot)
-        return sweep(knot, triangles)
+    def counted(*args):
+        sweeps.append(args)
+        return sweep(*args)
 
     monkeypatch.setattr(construct, "sweep_triangles", counted)
-    build_full(ap6_fig8)
-    assert len(sweeps) == 1
-    assert stick_count(sweeps[0]) == 2 * ap6_fig8.n
+    _, cert = build_full(ap6_fig8)
+    ((ap, z, crossings),) = sweeps
+    assert ap == normalize(ap6_fig8)[0] and z == cert.heights
+    assert crossings == layout(ap)[2]
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -1212,7 +1256,7 @@ def test_a_corner_off_its_neighbours_raises():
     InternalVerificationError of a broken structure, never a ValueError."""
     ap, _ = normalize(random_presentation(10, 3))
     k2 = build_k2(ap)
-    pts, _, _ = layout(ap)
+    pts, _, crossings = layout(ap)
     z = assign_heights(ap)
     infos = {t.chord: t for t in reduction_triangles(ap, z, pts)}
     a, b, c = infos[3].triangle
@@ -1220,14 +1264,14 @@ def test_a_corner_off_its_neighbours_raises():
     k, m = verts.index(b), len(verts)
     swapped = list(verts)
     swapped[k], swapped[(k + 1) % m] = verts[(k + 1) % m], b
-    with pytest.raises(InternalVerificationError):
-        triangle_reductions(ap, StickKnot(tuple(swapped), k2.roles), z, pts)
-    # moved off the triangle's plane: the sweep is clean, and the collapse
-    # of chord 3 finds no corner b
+    with pytest.raises(InternalVerificationError, match="polygon structure near chord 3"):
+        triangle_reductions(ap, StickKnot(tuple(swapped), k2.roles), z, pts, crossings)
+    # moved off the triangle's plane: the lemma's conditions hold, and the
+    # collapse of chord 3 finds no corner b
     normal = (c[1] - b[1], b[0] - c[0], 0)
     verts[k] = tuple(x + Fraction(y) / 64 for x, y in zip(b, normal))
     with pytest.raises(InternalVerificationError, match="polygon structure near chord 3"):
-        triangle_reductions(ap, StickKnot(tuple(verts), k2.roles), z, pts)
+        triangle_reductions(ap, StickKnot(tuple(verts), k2.roles), z, pts, crossings)
 
 
 @pytest.mark.parametrize(
