@@ -5,13 +5,19 @@ from the Wirtinger relations of a diagram with the arcs that pass over no
 crossing substituted away: one row per run between arcs that pass over
 something, one column per such arc, one row and one column deleted
 (:func:`_run_rows`).  It is defined up to units +-t^k, so results are
-normalized to lowest degree 0 with positive constant term.  Its sparse
-elimination (:func:`_sparse_eliminate`) pivots away the +-t^e entries, each
-the one of least fill-in over the set of unit entries left, and
-fraction-free Bareiss elimination of the dense core left pivots on the entry
-of fewest coefficients; every polynomial is kept as an offset pair
-(lo, coeffs), t^lo times coeffs, so a unit factor t^e never pads it with
-zeros.  The determinant of an arc presentation is read from its grid
+normalized to lowest degree 0 with positive constant term.  Each row's
+entries are Laurent polynomials {exponent: coefficient}, and the row
+carries a unit factor s t^k of its own.  Its sparse elimination
+(:func:`_sparse_eliminate`) pivots away the +-t^e entries, each the one of
+least fill-in over the set of unit entries left, by in-place updates that
+touch only the pivot row's columns; the unit each step would scale a row by
+goes into the row's factor, applied once to the few rows of the dense core
+left.  Fraction-free Bareiss elimination of that core pivots on the entry
+of fewest coefficients, each polynomial an offset pair (lo, coeffs), t^lo
+times coeffs, so a unit factor t^e never pads it with zeros.  Products and
+exact quotients of operands of 8 or more coefficients are taken on packed
+ints, the polynomials' values at t = 2^(8w) (:func:`_pmul`,
+:func:`_pdivexact`).  The determinant of an arc presentation is read from its grid
 instead (unit pivots, then Bareiss on the core), by code that shares
 nothing with diagrams or relation rows, and :func:`match` checks it against
 |Alexander(-1)| of the presentation's diagram.  A projection carries each
@@ -54,9 +60,48 @@ def _psub(a, b):
     return _pstrip(out)
 
 
+# operands of at least this many coefficients each are multiplied, and
+# divided, as packed ints (:func:`_pack`)
+_PACK_LEN = 8
+
+
+def _pack(p, w):
+    """The value of the list p at t = 2^(8w), each coefficient a signed digit
+    of w bytes: biased by 2^(8w - 1) into one unsigned digit, the bias taken
+    off the whole."""
+    h = 1 << (8 * w - 1)
+    raw = b"".join((c + h).to_bytes(w, "little") for c in p)
+    return int.from_bytes(raw, "little") - _bias(len(p), w)
+
+
+def _unpack(v, n, w):
+    """The n signed digits of w bytes whose value at t = 2^(8w) is v; raises
+    OverflowError if v has no such digits."""
+    h = 1 << (8 * w - 1)
+    raw = (v + _bias(n, w)).to_bytes(n * w, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - h for i in range(0, n * w, w)]
+
+
+def _bias(n, w):
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
 def _pmul(a, b):
+    """Product of two dense lists in Z[t].
+
+    When both have at least _PACK_LEN coefficients it is one int product at
+    t = 2^(8w): no coefficient of a b exceeds min(len) max|a| max|b| in
+    absolute value, and w bytes hold that bound and a sign bit.  Shorter
+    operands take the schoolbook loop.
+    """
     if not a or not b:
         return []
+    if min(len(a), len(b)) >= _PACK_LEN:
+        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+        if not bound:
+            return []
+        w = bound.bit_length() // 8 + 1
+        return _pstrip(_unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w))
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -83,7 +128,15 @@ def _omul(a, b):
 
 
 def _pdivexact(num, den):
-    """Quotient num/den in Z[t]; raises if the division is not exact."""
+    """Quotient num/den in Z[t], den's top coefficient nonzero; raises if the
+    division is not exact.
+
+    When den and the quotient have at least _PACK_LEN coefficients each, the
+    packed num and den are divided as ints, first with digits of w bytes
+    that hold every coefficient of num and den and a sign bit, then of 2w,
+    4w and 8w.  A quotient stands only if the remainder is 0 and its digits
+    times den give num exactly; if none does, the schoolbook loop decides.
+    """
     num = list(num)
     if not den:
         raise InternalVerificationError("polynomial division by zero")
@@ -92,6 +145,18 @@ def _pdivexact(num, den):
     if len(num) < len(den):
         raise InternalVerificationError("inexact polynomial division")
     q = [0] * (len(num) - len(den) + 1)
+    if min(len(den), len(q)) >= _PACK_LEN:
+        w = max(max(map(abs, num)), max(map(abs, den))).bit_length() // 8 + 1
+        for _ in range(4):
+            packed, rest = divmod(_pack(num, w), _pack(den, w))
+            if not rest:
+                try:
+                    quo = _unpack(packed, len(q), w)
+                except OverflowError:  # the quotient has no digits of w bytes
+                    quo = None
+                if quo is not None and _pmul(quo, den) == num:
+                    return quo
+            w *= 2
     lead = den[-1]
     for i in range(len(q) - 1, -1, -1):
         top = num[i + len(den) - 1]
@@ -169,16 +234,20 @@ def _as_diagram(d) -> Diagram:
 
 
 def _run_rows(d: Diagram):
-    """Relation rows {r: {arc: offset pair}} over the arcs that pass over something.
+    """Relation rows {r: (entries, k, s)} over the arcs that pass over
+    something: entries {arc: {exponent: coefficient}} and the row's unit
+    factor s t^k.
 
     The k-th under-crossing in Gauss order, of sign eps and over-arc o, gives
     x_(k+1) = t^eps x_k + (1 - t^eps) x_o.  Walking from ``start``, the least
     arc that passes over something, x_k = t^e * sum(expr) over such arcs
     until arc k is one of them; the run then ends with the row t^e expr - x_k,
-    shifted to least offset 0 and keyed by k.  This clears each arc that
-    passes over nothing by a unit pivot on a row that stays, so the minor
-    without the run ending at ``start`` and without column ``start`` is
-    Alexander up to units (Crowell-Fox, ch. VII-VIII).
+    each entry a Laurent polynomial, keyed by k.  Its unit factor starts as
+    t^-low, low the row's least exponent, the shift to least exponent 0;
+    :func:`_sparse_eliminate` applies it to the rows of the core alone.  This clears
+    each arc that passes over nothing by a unit pivot on a row that stays,
+    so the minor without the run ending at ``start`` and without column
+    ``start`` is Alexander up to units (Crowell-Fox, ch. VII-VIII).
     """
     c = len(d.crossings)
     unders = [cid for cid, is_over in d.gauss if not is_over]
@@ -200,75 +269,84 @@ def _run_rows(d: Diagram):
         terms[-e] = terms.get(-e, 0) - 1  # the row t^e expr - x_end, over t^e
         row = {}
         for a, terms in expr.items():
-            if a != start and (xs := [x for x, v in terms.items() if v]):
-                row[a] = min(xs), [terms.get(x, 0) for x in range(min(xs), max(xs) + 1)]
+            if a != start and (entry := {x: v for x, v in terms.items() if v}):
+                row[a] = entry
         # never empty: the entry at end is -1 at t = 1, as end is not the run's start
-        low = min(lo for lo, _ in row.values())
-        rows[end] = {a: (lo - low, cs) for a, (lo, cs) in row.items()}
+        rows[end] = row, -min(min(entry) for entry in row.values()), 1
         expr, e = {end: {0: 1}}, 0
     return rows
 
 
-def _is_unit_monomial(p):
-    """True iff the offset polynomial p is +-t^lo."""
-    return len(p[1]) == 1 and p[1][0] in (1, -1)
-
-
-def _poly_rewrite(row, col, pivot_row):
-    """+-t^e * row - row[col] * pivot_row, the pivot entry being +-t^e."""
-    e, (s,) = pivot_row[col]
-    f = row[col]
-    new = {
-        c: (lo + e, cs if s == 1 else [-x for x in cs])
-        for c, (lo, cs) in row.items()
-        if c != col
-    }
-    for c, p in pivot_row.items():
-        if c != col:
-            new[c] = _osub(new.get(c, _ZERO), _omul(f, p))
-    return {c: p for c, p in new.items() if p[1]}
-
-
 def _sparse_eliminate(rows):
-    """Pivot away the +-t^e entries of offset-pair rows {r: {col: entry}}, in
-    place; returns the dense core left.
+    """Pivot away the +-t^e entries of Laurent rows {r: (entries, k, s)}, in
+    place; returns the dense core left as offset pairs.
 
     Each pivot is the unit entry of least fill-in, the Markowitz count
     (row length - 1) * (column length - 1), ties going to the smallest
-    (row, col).  :func:`_poly_rewrite` clears column col of each row holding
-    it; outside the pivot row's columns that only scales the row by a unit,
-    harmless for a determinant defined up to units, so only those columns
-    and the ones the row lost can change which entries are units.
+    (row, col).  A pivot s t^e in column col clears col from each row
+    holding it by row -= f s t^-e pivot_row, f the row's entry there, which
+    changes only the pivot row's columns, so only those can change which
+    entries are units.  That is s t^e row - f pivot_row over s t^e, so the
+    row's unit factor takes on s t^e and the pivot row's own factor; a unit
+    factor keeps every row's length and units, and so every pivot.  The
+    factors are applied to the rows of the core alone.
     """
     col_rows = {}
-    for r, row in rows.items():
+    for r, (row, _, _) in rows.items():
         for col in row:
             col_rows.setdefault(col, set()).add(r)
-    units = {(r, c) for r, row in rows.items() for c, p in row.items() if _is_unit_monomial(p)}
+    units = {(r, c) for r, (row, _, _) in rows.items() for c, p in row.items() if _is_unit(p)}
     while units:
-        _, r, col = min(((len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in units)
-        pivot_row = rows.pop(r)
+        _, r, col = min(((len(rows[r][0]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in units)
+        pivot_row, k, sign = rows.pop(r)
         for c in pivot_row:
             col_rows[c].discard(r)
             units.discard((r, c))
-        for r2 in sorted(col_rows[col]):
-            old, new = rows[r2], _poly_rewrite(rows[r2], col, pivot_row)
-            if not new:
-                raise InternalVerificationError("singular crossing relation matrix")
-            rows[r2] = new
-            for c in old.keys() - new.keys():
-                col_rows[c].discard(r2)
-                units.discard((r2, c))
-            for c in pivot_row.keys() & new.keys():
+        ((e, s),) = pivot_row.pop(col).items()
+        k, sign = k + e, sign * s  # the pivot row's factor times s t^e
+        for r2 in sorted(col_rows.pop(col)):
+            row, k2, sign2 = rows[r2]
+            units.discard((r2, col))
+            g = {x - e: -s * v for x, v in row.pop(col).items()}  # -f s t^-e
+            for c, p in pivot_row.items():
+                entry = row.setdefault(c, {})
+                for x, v in p.items():
+                    for y, u in g.items():
+                        if z := entry.get(x + y, 0) + u * v:
+                            entry[x + y] = z
+                        else:
+                            del entry[x + y]
+                if not entry:
+                    del row[c]
+                    col_rows[c].discard(r2)
+                    units.discard((r2, c))
+                    continue
                 col_rows[c].add(r2)
-                if _is_unit_monomial(new[c]):
+                if _is_unit(entry):
                     units.add((r2, c))
                 else:
                     units.discard((r2, c))
-    cols = sorted({c for row in rows.values() for c in row})
+            if not row:
+                raise InternalVerificationError("singular crossing relation matrix")
+            rows[r2] = row, k2 + k, sign2 * sign
+    cols = sorted({c for row, _, _ in rows.values() for c in row})
     if len(cols) != len(rows):
         raise InternalVerificationError("crossing relation matrix lost squareness")
-    return [[rows[r].get(c, _ZERO) for c in cols] for r in sorted(rows)]
+    core = [rows[r] for r in sorted(rows)]
+    return [[_offset_pair(row.get(c), k, s) for c in cols] for row, k, s in core]
+
+
+def _is_unit(p):
+    """True iff the Laurent polynomial p is +-t^e."""
+    return len(p) == 1 and abs(*p.values()) == 1
+
+
+def _offset_pair(p, k, s):
+    """The offset pair of s t^k times the Laurent polynomial p, _ZERO if None."""
+    if p is None:
+        return _ZERO
+    lo, hi = min(p), max(p)
+    return lo + k, [s * p.get(x, 0) for x in range(lo, hi + 1)]
 
 
 def _poly_bareiss(m):

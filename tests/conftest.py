@@ -4,10 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from stickbound.arcpres import ArcPresentation, _gauss_diagram, random_presentation
+from stickbound.arcpres import ArcPresentation, Diagram, _gauss_diagram, random_presentation
 from stickbound.errors import InternalVerificationError
 from stickbound.geom import orient2d
-from stickbound.invariants import PROJECTION_ATTEMPTS, ProjectedDiagram, _key_shift
+from stickbound.invariants import (
+    _ZERO,
+    PROJECTION_ATTEMPTS,
+    ProjectedDiagram,
+    _key_shift,
+    _omul,
+    _osub,
+    _pstrip,
+)
 
 
 @pytest.fixture
@@ -143,3 +151,149 @@ def project_once_on_one_scale(verts, shadows):
             raise InternalVerificationError("polygon edges meet in space")
         over_under.append((i, j, sign, ks, ku) if zi > zj else (j, i, -sign, ku, ks))
     return _gauss_diagram(over_under, range(m)), None
+
+
+# ---------------------------------------------------------------------------
+# References for the Alexander kernels of stickbound.invariants as they ran
+# on offset-pair rows, each shifted to least offset 0 and rebuilt at every
+# pivot, with schoolbook products and quotients: the relation rows and their
+# elimination under their own names, the product and quotient renamed.
+
+
+def _run_rows(d: Diagram):
+    """Relation rows {r: {arc: offset pair}} over the arcs that pass over something.
+
+    The k-th under-crossing in Gauss order, of sign eps and over-arc o, gives
+    x_(k+1) = t^eps x_k + (1 - t^eps) x_o.  Walking from ``start``, the least
+    arc that passes over something, x_k = t^e * sum(expr) over such arcs
+    until arc k is one of them; the run then ends with the row t^e expr - x_k,
+    shifted to least offset 0 and keyed by k.  This clears each arc that
+    passes over nothing by a unit pivot on a row that stays, so the minor
+    without the run ending at ``start`` and without column ``start`` is
+    Alexander up to units (Crowell-Fox, ch. VII-VIII).
+    """
+    c = len(d.crossings)
+    unders = [cid for cid, is_over in d.gauss if not is_over]
+    over_arc = {cid: arc for (cid, is_over), arc in zip(d.gauss, d.arcs) if is_over}
+    kept = set(over_arc.values())
+    start = min(kept)
+    rows, expr, e = {}, {start: {0: 1}}, 0
+    for k in range(start, start + c - 1):  # the run ending at start is left out
+        cid = unders[k % c]
+        eps, o = d.crossings[cid].sign, over_arc[cid]
+        e += eps
+        # expr[o] += t^-e (1 - t^eps); each expr[a] is {exponent: coefficient}
+        terms = expr.setdefault(o, {})
+        terms[-e], terms[eps - e] = terms.get(-e, 0) + 1, terms.get(eps - e, 0) - 1
+        end = (k + 1) % c
+        if end not in kept:
+            continue
+        terms = expr.setdefault(end, {})
+        terms[-e] = terms.get(-e, 0) - 1  # the row t^e expr - x_end, over t^e
+        row = {}
+        for a, terms in expr.items():
+            if a != start and (xs := [x for x, v in terms.items() if v]):
+                row[a] = min(xs), [terms.get(x, 0) for x in range(min(xs), max(xs) + 1)]
+        # never empty: the entry at end is -1 at t = 1, as end is not the run's start
+        low = min(lo for lo, _ in row.values())
+        rows[end] = {a: (lo - low, cs) for a, (lo, cs) in row.items()}
+        expr, e = {end: {0: 1}}, 0
+    return rows
+
+
+def _is_unit_monomial(p):
+    """True iff the offset polynomial p is +-t^lo."""
+    return len(p[1]) == 1 and p[1][0] in (1, -1)
+
+
+def _poly_rewrite(row, col, pivot_row):
+    """+-t^e * row - row[col] * pivot_row, the pivot entry being +-t^e."""
+    e, (s,) = pivot_row[col]
+    f = row[col]
+    new = {
+        c: (lo + e, cs if s == 1 else [-x for x in cs])
+        for c, (lo, cs) in row.items()
+        if c != col
+    }
+    for c, p in pivot_row.items():
+        if c != col:
+            new[c] = _osub(new.get(c, _ZERO), _omul(f, p))
+    return {c: p for c, p in new.items() if p[1]}
+
+
+def _sparse_eliminate(rows):
+    """Pivot away the +-t^e entries of offset-pair rows {r: {col: entry}}, in
+    place; returns the dense core left.
+
+    Each pivot is the unit entry of least fill-in, the Markowitz count
+    (row length - 1) * (column length - 1), ties going to the smallest
+    (row, col).  :func:`_poly_rewrite` clears column col of each row holding
+    it; outside the pivot row's columns that only scales the row by a unit,
+    harmless for a determinant defined up to units, so only those columns
+    and the ones the row lost can change which entries are units.
+    """
+    col_rows = {}
+    for r, row in rows.items():
+        for col in row:
+            col_rows.setdefault(col, set()).add(r)
+    units = {(r, c) for r, row in rows.items() for c, p in row.items() if _is_unit_monomial(p)}
+    while units:
+        _, r, col = min(((len(rows[r]) - 1) * (len(col_rows[c]) - 1), r, c) for r, c in units)
+        pivot_row = rows.pop(r)
+        for c in pivot_row:
+            col_rows[c].discard(r)
+            units.discard((r, c))
+        for r2 in sorted(col_rows[col]):
+            old, new = rows[r2], _poly_rewrite(rows[r2], col, pivot_row)
+            if not new:
+                raise InternalVerificationError("singular crossing relation matrix")
+            rows[r2] = new
+            for c in old.keys() - new.keys():
+                col_rows[c].discard(r2)
+                units.discard((r2, c))
+            for c in pivot_row.keys() & new.keys():
+                col_rows[c].add(r2)
+                if _is_unit_monomial(new[c]):
+                    units.add((r2, c))
+                else:
+                    units.discard((r2, c))
+    cols = sorted({c for row in rows.values() for c in row})
+    if len(cols) != len(rows):
+        raise InternalVerificationError("crossing relation matrix lost squareness")
+    return [[rows[r].get(c, _ZERO) for c in cols] for r in sorted(rows)]
+
+
+def pmul_schoolbook(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _pstrip(out)
+
+
+def pdivexact_schoolbook(num, den):
+    """Quotient num/den in Z[t]; raises if the division is not exact."""
+    num = list(num)
+    if not den:
+        raise InternalVerificationError("polynomial division by zero")
+    if not _pstrip(num):
+        return []
+    if len(num) < len(den):
+        raise InternalVerificationError("inexact polynomial division")
+    q = [0] * (len(num) - len(den) + 1)
+    lead = den[-1]
+    for i in range(len(q) - 1, -1, -1):
+        top = num[i + len(den) - 1]
+        if top % lead:
+            raise InternalVerificationError("inexact polynomial division")
+        f = top // lead
+        q[i] = f
+        if f:
+            for j, d in enumerate(den):
+                num[i + j] -= f * d
+    if any(num):
+        raise InternalVerificationError("inexact polynomial division")
+    return _pstrip(q)

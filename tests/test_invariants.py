@@ -20,9 +20,15 @@ from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
+import conftest as reference
 import pytest
 import sympy
-from conftest import project_on_one_scale, project_once_on_one_scale
+from conftest import (
+    pdivexact_schoolbook,
+    pmul_schoolbook,
+    project_on_one_scale,
+    project_once_on_one_scale,
+)
 from hypothesis import given, settings, strategies as st
 
 from stickbound.arcpres import (
@@ -44,8 +50,6 @@ from stickbound import geom, invariants
 from stickbound.invariants import (
     LaurentPoly,
     _int_bareiss,
-    _pdivexact,
-    _pmul,
     _project_once,
     _pstrip,
     _psub,
@@ -259,7 +263,9 @@ def test_run_rows_give_the_full_wirtinger_alexander(n, seed):
     for d in (diagram(ap), reintersecting_diagram(ap), project(build_full(ap)[0]).diagram):
         rows = invariants._run_rows(d) if d.crossings else {}
         assert len(rows) == max(len(_over_arcs(d)) - 1, 0)
-        assert all(sum(row[end][1]) == -1 for end, row in rows.items())
+        assert all(sum(row[end].values()) == -1 for end, (row, _, _) in rows.items())
+        # each row's unit factor shifts it to least exponent 0
+        assert all((k, s) == (-min(map(min, row.values())), 1) for row, k, s in rows.values())
         assert contraction_holds(d, alexander_full_wirtinger(d))
 
 
@@ -532,7 +538,7 @@ def test_unit_pivot_property_catches_mutants(name, old, new, grid_matrices):
 )
 def test_singular_rows_raise(relations, monkeypatch):
     dense, message = relations
-    rows = {r: {c: _offset(p) for c, p in row.items()} for r, row in dense.items()}
+    rows = laurent_rows({r: {c: _offset(p) for c, p in row.items()} for r, row in dense.items()})
     monkeypatch.setattr(invariants, "_run_rows", lambda d: rows)
     d = SimpleNamespace(crossings=(None,) * (len(rows) + 1))
     with pytest.raises(InternalVerificationError, match=message):
@@ -550,10 +556,31 @@ def _mono_mul(p, mono):
     return [0] * e + [s * c for c in p]
 
 
+def laurent_rows(rows):
+    """Offset-pair rows {r: {col: (lo, coeffs)}} in the form of
+    invariants._run_rows: Laurent entries, each row's unit factor 1."""
+    return {
+        r: ({c: {lo + i: x for i, x in enumerate(cs) if x} for c, (lo, cs) in row.items()}, 0, 1)
+        for r, row in rows.items()
+    }
+
+
+def offset_rows(rows):
+    """Rows of invariants._run_rows as offset pairs, each row's unit factor
+    s t^k applied."""
+    return {
+        r: {
+            c: (min(p) + k, [s * p.get(x, 0) for x in range(min(p), max(p) + 1)])
+            for c, p in row.items()
+        }
+        for r, (row, k, s) in rows.items()
+    }
+
+
 def sparse_eliminate_rescanning(rows):
     """The former Alexander elimination, which rescans every entry per pivot
     and keeps each polynomial as a dense list padded with zeros; takes and
-    returns offset pairs, as invariants._sparse_eliminate does."""
+    returns offset pairs."""
     rows = {r: {c: [0] * lo + cs for c, (lo, cs) in row.items()} for r, row in rows.items()}
     col_rows = {}
     for r, row in rows.items():
@@ -582,7 +609,7 @@ def sparse_eliminate_rescanning(rows):
             for c2, p in pivot_row.items():
                 if c2 == col:
                     continue
-                new[c2] = _psub(new.get(c2, []), _pmul(f, p))
+                new[c2] = _psub(new.get(c2, []), pmul_schoolbook(f, p))
             cleaned = {c2: p for c2, p in new.items() if p}
             if not cleaned:
                 raise InternalVerificationError("singular crossing relation matrix")
@@ -598,6 +625,11 @@ def sparse_eliminate_rescanning(rows):
     if len(order) != len(cols):
         raise InternalVerificationError("crossing relation matrix lost squareness")
     return [[_offset(list(rows[r].get(c, []))) for c in cols] for r in order]
+
+
+def rescanning_on_offset_pairs(rows):
+    """sparse_eliminate_rescanning on the rows of invariants._run_rows."""
+    return sparse_eliminate_rescanning(offset_rows(rows))
 
 
 def _recording(monkeypatch, name):
@@ -619,7 +651,7 @@ def test_alexander_matches_the_rescanning_elimination(seeded_diagrams, monkeypat
     cores = _recording(monkeypatch, "_sparse_eliminate")
     fast = [alexander(d) for _, _, d in seeded_diagrams]
     fast_cores = list(cores)
-    monkeypatch.setattr(invariants, "_sparse_eliminate", sparse_eliminate_rescanning)
+    monkeypatch.setattr(invariants, "_sparse_eliminate", rescanning_on_offset_pairs)
     cores = _recording(monkeypatch, "_sparse_eliminate")
     slow = [alexander(d) for _, _, d in seeded_diagrams]
     assert fast == slow
@@ -631,7 +663,7 @@ def test_candidate_pivots_cut_unit_monomial_tests(monkeypatch):
     rewrite changes beyond a unit factor (the pivot row's columns); the
     rescan tests every entry at every step."""
     d = reintersecting_diagram(random_presentation(24, 7124))
-    calls = _recording(monkeypatch, "_is_unit_monomial")
+    calls = _recording(monkeypatch, "_is_unit")
     fast = alexander(d)
     unit_set_tests = len(calls)
     rescan_tests, real = [], is_unit_dense
@@ -641,15 +673,15 @@ def test_candidate_pivots_cut_unit_monomial_tests(monkeypatch):
         return real(p)
 
     monkeypatch.setitem(globals(), "is_unit_dense", counted)
-    monkeypatch.setattr(invariants, "_sparse_eliminate", sparse_eliminate_rescanning)
+    monkeypatch.setattr(invariants, "_sparse_eliminate", rescanning_on_offset_pairs)
     assert alexander(d) == fast
     assert 0 < unit_set_tests and unit_set_tests * 4 < len(rescan_tests)
 
 
 def rescanning_elimination(rows):
     """Pivot rows and core of a full rescan that scores every unit entry
-    afresh at each step, eliminating in place with invariants._poly_rewrite;
-    the core is None if a row empties, and may not be square."""
+    afresh at each step, eliminating in place with the reference
+    _poly_rewrite; the core is None if a row empties, and may not be square."""
     order = []
     while True:
         col_len = Counter(c for row in rows.values() for c in row)
@@ -657,7 +689,7 @@ def rescanning_elimination(rows):
             ((len(row) - 1) * (col_len[c] - 1), r, c)
             for r, row in rows.items()
             for c, v in row.items()
-            if invariants._is_unit_monomial(v)
+            if reference._is_unit_monomial(v)
         ]
         if not keys:
             break
@@ -665,7 +697,7 @@ def rescanning_elimination(rows):
         order.append(r)
         pivot_row = rows.pop(r)
         for r2 in sorted(r2 for r2, row in rows.items() if col in row):
-            rows[r2] = invariants._poly_rewrite(rows[r2], col, pivot_row)
+            rows[r2] = reference._poly_rewrite(rows[r2], col, pivot_row)
             if not rows[r2]:
                 return order, None
     cols = sorted({c for row in rows.values() for c in row})
@@ -708,7 +740,7 @@ def elimination_agrees(rng, eliminate):
     rows = random_rows(rng, PALETTE)
     rows = {r: {c: _offset(p) for c, p in row.items()} for r, row in rows.items()}
     order, core = rescanning_elimination(copy.deepcopy(rows))
-    recorded = PoppedRows(rows)
+    recorded = PoppedRows(laurent_rows(rows))
     try:
         got = eliminate(recorded)
     except InternalVerificationError as e:
@@ -733,7 +765,7 @@ ELIMINATION_MUTANTS = [
     ("a new unit never added", "units.add((r2, c))", "pass"),
     (
         "a lost unit never discarded",
-        "col_rows[c].discard(r2)\n                units.discard((r2, c))",
+        "col_rows[c].discard(r2)\n                    units.discard((r2, c))",
         "col_rows[c].discard(r2)",
     ),
     ("a lost column left in col_rows", "col_rows[c].discard(r2)", "pass"),
@@ -754,8 +786,47 @@ def test_elimination_property_catches_mutants(name, old, new):
     assert caught > 0, name
 
 
+
+def eliminations_agree(rows, reference_rows):
+    """invariants._sparse_eliminate pops from its Laurent rows the pivot rows
+    that the reference pops from its offset-pair rows, and returns the same
+    core or raises the same message."""
+    popped, outcomes = [], []
+    for eliminate, given_rows in (
+        (invariants._sparse_eliminate, rows),
+        (reference._sparse_eliminate, reference_rows),
+    ):
+        recorded = PoppedRows(given_rows)
+        try:
+            outcomes.append(eliminate(recorded))
+        except InternalVerificationError as e:
+            outcomes.append(str(e))
+        popped.append(recorded.popped)
+    return popped[0] == popped[1] and outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_elimination_matches_the_reference_on_random_rows(rng):
+    rows = random_rows(rng, PALETTE)
+    rows = {r: {c: _offset(p) for c, p in row.items()} for r, row in rows.items()}
+    assert eliminations_agree(laurent_rows(rows), copy.deepcopy(rows))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(n=st.integers(3, 64), seed=st.integers(0, 2**32 - 1))
+def test_elimination_matches_the_reference_on_seeded_diagrams(n, seed):
+    """On the input and output diagrams, the Laurent rows and their unit
+    factors pop the reference's pivot rows and give its core exactly."""
+    ap = random_presentation(n, seed)
+    for d in (diagram(ap), project(build_full(ap)[0]).diagram):
+        if d.crossings:
+            assert eliminations_agree(invariants._run_rows(d), reference._run_rows(d))
+
+
 def poly_bareiss_dense(m):
-    """The former polynomial Bareiss, on dense lists padded with zeros."""
+    """The former polynomial Bareiss, on dense lists padded with zeros, with
+    schoolbook products and quotients."""
     k = len(m)
     if k == 0:
         return [1]
@@ -770,8 +841,10 @@ def poly_bareiss_dense(m):
             sign = -sign
         for r in range(col + 1, k):
             for c2 in range(col + 1, k):
-                num = _psub(_pmul(m[r][c2], m[col][col]), _pmul(m[r][col], m[col][c2]))
-                m[r][c2] = _pdivexact(num, prev)
+                num = _psub(
+                    pmul_schoolbook(m[r][c2], m[col][col]), pmul_schoolbook(m[r][col], m[col][c2])
+                )
+                m[r][c2] = pdivexact_schoolbook(num, prev)
             m[r][col] = []
         prev = m[col][col]
     return [sign * c for c in m[k - 1][k - 1]]
@@ -852,6 +925,125 @@ def test_bareiss_needs_the_column_swap_sign(seeded_cores):
     mutant = _mutant(invariants._poly_bareiss, swap + "\n            sign = -sign", swap)
     assert all(bareiss_agrees(invariants._poly_bareiss, core) for core in seeded_cores)
     assert not all(bareiss_agrees(mutant, core) for core in seeded_cores)
+
+
+
+# ------------------------------------------------------- packed polynomial kernels
+
+
+def _outcome(divide, num, den):
+    try:
+        return divide(num, den)
+    except InternalVerificationError:
+        return "raises"
+
+
+def kernels_agree(a, b):
+    """invariants._pmul(a, b) is the schoolbook product; when b's top
+    coefficient is nonzero, invariants._pdivexact gives the schoolbook
+    quotient of a b and of a by b, or raises where it raises."""
+    if invariants._pmul(a, b) != pmul_schoolbook(a, b):
+        return False
+    if not b or not b[-1]:
+        return True
+    return all(
+        _outcome(invariants._pdivexact, num, b) == _outcome(pdivexact_schoolbook, num, b)
+        for num in (pmul_schoolbook(a, b), a)
+    )
+
+
+@st.composite
+def kernel_polys(draw):
+    """Dense lists of lengths near invariants._PACK_LEN and beyond, of small
+    coefficients (so zero ends are common), of large signed ones, or of one
+    value repeated, whose products reach the packing's coefficient bound."""
+    n = draw(st.one_of(st.sampled_from((1, 7, 8, 9)), st.integers(0, 24)))
+    kind = draw(st.sampled_from(("small", "large", "repeated")))
+    if kind == "repeated":
+        return [draw(st.integers(-(1 << 70), 1 << 70))] * n
+    bound = 3 if kind == "small" else 1 << 130
+    return draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(kernel_polys(), kernel_polys())
+def test_packed_kernels_match_the_schoolbook(a, b):
+    assert kernels_agree(a, b)
+
+
+def test_packed_product_one_bit_short_is_caught(monkeypatch):
+    """With a byte too few whenever the product's coefficient bound has a
+    multiple of 8 bits, a coefficient reaching that bound wraps: 8 * 4 * 4 =
+    2^7 needs 9 bits signed."""
+    rng = random.Random(7001)
+    cases = [([4] * 8, [4] * 8), ([-5] * 9, [5] * 8), ([1 << 60] * 8, [-(1 << 60)] * 12)]
+    for _ in range(60):
+        k = rng.choice((7, 8, 9, 16))
+        cases.append(tuple([rng.randint(-(1 << 40), 1 << 40) for _ in range(k)] for _ in "ab"))
+    assert all(kernels_agree(a, b) for a, b in cases)
+    old = "bound.bit_length() // 8 + 1"
+    monkeypatch.setattr(
+        invariants, "_pmul", _mutant(invariants._pmul, old, "(bound.bit_length() - 1) // 8 + 1")
+    )
+    assert not all(kernels_agree(a, b) for a, b in cases)
+
+
+LONG_DEN = [3, -1, 4, 1, -5, 9, 2, -6, 5, 3]
+LONG_QUOTIENT = [2, 7, -1, 8, 2, 8, -1, 8, 2, 8, 4, 5]
+
+
+def test_inexact_packed_division_raises_after_four_widths(monkeypatch):
+    """Each of the four widths w, 2w, 4w and 8w packs num and den once; then
+    the schoolbook loop raises."""
+    num = pmul_schoolbook(LONG_QUOTIENT, LONG_DEN)
+    num[3] += 1
+    widths, real = [], invariants._pack
+
+    def pack(p, w):
+        widths.append(w)
+        return real(p, w)
+
+    monkeypatch.setattr(invariants, "_pack", pack)
+    with pytest.raises(InternalVerificationError, match="inexact polynomial division"):
+        invariants._pdivexact(num, LONG_DEN)
+    w = widths[0]
+    assert widths == [w, w, 2 * w, 2 * w, 4 * w, 4 * w, 8 * w, 8 * w]
+
+
+def test_packed_division_doubles_the_width_for_a_large_quotient(monkeypatch):
+    """t^120 - 1 over the product of the cyclotomic polynomials of 1, 6, 8,
+    10, 12, 15 and 120 has a quotient coefficient of 178.  One signed byte
+    holds every coefficient of num and den but not 178: at that width the
+    quotient's digits carry, and only two bytes give it."""
+    t = sympy.Symbol("t")
+    den = sympy.prod(sympy.cyclotomic_poly(k, t) for k in (1, 6, 8, 10, 12, 15, 120))
+    den = [int(c) for c in reversed(sympy.Poly(den, t).all_coeffs())]
+    num = [-1] + [0] * 119 + [1]
+    want = pdivexact_schoolbook(num, den)
+    assert max(map(abs, want)) == 178 and max(map(abs, den)) < 128
+    widths, real = [], invariants._pack
+
+    def pack(p, w):
+        widths.append((len(p), w))
+        return real(p, w)
+
+    monkeypatch.setattr(invariants, "_pack", pack)
+    assert invariants._pdivexact(num, den) == want
+    # num at one byte and at two, each try's digits multiplied back by den
+    assert [w for k, w in widths if k == len(num)] == [1, 2]
+    assert [k for k, _ in widths] == [len(num), len(den), len(want), len(den)] * 2
+
+
+def test_exact_division_falls_back_to_the_schoolbook_loop(monkeypatch):
+    """When no width unpacks a quotient, the schoolbook loop still returns it."""
+    num = pmul_schoolbook(LONG_QUOTIENT, LONG_DEN)
+    assert invariants._pdivexact(num, LONG_DEN) == LONG_QUOTIENT
+
+    def unpack(v, n, w):
+        raise OverflowError
+
+    monkeypatch.setattr(invariants, "_unpack", unpack)
+    assert invariants._pdivexact(num, LONG_DEN) == LONG_QUOTIENT
 
 
 def test_diagram_rejects_unbalanced_gauss():
