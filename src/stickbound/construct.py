@@ -8,7 +8,9 @@ the polygon, so its two legs can be replaced by the hypotenuse (one stick
 saved each).  A final certified move replaces the five-stick path through the
 top chord by three sticks.  Every replacement is justified by an exact
 certificate, never by construction alone: the reductions by the paper's
-lemma, checked on integers, and the top move by geometric Δ-move checks.
+lemma, checked on integers, and the top move by its Δ-moves alone, whose
+legality keeps the polygon embedded: the full embedding check only names a
+skipped top move and checks the final polygon.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .geom import (
     bbox,
     boxes_apart,
     convex_failure,
-    edge_failures,
     joint,
     lattice,
     polygon_embedded,
@@ -227,8 +228,8 @@ def reduction_triangles(ap: ArcPresentation, z: tuple, pts) -> list:
 
 
 def _triangle_clear(plane, edges, boxes, insertion):
-    """First of ``edges`` meeting the closed triangle (u, x, v) of ``plane``
-    beyond its legs, if any; ``boxes`` are the boxes of ``edges``.
+    """Index of the first of ``edges`` meeting the closed triangle (u, x, v)
+    of ``plane`` beyond its legs, or None; ``boxes`` are their boxes.
 
     The triangle is a Δ-move's: it deletes corner x between u and v, or for
     an ``insertion`` puts x between them.  Its legs, the sides that are
@@ -240,11 +241,11 @@ def _triangle_clear(plane, edges, boxes, insertion):
     legs = ({u, v},) if insertion else ({u, x}, {x, v})
     allowed = frozenset((u, v))
     box = bbox(plane.triangle)
-    for (p, q), e_box in zip(edges, boxes):
+    for k, ((p, q), e_box) in enumerate(zip(edges, boxes)):
         if boxes_apart(box, e_box) or {p, q} in legs:
             continue
         if triangle_pierced(plane, (p, q), allowed):
-            return (p, q)
+            return k
     return None
 
 
@@ -305,12 +306,12 @@ def top_reduction(knot: StickKnot):
     beyond their junctions by L times their own length and joined by one
     connector stick.  L is searched by doubling (4, 8, ..., up to the
     module's DEFAULT_MAX_L = 2^16, read at each call).  A candidate is
-    accepted only if the new polygon is embedded and four certified Δ-moves
-    carry the old path onto the new one (:func:`_certify_top`); otherwise
-    the move is skipped and the polygon returned unchanged.  The stationary
-    sticks and their boxes are built once per call.
-    Every check runs on the polygon's own coordinates, which hold every tip
-    as L is an integer.
+    accepted when four certified Δ-moves carry the old path onto the new
+    one (:func:`_certify_top`), which alone decide; otherwise the move is
+    skipped, the polygon returned unchanged and the skip named by
+    :func:`_skip_reason`.  The stationary sticks and their boxes are built
+    once per call.  Every check runs on the polygon's own coordinates, which
+    hold every tip as L is an integer.
 
     The top chord is the horizontal at the polygon's greatest height: the
     heights increase with the chord and the top chord is never collapsed.
@@ -339,7 +340,16 @@ def top_reduction(knot: StickKnot):
             return StickKnot((*tips, *rot_v[4:]), cand_r), "applied", length
         length *= 2
         if length > DEFAULT_MAX_L:
-            return knot, f"skipped:{why}", None
+            return knot, f"skipped:{_skip_reason(rot_v, *tips, why)}", None
+
+
+def _skip_reason(rot_v, t_a, t_b, why):
+    """The reason reported for a candidate :func:`_certify_top` rejected
+    with ``why``: the first failure of the full embedding check of its new
+    polygon, if it is not embedded, ahead of ``why``."""
+    if t_a != t_b and not (emb := polygon_embedded([t_a, t_b] + rot_v[4:])).ok:
+        return f"result-not-embedded:{emb.failures[0]}"
+    return why
 
 
 def _tips(v, length):
@@ -371,7 +381,8 @@ def _shape_failure(corners, moves, stationary):
     A move's triangle is (u, p, v) for an insertion between u and v and
     (u, w, v) for a deletion.  It is legal when it is not degenerate and its
     closed triangle meets the polygon before the move only in the sides it
-    replaces and at u and v; the stationary sticks are tested first.
+    replaces and at u and v.  One pass tests the stationary sticks first and
+    then the moving path, and the first stick it meets names the reason.
     """
     sticks, boxes = stationary
     path = [J_A, TOP_A, TOP_B, J_B]
@@ -391,9 +402,10 @@ def _shape_failure(corners, moves, stationary):
             plane = Plane(tuple(corners[i] for i in tri))
         except ValueError:  # a degenerate triangle
             return "self-intersecting-spanning-surface"
-        if _triangle_clear(plane, sticks, boxes, insertion) is not None:
-            return "stationary-stick-meets-spanning-surface"
-        if _triangle_clear(plane, edges, [bbox(e) for e in edges], insertion) is not None:
+        hit = _triangle_clear(plane, sticks + edges, boxes + [bbox(e) for e in edges], insertion)
+        if hit is not None:
+            if hit < len(sticks):
+                return "stationary-stick-meets-spanning-surface"
             return "self-intersecting-spanning-surface"
     return None
 
@@ -404,22 +416,17 @@ def _certify_top(rot_v, t_a, t_b, stationary):
     ``rot_v`` is the reduced polygon from j_a on (vertical a, top stick,
     vertical b, chain f_b .. f_a) and t_a, t_b the tips, all in the same
     coordinates; ``stationary`` holds the other sticks and their boxes.
-    Coinciding tips reject the candidate, and so does a new polygon that is
-    not embedded.  That test covers only its three new edges (connector and
-    extensions): the rest are edges of the reduced polygon, which
-    :func:`triangle_reductions` proved embedded by the paper's lemma, so the
-    first failure is the full check's.  Then the shapes of
-    ``_SHAPES`` are tried in order, each four Δ-moves (Reidemeister, Knotentheorie,
+    Coinciding tips reject the candidate.  Else the shapes of ``_SHAPES``
+    are tried in order, each four Δ-moves (Reidemeister, Knotentheorie,
     1932) carrying the old path (vertical, top stick, vertical) onto the new
-    one (extension, connector, extension).  Legal moves keep the polygon
-    embedded and its knot type, so the first shape whose moves are all legal
-    certifies the candidate; else the last shape's reason is returned.
+    one (extension, connector, extension).  Legal moves keep the reduced
+    polygon, which :func:`triangle_reductions` proved embedded by the
+    paper's lemma, embedded and of its knot type, so the first shape whose
+    moves are all legal certifies the candidate with no embedding check;
+    else the last shape's reason is returned.
     """
     if t_a == t_b:
         return False, "extension-tips-coincide"
-    cand_v = [t_a, t_b] + rot_v[4:]
-    if bad := edge_failures(cand_v, {0, 1, len(cand_v) - 1}):
-        return False, f"result-not-embedded:{bad[0]}"
     corners = (*rot_v[:4], t_a, t_b)
     for moves in _SHAPES:
         reason = _shape_failure(corners, moves, stationary)

@@ -11,9 +11,9 @@ A positive scale per axis keeps every incidence, orientation sign, box
 comparison, segment parameter, zero pattern of a plane normal and sign of a
 dot product of parallel vectors, so the predicates give the same verdicts on
 Python ints at a fraction of the cost of ``Fraction`` arithmetic.  Past
-``LATTICE_MAX_BITS`` bits the big ints cost more than the fractions, so the
-points keep their own coordinates (scale 1) and the same predicates run on
-them.
+``LATTICE_MAX_BITS`` bits the points keep their own coordinates (scale 1)
+and the same predicates run on them, though just past it the ints still
+win (see the constant).
 A segment crossing a triangle's plane is tested as the homogeneous point X / w,
 so only a contact strictly inside a segment builds a ``Fraction``; a contact
 at a segment's end returns the caller's own point tuple.  A triangle met by
@@ -45,8 +45,10 @@ IMPROPER = "improper"
 _ZERO3 = (0, 0, 0)
 
 # Above a lattice scale of this many bits the points stay on their own
-# coordinates.  On 48-vertex polygons with unrelated denominators the
-# break-even of polygon_embedded was measured between 1,800 and 2,300 bits.
+# coordinates.  polygon_embedded on ints against Fractions (Python 3.11.7,
+# 2-vCPU VM): 24 against 61 ms on a 96-chord output after a layout retry
+# (2,232 bits); on 48-vertex polygons with random denominators, 6 against
+# 9 ms at 2,858 bits, 10 against 9 at 3,364 and 21 against 10 at 5,654.
 LATTICE_MAX_BITS = 2048
 
 
@@ -369,10 +371,12 @@ def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
 
     Consecutive edges must meet exactly at their shared vertex; all other pairs
     must be disjoint.  Collinear continuation at a vertex is allowed (it is a
-    shared-endpoint contact); doubling back or overlap is not.  The pairs are
-    tested by :func:`edge_failures`.  The predicates run on the vertices as
-    given; a caller holding ``Fraction``s passes their :func:`lattice` image
-    to run them on ints.
+    shared-endpoint contact); doubling back or overlap is not.  Consecutive
+    edges share a vertex, so their :func:`joint` alone decides them, and a
+    doubling back is ``improper``; a pair whose boxes are apart skips
+    ``seg3_relation``.  The failures are the pairs (i, j, relation), i < j,
+    in order.  The predicates run on the vertices as given; a caller holding
+    ``Fraction``s passes their :func:`lattice` image to run them on ints.
     """
     m = len(vertices)
     if m < 3:
@@ -380,25 +384,11 @@ def polygon_embedded(vertices: Sequence) -> EmbeddingReport:
     for i in range(m):
         if vertices[i] == vertices[(i + 1) % m]:
             raise ValueError(f"repeated consecutive vertices at index {i}")
-    failures = edge_failures(vertices, range(m))
-    return EmbeddingReport(not failures, tuple(failures))
-
-
-def edge_failures(vertices, among) -> list:
-    """The failed pairs (i, j, relation), i < j, of the edges of the closed
-    polygon ``vertices``, in :func:`polygon_embedded`'s order, testing only
-    the pairs that hold an edge index of ``among``.
-
-    Consecutive edges share a vertex, so their :func:`joint` alone decides
-    them, and a doubling back is ``improper``.  Any other pair fails unless
-    it is disjoint; a pair whose boxes are apart skips ``seg3_relation``.
-    """
-    m = len(vertices)
     edges = [(vertices[i], vertices[(i + 1) % m]) for i in range(m)]
     boxes = [bbox(e) for e in edges]
     failures = []
     for i in range(m):
-        for j in range(i + 1, m) if i in among else sorted(j for j in among if j > i):
+        for j in range(i + 1, m):
             if j - i in (1, m - 1):  # they share vertex j, or 0 for the pair (0, m - 1)
                 k = j if j == i + 1 else 0
                 if joint(vertices[k - 1], vertices[k], vertices[(k + 1) % m]) < 0:
@@ -406,4 +396,4 @@ def edge_failures(vertices, among) -> list:
             elif not boxes_apart(boxes[i], boxes[j]):
                 if (rel := seg3_relation(edges[i], edges[j])) != DISJOINT:
                     failures.append((i, j, rel))
-    return failures
+    return EmbeddingReport(not failures, tuple(failures))

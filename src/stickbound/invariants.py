@@ -469,18 +469,17 @@ def _unit_pivot_det(m):
 
 
 def _int_bareiss(m):
+    """The determinant of the square int matrix ``m`` up to sign, by
+    fraction-free elimination in place: a row swap's sign is not kept."""
     k = len(m)
     if k == 0:
         return 1
-    sign = 1
     prev = 1
     for col in range(k - 1):
         piv = next((r for r in range(col, k) if m[r][col]), None)
         if piv is None:
             return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
+        m[col], m[piv] = m[piv], m[col]
         for r in range(col + 1, k):
             for c2 in range(col + 1, k):
                 num = m[r][c2] * m[col][col] - m[r][col] * m[col][c2]
@@ -489,7 +488,7 @@ def _int_bareiss(m):
                 m[r][c2] = num // prev
             m[r][col] = 0
         prev = m[col][col]
-    return sign * m[k - 1][k - 1]
+    return m[k - 1][k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -647,12 +646,14 @@ class MatchReport:
 def match(ap, d1, d2) -> MatchReport:
     """Compare determinant and Alexander polynomial of two diagrams, d1 one of ap.
 
-    The Alexander comparison allows the t -> 1/t substitution, which a change
-    of traversal orientation induces.  det1 is ap's grid determinant, which
-    must equal |Alexander(-1)| of d1; det2 is |Alexander(-1)| of d2.  d1 is
-    usually ap's grid diagram too, but the two determinant routes still share
-    no code: :func:`determinant` eliminates the grid's winding-number matrix,
-    Alexander the relation rows of d1's Gauss code.
+    The Alexander polynomials are compared as they are: :func:`alexander`
+    raises unless its result is palindromic, so the t -> 1/t substitution a
+    change of traversal orientation induces leaves it unchanged.  det1 is
+    ap's grid determinant, which must equal |Alexander(-1)| of d1; det2 is
+    |Alexander(-1)| of d2.  d1 is usually ap's grid diagram too, but the two
+    determinant routes still share no code: :func:`determinant` eliminates
+    the grid's winding-number matrix, Alexander the relation rows of d1's
+    Gauss code.
     """
     a1, a2 = alexander(d1), alexander(d2)
     n1, n2 = determinant(ap), abs(a2(-1))
@@ -660,10 +661,8 @@ def match(ap, d1, d2) -> MatchReport:
         raise InternalVerificationError(
             f"determinant paths disagree: |{a1}(-1)| = {abs(a1(-1))} vs {n1}"
         )
-    direct = a1 == a2
-    mirrored = not direct and a1 == a2.reversed()
     return MatchReport(
-        ok=n1 == n2 and (direct or mirrored),
+        ok=n1 == n2 and a1 == a2,
         det1=n1,
         det2=n2,
         alex1=a1,

@@ -25,6 +25,7 @@ from stickbound.construct import (
     _SHAPES,
     _certify_top,
     _shape_failure,
+    _skip_reason,
     StickKnot,
     TriangleInfo,
     _assign_heights,
@@ -47,7 +48,6 @@ from stickbound.geom import (
     Plane,
     bbox,
     convex_failure,
-    edge_failures,
     lattice,
     polygon_embedded,
     seg_triangle_intersection,
@@ -66,8 +66,10 @@ def reductions_of(ap, k2):
 
 def clear(edges, info):
     """_triangle_clear of a reduction triangle against ``edges``: the
-    geometric check the collapses made before the lemma replaced it."""
-    return _triangle_clear(Plane(info.triangle), edges, [bbox(e) for e in edges], False)
+    geometric check the collapses made before the lemma replaced it: the
+    first stick that meets the triangle, or None."""
+    hit = _triangle_clear(Plane(info.triangle), edges, [bbox(e) for e in edges], False)
+    return None if hit is None else edges[hit]
 
 
 def test_assign_heights_constraints(ap5):
@@ -1153,15 +1155,29 @@ def _tips(move, la, lb):
     return t_a, t_b
 
 
-def certify_on_lattice(rot_v, t_a, t_b):
-    """_certify_top on one lattice image of the move's points, as build_full's
-    top move runs it, with the stationary sticks in the reference's order."""
+def named(rot_v, t_a, t_b, verdict):
+    """A verdict of _certify_top, a rejection renamed as top_reduction
+    names a skip (_skip_reason)."""
+    ok, why = verdict
+    return ok, why if ok else _skip_reason(rot_v, t_a, t_b, why)
+
+
+def on_lattice(rot_v, t_a, t_b):
+    """_certify_top's arguments on one lattice image of the move's points,
+    as build_full's top move passes them, with the stationary sticks in the
+    reference's order."""
     m = len(rot_v)
     _, image = lattice(rot_v + [t_a, t_b])
     rot_v = image[:m]
     outside = [(rot_v[i], rot_v[i + 1]) for i in range(4, m - 1)]
     outside += [(rot_v[-1], rot_v[0]), (rot_v[3], rot_v[4])]
-    return _certify_top(rot_v, *image[m:], (outside, [bbox(e) for e in outside]))
+    return rot_v, *image[m:], (outside, [bbox(e) for e in outside])
+
+
+def certify_on_lattice(rot_v, t_a, t_b):
+    """_certify_top on_lattice, a rejection named as a skip."""
+    args = on_lattice(rot_v, t_a, t_b)
+    return named(*args[:3], _certify_top(*args))
 
 
 def test_certify_top_on_the_lattice_matches_the_fraction_checks():
@@ -1191,12 +1207,10 @@ def test_certify_top_on_the_lattice_matches_the_fraction_checks():
     assert reasons == {"", "result-not-embedded", "stationary-stick-meets-spanning-surface"}
 
 
-def test_top_moves_of_the_corpus_certify_as_the_disk_reference_did(monkeypatch):
-    """Every candidate the builds of CORPUS and of SKIPPED_PAST_12 try gets
-    the verdict and the reason of the spanning-disk reference.  Shape by
-    shape, the four Δ-moves are legal where the reference's disk certifies
-    and not where a stationary stick meets the disk.  A disk whose triangles
-    meet each other decides nothing: its Δ-moves may still be legal."""
+@functools.cache
+def _corpus_candidates():
+    """(rot_v, t_a, t_b, stationary, verdict) for every candidate the builds
+    of CORPUS and of SKIPPED_PAST_12 try."""
     calls = []
     certify = construct._certify_top
 
@@ -1204,11 +1218,25 @@ def test_top_moves_of_the_corpus_certify_as_the_disk_reference_did(monkeypatch):
         calls.append((*args, certify(*args)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(construct, "_certify_top", recorded)
-    for n, seed in CORPUS + sorted(SKIPPED_PAST_12):
-        build_full(random_presentation(n, seed))
+    construct._certify_top = recorded
+    try:
+        for n, seed in CORPUS + sorted(SKIPPED_PAST_12):
+            build_full(random_presentation(n, seed))
+    finally:
+        construct._certify_top = certify
+    return calls
+
+
+def test_top_moves_of_the_corpus_certify_as_the_disk_reference_did():
+    """Every candidate the builds of CORPUS and of SKIPPED_PAST_12 try gets
+    the verdict of the spanning-disk reference, and its reason once a
+    rejection is named as a skip.  Shape by shape, the four Δ-moves are
+    legal where the reference's disk certifies and not where a stationary
+    stick meets the disk.  A disk whose triangles meet each other decides
+    nothing: its Δ-moves may still be legal."""
     reasons, pairs = set(), set()
-    for rot_v, t_a, t_b, stationary, got in calls:
+    for rot_v, t_a, t_b, stationary, verdict in _corpus_candidates():
+        got = named(rot_v, t_a, t_b, verdict)
         assert got == certify_top_on_fractions(rot_v, [t_a, t_b] + rot_v[4:], t_a, t_b)
         reasons.add(got[1].split(":")[0])
         if got[1].startswith(("result", "extension")):
@@ -1282,7 +1310,8 @@ def test_a_corner_off_its_neighbours_raises():
     ],
 )
 def test_known_skips_report_the_full_checks_first_failure(seed, status):
-    # the incremental check's first failure is the one the full check reports
+    # the full check of the last candidate names the skip, ahead of the
+    # last shape's reason
     _, cert = build_full(random_presentation(8, seed))
     assert cert.top_reduction == status
 
@@ -1309,13 +1338,12 @@ HAND_TIPS = ((0, -16, 0), (4, -16, 0))
     ],
 )
 def test_incremental_and_full_checks_reject_the_same_mutants(chain, pinch, want):
+    """The Δ-moves, a rejection named by the full check, and the
+    spanning-disk reference give each hand-made move the same verdict."""
     rot_v = [tuple(map(Fraction, p)) for p in HAND_PATH + chain + ((0, 4, 0),)]
     t_a, t_b = (tuple(map(Fraction, p)) for p in (HAND_TIPS[0], pinch or HAND_TIPS[1]))
     assert polygon_embedded(rot_v).ok
     cand_v = [t_a, t_b] + rot_v[4:]
-    fresh = {0, 1, len(cand_v) - 1}
-    full = list(polygon_embedded(cand_v).failures)
-    assert edge_failures(lattice(cand_v)[1], fresh) == full
     assert certify_on_lattice(rot_v, t_a, t_b) == want
     assert certify_top_on_fractions(rot_v, cand_v, t_a, t_b) == want
     if not want[1].startswith("result"):  # the stick misses s1, or pierces it
@@ -1332,6 +1360,14 @@ _LENGTHS = st.one_of(
 )
 
 
+def embedded_where_certified(rot_v, t_a, t_b, stationary, verdict):
+    """Whether a shape certified the candidate, whose new polygon must then
+    be embedded."""
+    if verdict[0]:
+        assert t_a != t_b and polygon_embedded([t_a, t_b] + rot_v[4:]).ok
+    return verdict[0]
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     k=st.integers(0, 19),
@@ -1340,27 +1376,22 @@ _LENGTHS = st.one_of(
     pinch=st.sampled_from((None, "a", "b")),
     at=st.integers(0, 1 << 10),
 )
-def test_incremental_embedding_equals_the_full_check(k, la, lb, pinch, at):
-    """Each embedding test of _certify_top, on its fresh edges only, reports
-    the full check's failures: on candidates at integer, fractional and
-    asymmetric L, and with a tip pinched onto the chain."""
+def test_certified_candidates_are_embedded(k, la, lb, pinch, at):
+    """Legal Δ-moves on the embedded reduced polygon keep it embedded: every
+    candidate a shape certifies, at integer, fractional and asymmetric L
+    and with a tip pinched onto the chain, has an embedded new polygon."""
     move = _property_moves()[k]
     rot_v = move[0]
     t_a, t_b = _tips(move, la, lb)
     chain = rot_v[5:-1]  # vertices of the chain off both feeding sticks
     if pinch and chain:
         t_a, t_b = (chain[at % len(chain)], t_b) if pinch == "a" else (t_a, chain[at % len(chain)])
-    calls = []
-    incremental = construct.edge_failures
+    args = on_lattice(rot_v, t_a, t_b)
+    embedded_where_certified(*args, _certify_top(*args))
 
-    def recorded(pts, fresh):
-        calls.append((list(pts), fresh))
-        return incremental(pts, fresh)
 
-    construct.edge_failures = recorded
-    try:
-        certify_on_lattice(rot_v, t_a, t_b)
-    finally:
-        construct.edge_failures = incremental
-    for pts, fresh in calls:
-        assert incremental(pts, fresh) == list(polygon_embedded(pts).failures)
+def test_certified_candidates_of_the_corpus_are_embedded():
+    """Every candidate of the CORPUS and SKIPPED_PAST_12 builds that a shape
+    certifies has an embedded new polygon."""
+    certified = [embedded_where_certified(*call) for call in _corpus_candidates()]
+    assert True in certified and False in certified

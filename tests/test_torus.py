@@ -5,7 +5,9 @@ which chord i joins labels i and ((i + p - 1) mod n) + 1.  Its Alexander
 polynomial is (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)), its determinant
 |Delta(-1)|, and its stick number 2q when p < q < 2p (Jin, "Polygon indices
 and superbridge indices of torus knots and links", JKTR 1997), a lower bound
-that no correct polygon can beat.
+that no correct polygon can beat.  Its crossing number is
+min(p(q - 1), q(p - 1)) (Murasugi 1991), so Negami's lower bound in that
+crossing number bounds every polygon of it too.
 """
 
 from math import gcd
@@ -14,7 +16,7 @@ import pytest
 from conftest import pdivexact_schoolbook, pmul_schoolbook
 
 from stickbound.arcpres import ArcPresentation, diagram
-from stickbound.bounds import theorem2_upper
+from stickbound.bounds import negami_bounds, theorem2_upper
 from stickbound.construct import build_full
 from stickbound.invariants import LaurentPoly, alexander, determinant
 
@@ -56,5 +58,16 @@ def test_torus_knot_matches_its_closed_forms(p, q):
     assert cert.sticks_final <= bound
     if q == p + 1:
         assert cert.sticks_final == bound
+    if q < 2 * p:
+        assert cert.sticks_final >= 2 * q
+    assert cert.sticks_final >= negami_bounds(min(p * (q - 1), q * (p - 1))).lower_ceiling
+
+
+@pytest.mark.parametrize("p, q", PAIRS, ids=[f"T({p},{q})" for p, q in PAIRS])
+def test_torus_knot_without_the_top_move_keeps_two_more_sticks(p, q):
+    ap = torus(p, q)
+    _, cert = build_full(ap, top=False)
+    assert cert.top_reduction == "skipped:disabled" and cert.invariants_match
+    assert cert.sticks_final == ap.n + cert.beta[0] + 1
     if q < 2 * p:
         assert cert.sticks_final >= 2 * q
