@@ -151,7 +151,16 @@ def _point_at(p, q, t):
 
 
 def bbox(points) -> tuple:
-    """Exact axis-aligned bounding box ``(lo, hi)`` of two or more 3D points."""
+    """Exact axis-aligned bounding box ``(lo, hi)`` of two or more 3D points.
+
+    A segment's box compares its two ends axis by axis, as ``sorted`` would:
+    on a tie the first end is lo and the second hi."""
+    if len(points) == 2:
+        (ax, ay, az), (bx, by, bz) = points
+        return (
+            (bx if bx < ax else ax, by if by < ay else ay, bz if bz < az else az),
+            (ax if bx < ax else bx, ay if by < ay else by, az if bz < az else bz),
+        )
     x, y, z = map(sorted, zip(*points))
     return (x[0], y[0], z[0]), (x[-1], y[-1], z[-1])
 

@@ -416,45 +416,45 @@ def alexander(d) -> LaurentPoly:
 def determinant(ap) -> int:
     """Knot determinant of an arc presentation, read from its grid.
 
-    In the presentation's grid, chord i is a horizontal at height i and
-    binding label a a vertical at a (Cromwell, Topology Appl. 64, 1995).
-    The knot's winding number around the point (x + 1/2, y + 1/2), x and y
-    in 0..n-1, has the parity of the number of chords (a, b) of index above
-    y with a <= x < b; with M[x][y] = (-1) to that parity, det M =
-    +-2^(n-1) det K (Manolescu-Ozsvath-Sarkar, arXiv:math/0607691).  Row 0
-    of M is all 1s and each later row is replaced by (M[x] - M[x-1]) / 2,
-    exact with entries in {0, +-1}, so the determinant of that matrix,
-    which :func:`_unit_pivot_det` takes by unit pivots and then Bareiss on
-    the core left, is +-det K.  No diagram, layout or relation row is built.
+    In the grid, chord i is a horizontal at height i and label a a vertical
+    at a (Cromwell, Topology Appl. 64, 1995).  With M[x][y] = (-1) to the
+    number of chords (a, b) of index above y with a <= x < b, the parity of
+    the winding number around (x + 1/2, y + 1/2), det M = +-2^(n-1) det K
+    (Manolescu-Ozsvath-Sarkar, arXiv:math/0607691).  Row 0 of M is all 1s;
+    label x's chords are j1 < j2 (0-based), so M[x] is M[x-1] with columns
+    j1 < y <= j2 negated and (M[x] - M[x-1]) / 2 is M[x] there, 0 elsewhere.
+    Those sparse rows, built with one running sign list, have determinant
+    +-det K, taken by :func:`_unit_pivot_det`; no diagram or layout is built.
     """
-    n = ap.n
-    m, prev = [], None
-    for x in range(n):
-        row, s = [0] * n, 1
-        for y in range(n - 1, -1, -1):
-            a, b = ap.chords[y]  # the chord of index y + 1
-            if a <= x < b:
-                s = -s
-            row[y] = s
-        m.append(row if prev is None else [(u - v) // 2 for u, v in zip(row, prev)])
-        prev = row
-    if not (det := _unit_pivot_det(m)):
+    # (label, chord) sorted: label x's chords j1 < j2 are entries 2x - 2 and 2x - 1
+    ends = sorted((a, j) for j, chord in enumerate(ap.chords) for a in chord)
+    sign = [1] * ap.n
+    rows = [dict.fromkeys(range(ap.n), 1)]
+    for (_, j1), (_, j2) in zip(ends[:-2:2], ends[1:-2:2]):
+        rows.append(row := {})
+        for y in range(j1 + 1, j2 + 1):
+            row[y] = sign[y] = -sign[y]
+    if not (det := _unit_pivot_det(rows)):
         raise InternalVerificationError("determinant path produced 0")
     return det
 
 
-def _unit_pivot_det(m):
-    """|det m| of a square integer matrix: unit pivots, then Bareiss on the core.
-
-    Each step pivots on the shortest sparse row {col: value} with a +-1 entry,
-    at its first one pv, and subtracts f * pv times it from each row with f in
-    that column: no division.  Fewer columns than rows left make det 0.
-    """
-    rows = [{c: v for c, v in enumerate(row) if v} for row in m]
-    while ones := [(len(w), r) for r, w in enumerate(rows) if 1 in w.values() or -1 in w.values()]:
-        prow = rows.pop(min(ones)[1])
-        col = next(c for c, v in prow.items() if v in (1, -1))
-        pv = prow.pop(col)
+def _unit_pivot_det(rows):
+    """|det| of a square int matrix of sparse rows {col: value}, consumed:
+    unit pivots, then Bareiss on the core.  Each step pivots on the first
+    of the shortest rows with a +-1 entry, found in one pass that skips rows
+    no shorter than the best so far, at its first one pv, and subtracts
+    f * pv times it from each row with f in that column: no division.
+    Fewer columns than rows left make det 0."""
+    while True:
+        best = None
+        for r, w in enumerate(rows):
+            if (best is None or len(w) < best[0]) and (1 in (vs := w.values()) or -1 in vs):
+                best = len(w), r
+        if best is None:
+            break
+        prow = rows.pop(best[1])
+        pv = prow.pop(col := next(c for c, v in prow.items() if v in (1, -1)))
         for row in rows:
             f = row.pop(col, 0)
             if f:
@@ -652,8 +652,8 @@ def match(ap, d1, d2) -> MatchReport:
     ap's grid determinant, which must equal |Alexander(-1)| of d1; det2 is
     |Alexander(-1)| of d2.  d1 is usually ap's grid diagram too, but the two
     determinant routes still share no code: :func:`determinant` eliminates
-    the grid's winding-number matrix, Alexander the relation rows of d1's
-    Gauss code.
+    interval rows read off ap's label uses, Alexander the relation rows of
+    d1's Gauss code.
     """
     a1, a2 = alexander(d1), alexander(d2)
     n1, n2 = determinant(ap), abs(a2(-1))

@@ -11,6 +11,7 @@ from stickbound.invariants import (
     _ZERO,
     PROJECTION_ATTEMPTS,
     ProjectedDiagram,
+    _int_bareiss,
     _key_shift,
     _omul,
     _osub,
@@ -297,3 +298,50 @@ def pdivexact_schoolbook(num, den):
     if any(num):
         raise InternalVerificationError("inexact polynomial division")
     return _pstrip(q)
+
+
+# ---------------------------------------------------------------------------
+# The grid determinant's rows and unit pivots as stickbound.invariants built
+# and chose them: the winding-number matrix by an n^2 parity loop, its halved
+# row differences, and a rescan of every row's values at every pivot.
+
+
+def grid_rows_dense(ap):
+    """The halved row differences of ap's grid matrix, dense, row 0 all 1s."""
+    n = ap.n
+    m, prev = [], None
+    for x in range(n):
+        row, s = [0] * n, 1
+        for y in range(n - 1, -1, -1):
+            a, b = ap.chords[y]  # the chord of index y + 1
+            if a <= x < b:
+                s = -s
+            row[y] = s
+        m.append(row if prev is None else [(u - v) // 2 for u, v in zip(row, prev)])
+        prev = row
+    return m
+
+
+def sparse_rows(m):
+    """Dense integer rows as sparse rows {col: value}, columns in order."""
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
+def unit_pivot_det_rescan(rows):
+    """|det| by unit pivots, each the least (length, row) among all rows
+    whose values hold a +-1, all rescanned at every step; consumes rows."""
+    while ones := [(len(w), r) for r, w in enumerate(rows) if 1 in w.values() or -1 in w.values()]:
+        prow = rows.pop(min(ones)[1])
+        col = next(c for c, v in prow.items() if v in (1, -1))
+        pv = prow.pop(col)
+        for row in rows:
+            f = row.pop(col, 0)
+            if f:
+                for c, v in prow.items():
+                    x = row[c] = row.get(c, 0) - f * pv * v
+                    if not x:
+                        del row[c]
+    cols = sorted({c for row in rows for c in row})
+    if len(cols) < len(rows):
+        return 0
+    return abs(_int_bareiss([[row.get(c, 0) for c in cols] for row in rows]))

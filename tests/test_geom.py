@@ -241,6 +241,24 @@ def test_bbox_is_exact_hull_of_the_points():
     assert box == ((F(-1, 2), 2, -1), (F(1, 3), F(7, 3), 5))
 
 
+# small ints and fractions, so equal coordinates, an int and a Fraction of
+# one value included, are common
+box_coords = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(box_coords, box_coords, box_coords), min_size=2, max_size=3))
+def test_bbox_is_the_sorted_box(points):
+    """Segments take bbox's two-point path, triangles the sorted one; both
+    give the box of sorted coordinates, down to which of two tied ends, int
+    or Fraction, stands for lo and for hi."""
+    x, y, z = map(sorted, zip(*points))
+    want = (x[0], y[0], z[0]), (x[-1], y[-1], z[-1])
+    got = bbox(tuple(points))
+    assert got == want
+    assert [type(v) for end in got for v in end] == [type(v) for end in want for v in end]
+
+
 @pytest.mark.parametrize(
     "b1,b2,apart",
     [

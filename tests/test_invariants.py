@@ -418,18 +418,14 @@ def test_grid_determinant_is_the_wirtinger_determinant(n, seed, k):
 
 
 # (name, source text of invariants.determinant, its replacement).  Reading
-# every height, or every column, one step further round the grid torus, the
+# every height, or every label, one step further round the grid torus, the
 # wrap included, keeps the determinant, so such a mutant is no fault and is
-# not listed.  The first mutant here reads the gap left of label 1 twice and
-# never the one left of label n; the second never fills the top height.
+# not listed.  The interval mutants give label x the heights j1 <= y <= j2,
+# or j1 < y < j2, with the running signs flipped there.
 GRID_MUTANTS = [
-    ("column span off by one", "if a <= x < b:", "if a < x <= b:"),
-    (
-        "chord heights off by one",
-        "for y in range(n - 1, -1, -1):",
-        "for y in range(n - 2, -1, -1):",
-    ),
-    ("rows not halved", "(u - v) // 2", "u - v"),
+    ("interval start off by one", "range(j1 + 1, j2 + 1)", "range(j1, j2 + 1)"),
+    ("interval end off by one", "range(j1 + 1, j2 + 1)", "range(j1 + 1, j2)"),
+    ("running sign not flipped", "row[y] = sign[y] = -sign[y]", "row[y] = -sign[y]"),
 ]
 
 
@@ -463,8 +459,8 @@ def unit_matrices(draw):
 
 
 def unit_pivot_agrees(det, m):
-    """det(m) is |det m| by the dense Bareiss, the reference."""
-    return det(copy.deepcopy(m)) == abs(_int_bareiss(copy.deepcopy(m)))
+    """det of m's sparse rows is |det m| by the dense Bareiss, the reference."""
+    return det(reference.sparse_rows(m)) == abs(_int_bareiss(copy.deepcopy(m)))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -475,12 +471,12 @@ def test_unit_pivots_give_the_dense_determinant(m):
 
 @pytest.fixture(scope="module")
 def grid_matrices():
-    """The matrices determinant hands to _unit_pivot_det for seeded n = 3..96."""
+    """The rows determinant hands to _unit_pivot_det for seeded n = 3..96, dense."""
     recorded, real = [], invariants._unit_pivot_det
 
-    def recording(m):
-        recorded.append(copy.deepcopy(m))
-        return real(m)
+    def recording(rows):
+        recorded.append([[w.get(c, 0) for c in range(len(rows))] for w in rows])
+        return real(rows)
 
     with mock.patch.object(invariants, "_unit_pivot_det", recording):
         for n in range(3, 97):
@@ -496,7 +492,7 @@ def test_unit_pivots_on_the_seeded_grid_matrices(grid_matrices):
 # (name, source text of invariants._unit_pivot_det, its replacement)
 UNIT_PIVOT_MUTANTS = [
     ("pivot sign dropped", "f * pv * v", "f * v"),
-    ("pivot row left live", "prow = rows.pop(min(ones)[1])", "prow = rows[min(ones)[1]]"),
+    ("pivot row left live", "prow = rows.pop(best[1])", "prow = rows[best[1]]"),
 ]
 
 
@@ -514,6 +510,86 @@ def test_unit_pivot_property_catches_mutants(name, old, new, grid_matrices):
     mutant = _mutant(invariants._unit_pivot_det, old, new)
     assert all(unit_pivot_agrees(invariants._unit_pivot_det, m) for m in cases)
     assert not all(unit_pivot_agrees(mutant, m) for m in cases), name
+
+
+def rows_handed_over(ap, det=determinant):
+    """The rows det(ap) hands to _unit_pivot_det, as handed over."""
+    recorded = []
+
+    def recording(rows):
+        recorded.append(copy.deepcopy(rows))
+        return 1
+
+    with mock.patch.dict(det.__globals__, _unit_pivot_det=recording):
+        det(ap)
+    (rows,) = recorded
+    return rows
+
+
+def rows_are_the_halved_differences(ap, det=determinant):
+    """det's interval rows are the former n^2 builder's halved row
+    differences with their zeros dropped: same keys, key order and values."""
+    want = reference.sparse_rows(reference.grid_rows_dense(ap))
+    return [list(w.items()) for w in rows_handed_over(ap, det)] == [list(w.items()) for w in want]
+
+
+def test_grid_rows_are_the_former_halved_differences():
+    for n in range(3, 129):
+        assert rows_are_the_halved_differences(random_presentation(n, 7400 + n)), n
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n=st.integers(3, 64), seed=st.integers(0, 2**32 - 1))
+def test_grid_rows_are_the_halved_differences_on_random_presentations(n, seed):
+    assert rows_are_the_halved_differences(random_presentation(n, seed))
+
+
+# The grid mutants and one more.  Column 0 is nonzero in row 0 alone, where
+# it is 1, so dropping row 0 keeps the determinant (expand along column 0):
+# only the rows themselves show that mutant.
+ROW_MUTANTS = GRID_MUTANTS + [
+    ("row 0 dropped", "rows = [dict.fromkeys(range(ap.n), 1)]", "rows = []"),
+]
+
+
+@pytest.mark.parametrize("name, old, new", ROW_MUTANTS, ids=[m[0] for m in ROW_MUTANTS])
+def test_row_property_catches_mutants(name, old, new):
+    mutant = _mutant(invariants.determinant, old, new)
+    aps = [random_presentation(n, 7300 + n) for n in range(3, 31, 3)]
+    assert all(rows_are_the_halved_differences(ap) for ap in aps)
+    assert not all(rows_are_the_halved_differences(ap, mutant) for ap in aps), name
+
+
+class PopLog(list):
+    """Rows that log the (length, index) of each row popped from them."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.popped = []
+
+    def pop(self, i):
+        self.popped.append((len(self[i]), i))
+        return super().pop(i)
+
+
+def pivots_follow_the_rescan(m):
+    """_unit_pivot_det on m's sparse rows pops the (length, row) pivots the
+    former rescan of every row popped, and gives the same determinant."""
+    new, old = PopLog(reference.sparse_rows(m)), PopLog(reference.sparse_rows(m))
+    det = invariants._unit_pivot_det(new)
+    return det == reference.unit_pivot_det_rescan(old) and new.popped == old.popped
+
+
+def test_unit_pivots_follow_the_rescan_on_the_seeded_grids():
+    for n in range(3, 129):
+        m = reference.grid_rows_dense(random_presentation(n, 7400 + n))
+        assert pivots_follow_the_rescan(m), n
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(unit_matrices())
+def test_unit_pivots_follow_the_rescan(m):
+    assert pivots_follow_the_rescan(m)
 
 
 @pytest.mark.parametrize(
