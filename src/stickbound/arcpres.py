@@ -16,15 +16,17 @@ integers, with no layout.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from .errors import InternalVerificationError, InvalidArcPresentation
-from .geom import _cross3, _dot3, binding_points
+from .geom import _cross3, _dot3, binding_points, lattice
 
 MAX_LAYOUT_RETRIES = 64
 
@@ -159,13 +161,14 @@ def crossing_pairs(ap: ArcPresentation) -> list:
     return out
 
 
-def classify(ap: ArcPresentation):
-    """Per-chord types and the (beta1, beta2, beta3) census; needs n >= 3."""
+def classify(ap: ArcPresentation, nb=None):
+    """Per-chord types and the (beta1, beta2, beta3) census; needs n >= 3.
+    ``nb``, if given, is :func:`_neighbours` of ap's walk."""
     if ap.n < 3:
         raise InvalidArcPresentation("chord types need at least 3 chords")
     types = [
         (ChordType.I, ChordType.II, ChordType.III)[(prev < i) + (nxt < i)]
-        for i, ((prev, _), (nxt, _)) in enumerate(_neighbours(ap))
+        for i, ((prev, _), (nxt, _)) in enumerate(nb or _neighbours(chord_walk(ap)))
     ]
     return tuple(types), BetaCounts(*(types.count(t) for t in ChordType))
 
@@ -181,16 +184,21 @@ def normalize(ap: ArcPresentation):
 
     Shift k renumbers chord c (0-based) as (c - k) % n, so c is type I under
     it iff (x - k) % n > (c - k) % n for both neighbour chords x, that is iff
-    (c - k) % n < (c - x) % n.  Only the chosen shift is built.
+    (c - k) % n < r_c = min over x of (c - x) % n: iff k is c + n - r_c + 1,
+    ..., c + n mod n.  A difference array over 0..2n - 1 counts those runs;
+    beta1 of shift k is the count at k plus that at k + n.  Only the chosen
+    shift is built.
     """
     n = ap.n
     if n < 3:
         raise InvalidArcPresentation("chord types need at least 3 chords")
-    reach = [
-        min((c - prev) % n, (c - nxt) % n)
-        for c, ((prev, _), (nxt, _)) in enumerate(_neighbours(ap))
-    ]
-    k = min(range(n), key=lambda j: sum((c - j) % n < r for c, r in enumerate(reach)))
+    diff = [0] * (2 * n + 1)
+    for c, ((prev, _), (nxt, _)) in enumerate(_neighbours(chord_walk(ap))):
+        diff[c + n - min((c - prev) % n, (c - nxt) % n) + 1] += 1
+        diff[c + n + 1] -= 1
+    runs = list(accumulate(diff))
+    beta1 = [runs[j] + runs[j + n] for j in range(n)]
+    k = beta1.index(min(beta1))
     return cyclic_shift(ap, k), k
 
 
@@ -244,14 +252,27 @@ def chord_walk(ap: ArcPresentation) -> list:
     return _walk(ap.chords, _point_uses(ap))
 
 
-def _neighbours(ap: ArcPresentation) -> list:
+def _neighbours(walk) -> list:
     """Per chord (0-based): ((previous chord, entry), (next chord, exit)) on
-    :func:`chord_walk`, the two chords that share a binding point with it."""
-    walk = chord_walk(ap)
-    out = [None] * ap.n
+    ``walk``, a :func:`chord_walk`: the two chords sharing a point with it."""
+    out = [None] * len(walk)
     for k, (cur, entry, exit_pt) in enumerate(walk):
-        out[cur] = ((walk[k - 1][0], entry), (walk[(k + 1) % ap.n][0], exit_pt))
+        out[cur] = ((walk[k - 1][0], entry), (walk[(k + 1) % len(walk)][0], exit_pt))
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(n, retry):
+    """``binding_points(n, retry)``, each as (X, Y, W), W > 0 the lcm of its
+    own denominators, and their :func:`lattice` (scales, grid), once per
+    process, as immutable tuples: no caller can change what another reads."""
+    pts = tuple(binding_points(n, retry))
+    hom = []
+    for x, y in pts:
+        w = math.lcm(x.denominator, y.denominator)
+        hom.append((x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w))
+    scales, grid = lattice(pts)
+    return pts, tuple(hom), scales, tuple(grid)
 
 
 def layout(ap: ArcPresentation):
@@ -265,15 +286,12 @@ def layout(ap: ArcPresentation):
     the integer triple (X, Y, W), W > 0 the lcm of its own denominators;
     each chord's line is the cross product of its ends and each crossing
     the cross product of two lines, W = 0 when they are parallel.  A triple
-    point shows as a repeated crossing, reduced by its gcd with W > 0.
+    point shows as a repeated crossing, reduced by its gcd with W > 0.  The
+    points and triples come from :func:`_plan`.
     """
     pairs = crossing_pairs(ap)
     for retry in range(MAX_LAYOUT_RETRIES + 1):
-        pts = binding_points(ap.n, retry)
-        hom = []
-        for x, y in pts:
-            w = math.lcm(x.denominator, y.denominator)
-            hom.append((x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w))
+        pts, hom, _, _ = _plan(ap.n, retry)
         ends = [(hom[a - 1], hom[b - 1]) for a, b in ap.chords]
         lines = [_cross3(c, d) for c, d in ends]
         crossings = {}
@@ -291,7 +309,7 @@ def layout(ap: ArcPresentation):
             s_c, s_d = _dot3(lines[i - 1], c) * d[2], _dot3(lines[i - 1], d) * c[2]
             crossings[i, j] = Fraction(s_c, s_c - s_d)
         else:
-            return pts, retry, crossings
+            return list(pts), retry, crossings
     raise InternalVerificationError(
         f"no generic layout within {MAX_LAYOUT_RETRIES} perturbation retries"
     )

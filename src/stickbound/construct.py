@@ -24,6 +24,7 @@ from . import invariants
 from .arcpres import (
     ArcPresentation,
     _neighbours,
+    _plan,
     chord_walk,
     classify,
     diagram,
@@ -38,7 +39,6 @@ from .geom import (
     boxes_apart,
     convex_failure,
     joint,
-    lattice,
     polygon_embedded,
     triangle_pierced,
 )
@@ -78,45 +78,42 @@ def stick_count(knot: StickKnot) -> int:
     return sum(joint(v[i - 1], v[i], v[(i + 1) % m]) != 1 for i in range(m))
 
 
-def _anchor_and_apex(nb, i):
-    """Anchor chord (largest smaller neighbor) and shared apex point of chord i,
-    or None if chord i is of type I (no smaller neighbor); ``nb`` is
-    :func:`_neighbours` of the presentation."""
-    return max(((j + 1, p) for j, p in nb[i - 1] if j < i - 1), default=None)
+def _cycle_reads(ap, crossings):
+    """What a build reads of ap's chord cycle, each derived once: its
+    :func:`chord_walk`, that walk's neighbour table, and per chord i (at
+    i - 1) None if it is of type I, else (j, apex, hits): its anchor j (the
+    largest smaller neighbour), their shared apex, and (k, num, den) for each
+    chord k < i crossing chord i at t = num / den from the apex, den > 0, k
+    ascending as layout lists its ``crossings``."""
+    walk = chord_walk(ap)
+    nb = _neighbours(walk)
+    hits = [[] for _ in range(ap.n + 1)]
+    for (k, i), u in crossings.items():
+        hits[i].append((k, u.numerator, u.denominator))
+    anchors = []
+    for i, (pair, (a, _)) in enumerate(zip(nb, ap.chords), start=1):
+        anchor = max(((j + 1, p) for j, p in pair if j < i - 1), default=None)
+        if anchor is not None:  # t from the apex
+            anchor += ([(k, num if anchor[1] == a else den - num, den) for k, num, den in hits[i]],)
+        anchors.append(anchor)
+    return walk, nb, anchors
 
 
-def _crossed_from_apex(ap, crossings, i, apex):
-    """(k, num, den) for each chord k < i crossing chord i at fraction
-    t = num / den from apex, den > 0, read off layout's ``crossings``."""
-    hits = [(k, crossings[k, i]) for k in range(1, i) if (k, i) in crossings]
-    if apex == ap.chords[i - 1][0]:
-        return [(k, u.numerator, u.denominator) for k, u in hits]
-    return [(k, u.denominator - u.numerator, u.denominator) for k, u in hits]
-
-
-def _assign_heights(ap: ArcPresentation, crossings) -> tuple:
-    nb = _neighbours(ap)
-    n = ap.n
-    z = [0] * (n + 1)
-    z[1], z[2] = 1, 2
-    for i in range(3, n + 1):
-        anchor = _anchor_and_apex(nb, i)
+def _assign_heights(anchors) -> tuple:
+    z = [0, 1, 2]
+    for i, anchor in enumerate(anchors[2:], start=3):
+        z.append(z[i - 1] + 1)
         if anchor is None:  # type I
-            z[i] = z[i - 1] + 1
             continue
-        j, apex = anchor
-        cand = z[i - 1] + 1
+        j, _, hits = anchor
         # the anchor shares the apex with chord i, so it is never among the k;
         # 1 + floor(z_j + (z_k - z_j) / t) clears k, and max of floors = floor of max
-        for k, num, den in _crossed_from_apex(ap, crossings, i, apex):
+        for k, num, den in hits:
             if z[k] <= z[j]:
                 continue
             if not 0 < num < den:
-                raise InternalVerificationError(
-                    f"crossing of chords {i},{k} off the open chord"
-                )
-            cand = max(cand, 1 + z[j] + (z[k] - z[j]) * den // num)
-        z[i] = cand
+                raise InternalVerificationError(f"crossing of chords {i},{k} off the open chord")
+            z[i] = max(z[i], 1 + z[j] + (z[k] - z[j]) * den // num)
     return tuple(z[1:])
 
 
@@ -129,29 +126,24 @@ def assign_heights(ap: ArcPresentation) -> tuple:
     and the vertical to its anchor clears every earlier horizontal crossing
     it (strictly below the hypotenuse).
     """
-    _, _, crossings = layout(ap)
-    return _assign_heights(ap, crossings)
+    return _assign_heights(_cycle_reads(ap, layout(ap)[2])[2])
 
 
-def sweep_triangles(ap: ArcPresentation, z: tuple, crossings) -> list:
+def sweep_triangles(ap: ArcPresentation, z: tuple, anchors) -> list:
     """The pairs (k, i) failing the lemma's third condition; empty means
     every reduction triangle is clear (see :func:`triangle_reductions`).
 
     For each type-II/III chord i with anchor j and apex P, every chord k < i
     crossing chord i at fraction t = num / den from P must satisfy
-    z_k < z_j + t*(z_i - z_j), compared on integers; ``crossings`` is the
-    third value of ``layout``.
+    z_k < z_j + t*(z_i - z_j), compared on integers; ``anchors`` is the
+    third value of :func:`_cycle_reads`.
     """
-    nb = _neighbours(ap)
     bad = []
     for i in range(3, ap.n + 1):
-        anchor = _anchor_and_apex(nb, i)
-        if anchor is None:  # type I
-            continue
-        j, apex = anchor
-        for k, num, den in _crossed_from_apex(ap, crossings, i, apex):
-            if not (z[k - 1] - z[j - 1]) * den < num * (z[i - 1] - z[j - 1]):
-                bad.append((k, i))
+        if anchors[i - 1] is not None:  # type II/III
+            j, _, hits = anchors[i - 1]
+            zj, zi = z[j - 1], z[i - 1]
+            bad += [(k, i) for k, num, den in hits if not (z[k - 1] - zj) * den < num * (zi - zj)]
     return bad
 
 
@@ -172,12 +164,12 @@ def verify_heights(ap: ArcPresentation, z: tuple, crossings) -> None:
         raise InternalVerificationError("heights are not strictly increasing")
     if z[0] != 1 or z[1] != 2:
         raise InternalVerificationError("heights must start 1, 2")
-    if bad := sweep_triangles(ap, z, crossings):
+    if bad := sweep_triangles(ap, z, _cycle_reads(ap, crossings)[2]):
         _raise_pierced(bad)
 
 
-def _polygon(ap: ArcPresentation, z, pts) -> StickKnot:
-    walk = chord_walk(ap)
+def _polygon(walk, z, pts) -> StickKnot:
+    """The 2n-stick polygon of ``walk``, a :func:`chord_walk`: chord c at z[c]."""
     vertices = []
     roles = []
     for c, entry, exit_pt in walk:
@@ -193,13 +185,14 @@ def _polygon(ap: ArcPresentation, z, pts) -> StickKnot:
 def build_k1(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization with chord i lifted flat to height i."""
     pts, _, _ = layout(ap)
-    return _polygon(ap, [Fraction(h) for h in range(1, ap.n + 1)], pts)
+    return _polygon(chord_walk(ap), [Fraction(h) for h in range(1, ap.n + 1)], pts)
 
 
 def build_k2(ap: ArcPresentation) -> StickKnot:
     """The 2n-stick realization lifted to the reduction-ready heights."""
     pts, _, crossings = layout(ap)
-    return _polygon(ap, [Fraction(h) for h in _assign_heights(ap, crossings)], pts)
+    walk, _, anchors = _cycle_reads(ap, crossings)
+    return _polygon(walk, [Fraction(h) for h in _assign_heights(anchors)], pts)
 
 
 @dataclass(frozen=True)
@@ -209,15 +202,14 @@ class TriangleInfo:
     triangle: tuple  # (A, B, C) = (apex low corner, right-angle corner, far corner)
 
 
-def reduction_triangles(ap: ArcPresentation, z: tuple, pts) -> list:
-    """The right triangle attached to every type-II/III chord (including n)."""
-    nb = _neighbours(ap)
+def reduction_triangles(ap: ArcPresentation, z: tuple, pts, anchors) -> list:
+    """The right triangle attached to every type-II/III chord (including n);
+    ``anchors`` is the third value of :func:`_cycle_reads`."""
     out = []
     for i in range(2, ap.n + 1):
-        anchor = _anchor_and_apex(nb, i)
-        if anchor is None:
+        if anchors[i - 1] is None:
             continue
-        j, apex = anchor
+        j, apex, _ = anchors[i - 1]
         a, b = ap.chords[i - 1]
         far = b if apex == a else a
         p, q = pts[apex - 1], pts[far - 1]
@@ -249,15 +241,15 @@ def _triangle_clear(plane, edges, boxes, insertion):
     return None
 
 
-def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts, crossings):
+def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts, anchors):
     """Replace both legs by the hypotenuse for chords 2..n-1 of type II/III.
 
     ``z`` and ``pts`` are the heights and layout points k2 was lifted from,
-    ``crossings`` the third value of ``layout``.  The paper's lemma proves
-    k2 embedded and every triangle empty, with no geometry, when the heights
-    strictly increase (no two horizontals meet), the points are in strictly
-    convex position counterclockwise (:func:`convex_failure`: no two
-    verticals meet, and a vertical meets a horizontal only at a shared
+    ``anchors`` the third value of :func:`_cycle_reads`.  The paper's lemma
+    proves k2 embedded and every triangle empty, with no geometry, when the
+    heights strictly increase (no two horizontals meet), the points are in
+    strictly convex position counterclockwise (:func:`convex_failure`: no
+    two verticals meet, and a vertical meets a horizontal only at a shared
     corner) and :func:`sweep_triangles` finds no chord in the way.  A stick
     can then meet the triangle of chord i off its legs and its corners A and
     C only as the horizontal of a chord k < i crossing chord i in plan, which
@@ -276,12 +268,12 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts, cross
         raise InternalVerificationError(
             f"binding point {i + 1} is not in strictly convex position"
         )
-    if bad := sweep_triangles(ap, z, crossings):
+    if bad := sweep_triangles(ap, z, anchors):
         _raise_pierced(bad)
     m = len(k2.vertices)
     index = {p: i for i, p in enumerate(k2.vertices)}
     roles, removed, reduced = list(k2.roles), set(), []
-    for info in reduction_triangles(ap, z, pts):
+    for info in reduction_triangles(ap, z, pts, anchors):
         if info.chord == ap.n:
             continue
         a, b, c = info.triangle
@@ -462,24 +454,27 @@ def build_full(ap: ArcPresentation, top: bool = True):
 
     K2 and its collapses are proved by the paper's lemma in
     :func:`triangle_reductions`, not by the full check.  K2 is lifted from
-    the layout points' :func:`lattice` image at the integer heights
-    themselves (the lattice's scale D_z is 1), so every stage from the
-    lemma's checks to the final embedding check runs on that image.  x and y are then divided by the plan scale D_p once, and the
-    projection takes those true points.  The invariant check compares the
-    exact diagram of the input presentation with a generic projection of
-    the output polygon (determinant and normalized Alexander polynomial); a
-    mismatch is reported, not repaired.
+    the (n, retry) plan's lattice image at the integer heights themselves
+    (the lattice's scale D_z is 1), so every stage from the lemma's checks
+    to the final embedding check runs on that image; one chord walk of the
+    shift serves the heights, β, the lift and the lemma.  x and y are then
+    divided by the plan scale D_p once, and the projection takes those true
+    points.  The invariant check compares the exact diagram of the input
+    presentation with a generic projection of the output polygon
+    (determinant and normalized Alexander polynomial); a mismatch is
+    reported, not repaired.
     """
     if ap.n < 3:
         raise InvalidArcPresentation("full build needs at least 3 chords")
     norm, shift = normalize(ap)
-    pts, retry, crossings = layout(norm)
-    z = _assign_heights(norm, crossings)
-    _, beta = classify(norm)
+    _, retry, crossings = layout(norm)
+    walk, nb, anchors = _cycle_reads(norm, crossings)
+    z = _assign_heights(anchors)
+    _, beta = classify(norm, nb)
     n = norm.n
-    scales, grid = lattice(pts)
-    k2 = _polygon(norm, z, grid)
-    reduced, reduced_chords = triangle_reductions(norm, k2, z, grid, crossings)
+    _, _, scales, grid = _plan(n, retry)
+    k2 = _polygon(walk, z, grid)
+    reduced, reduced_chords = triangle_reductions(norm, k2, z, grid, anchors)
     expected_reduced = 2 * n - (beta.beta2 + beta.beta3 - 1)
     if len(reduced.vertices) != expected_reduced:
         raise InternalVerificationError(

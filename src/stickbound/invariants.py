@@ -424,12 +424,13 @@ def determinant(ap) -> int:
     label x's chords are j1 < j2 (0-based), so M[x] is M[x-1] with columns
     j1 < y <= j2 negated and (M[x] - M[x-1]) / 2 is M[x] there, 0 elsewhere.
     Those sparse rows, built with one running sign list, have determinant
-    +-det K, taken by :func:`_unit_pivot_det`; no diagram or layout is built.
+    +-det K, and so do rows 1..n-1 on columns 1..n-1, since column 0 is
+    nonzero in row 0 alone; :func:`_unit_pivot_det` takes those.
     """
     # (label, chord) sorted: label x's chords j1 < j2 are entries 2x - 2 and 2x - 1
     ends = sorted((a, j) for j, chord in enumerate(ap.chords) for a in chord)
     sign = [1] * ap.n
-    rows = [dict.fromkeys(range(ap.n), 1)]
+    rows = []
     for (_, j1), (_, j2) in zip(ends[:-2:2], ends[1:-2:2]):
         rows.append(row := {})
         for y in range(j1 + 1, j2 + 1):

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from stickbound.arcpres import ArcPresentation, Diagram, _gauss_diagram, random_presentation
+from stickbound.arcpres import (
+    ArcPresentation,
+    Diagram,
+    _gauss_diagram,
+    _neighbours,
+    chord_walk,
+    cyclic_shift,
+    random_presentation,
+)
 from stickbound.errors import InternalVerificationError
 from stickbound.geom import orient2d
 from stickbound.invariants import (
@@ -345,3 +353,20 @@ def unit_pivot_det_rescan(rows):
     if len(cols) < len(rows):
         return 0
     return abs(_int_bareiss([[row.get(c, 0) for c in cols] for row in rows]))
+
+
+# ---------------------------------------------------------------------------
+# normalize as stickbound.arcpres scored the shifts: beta1 counted under
+# every shift, O(n^2).
+
+
+def normalize_by_counting(ap):
+    """The first cyclic shift of least beta1 and its k.  Chord c is type I
+    under shift j iff (c - j) % n < (c - x) % n for both neighbours x."""
+    n = ap.n
+    reach = [
+        min((c - prev) % n, (c - nxt) % n)
+        for c, ((prev, _), (nxt, _)) in enumerate(_neighbours(chord_walk(ap)))
+    ]
+    k = min(range(n), key=lambda j: sum((c - j) % n < r for c, r in enumerate(reach)))
+    return cyclic_shift(ap, k), k

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest as reference
 from stickbound import arcpres
 from stickbound.arcpres import (
     ArcPresentation,
@@ -106,6 +107,22 @@ def test_normalize_builds_the_first_shift_of_least_beta1(n, seed):
     shifts = [cyclic_shift(ap, k) for k in range(n)]
     k = min(range(n), key=lambda j: classify(shifts[j])[1].beta1)
     assert normalize(ap) == (shifts[k], k)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(n=st.integers(3, 64), seed=st.integers(0, 2**32 - 1))
+def test_normalize_matches_the_quadratic_count(n, seed):
+    """normalize's difference array picks the shift k, and builds the shifted
+    presentation, that counting beta1 under every shift picks."""
+    ap = random_presentation(n, seed)
+    assert normalize(ap) == reference.normalize_by_counting(ap)
+
+
+def test_normalize_matches_the_quadratic_count_on_seeded_presentations():
+    for n in range(3, 65):
+        for s in range(8):
+            ap = random_presentation(n, 9500 * n + s)
+            assert normalize(ap) == reference.normalize_by_counting(ap), (n, s)
 
 
 def test_cyclic_shift_identity(ap5):

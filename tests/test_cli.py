@@ -109,16 +109,21 @@ def _lattice_calls(monkeypatch):
 
 
 def test_one_lattice_per_build_and_per_verify(ap6_fig8, concurrence9, tmp_path, monkeypatch):
-    """A build scales its points onto the lattice once, in construct, and
-    the layout, which runs on each binding point's own integers, not at all;
-    verify scales the stored polygon once."""
+    """A build lifts from the lattice of its (n, retry) plan, which arcpres
+    scales once per process for each (n, retry) the layout tries, and no
+    other stage scales anything: a second build of the same presentation
+    scales nothing.  verify scales the stored polygon once."""
     calls = _lattice_calls(monkeypatch)
+    arcpres._plan.cache_clear()
     retries = []
     for ap in (ap6_fig8, concurrence9):
         calls.clear()
         _, cert = construct.build_full(ap)
-        assert calls == ["stickbound.construct"]
+        assert calls == ["stickbound.arcpres"] * (cert.layout_retry + 1)
         retries.append(cert.layout_retry)
+        calls.clear()
+        assert construct.build_full(ap)[1] == cert
+        assert calls == []
     assert retries == [0, 1]
     arc, out = tmp_path / "c9.arc", tmp_path / "c9.json"
     arc.write_text(CONCURRENCE9)

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from stickbound import arcpres, construct, geom, invariants
 from stickbound.arcpres import (
     ArcPresentation,
     _neighbours,
+    chord_walk,
     classify,
     layout,
     normalize,
@@ -58,10 +60,16 @@ from test_geom import point_on_segment3
 from test_invariants import reintersecting_diagram
 
 
+def anchors_of(ap):
+    """Each chord's anchor, apex and crossings from the apex, as a build
+    reads them of ap's chord cycle and layout."""
+    return construct._cycle_reads(ap, layout(ap)[2])[2]
+
+
 def reductions_of(ap, k2):
     """triangle_reductions of k2 at ap's assigned heights and layout."""
-    pts, _, crossings = layout(ap)
-    return triangle_reductions(ap, k2, assign_heights(ap), pts, crossings)
+    pts, _, _ = layout(ap)
+    return triangle_reductions(ap, k2, assign_heights(ap), pts, anchors_of(ap))
 
 
 def clear(edges, info):
@@ -103,7 +111,7 @@ def test_verify_heights_rejects_squashed_clearance(ap5):
 def _clearances_on_fractions(ap, crossings, i):
     """(k, j, t) for each chord k < i crossing type-II/III chord i at fraction
     t from its apex, j its anchor, t a Fraction; None for a type-I chord."""
-    nb = _neighbours(ap)
+    nb = _neighbours(chord_walk(ap))
     anchor = max(((j + 1, p) for j, p in nb[i - 1] if j < i - 1), default=None)
     if anchor is None:
         return None
@@ -144,7 +152,7 @@ def test_integer_heights_match_the_fraction_heights(concurrence9):
     rejected = 0
     for ap in aps:
         _, _, crossings = layout(ap)
-        z = _assign_heights(ap, crossings)
+        z = _assign_heights(anchors_of(ap))
         assert z == assign_heights_on_fractions(ap, crossings)
         verify_heights(ap, z, crossings)
         assert verify_heights_on_fractions(ap, z, crossings) is None
@@ -184,7 +192,7 @@ def test_build_k2_keeps_count(ap5):
 def test_reduction_triangle_shape(ap5):
     z = assign_heights(ap5)
     pts, _, _ = layout(ap5)
-    infos = reduction_triangles(ap5, z, pts)
+    infos = reduction_triangles(ap5, z, pts, anchors_of(ap5))
     assert infos, "trefoil has type II/III chords"
     for info in infos:
         a, b, c = info.triangle
@@ -348,17 +356,19 @@ def test_build_full_leaves_the_height_recheck_to_the_sweep(monkeypatch, n, seed)
     refused by sweep_triangles, the lemma's third condition, with
     verify_heights' message: it names the squashed chord i and a chord k < i
     whose horizontal meets the triangle of chord i in K2.  build_full never
-    calls verify_heights, and sweeps once."""
+    calls verify_heights, and sweeps once, on the very anchors table its
+    heights were assigned from."""
+    ap = normalize(random_presentation(n, seed))[0]
     original = construct._assign_heights
     squashed = []
 
-    def squash(ap, crossings):
-        z = list(original(ap, crossings))
+    def squash(anchors):
+        z = list(original(anchors))
         i = next(i for i in range(2, len(z)) if z[i] > z[i - 1] + 1)
         z[i] = z[i - 1] + 1
         with pytest.raises(InternalVerificationError, match="pierces the triangle") as e:
-            verify_heights(ap, tuple(z), crossings)
-        squashed.append((i + 1, str(e.value), ap, tuple(z), crossings))
+            verify_heights(ap, tuple(z), layout(ap)[2])
+        squashed.append((i + 1, str(e.value), tuple(z), anchors))
         return tuple(z)
 
     calls = []
@@ -379,16 +389,17 @@ def test_build_full_leaves_the_height_recheck_to_the_sweep(monkeypatch, n, seed)
     monkeypatch.setattr(construct, "sweep_triangles", recorded)
     with pytest.raises(InternalVerificationError, match="pierces the triangle") as e:
         build_full(random_presentation(n, seed))
-    ((chord, message, ap, z, crossings),) = squashed
+    ((chord, message, z, anchors),) = squashed
     assert str(e.value) == message and calls == []
     # one sweep by the verify_heights call in squash, one by build_full
-    assert swept == [(ap, z, crossings)] * 2
+    assert swept == [(ap, z, anchors)] * 2 and swept[1][2] is anchors
     k, i = map(int, re.fullmatch(PIERCED, message).groups())
     assert i == chord and k < i
     # the geometric sweep agrees: chord k's horizontal meets chord i's triangle
-    k2 = construct._polygon(ap, z, layout(ap)[0])
+    k2 = construct._polygon(chord_walk(ap), z, layout(ap)[0])
     (horizontal,) = [(p, q) for p, q in k2.edges() if p[2] == q[2] == z[k - 1]]
-    info = next(t for t in reduction_triangles(ap, z, layout(ap)[0]) if t.chord == i)
+    infos = reduction_triangles(ap, z, layout(ap)[0], anchors_of(ap))
+    info = next(t for t in infos if t.chord == i)
     assert clear([horizontal], info) == horizontal
 
 
@@ -761,7 +772,7 @@ def test_pierced_reduction_triangle_is_rejected_by_both_loops():
     ap, _ = normalize(random_presentation(10, 3))
     k2 = build_k2(ap)
     pts, _, _ = layout(ap)
-    infos = reduction_triangles(ap, assign_heights(ap), pts)
+    infos = reduction_triangles(ap, assign_heights(ap), pts, anchors_of(ap))
     for info in infos:
         assert clear(k2.edges(), info) is None
         assert clear_reference(k2, info) is None
@@ -805,7 +816,7 @@ def sweep_reference(knot, triangles):
 def two_pass_reference(ap, k2, z, pts):
     """The reductions proved by geometry: a sweep of k2, then a check of
     each triangle against the whole current polygon before it collapses."""
-    infos = reduction_triangles(ap, z, pts)
+    infos = reduction_triangles(ap, z, pts, anchors_of(ap))
     if sweep_reference(k2, infos):
         raise InternalVerificationError("triangle not empty in lifted polygon")
     knot, chords = k2, []
@@ -856,18 +867,19 @@ def test_lemma_matches_the_two_pass_loop():
     for n in range(5, 9):
         for seed in range(8):
             ap, _ = normalize(random_presentation(n, seed))
-            pts, _, crossings = layout(ap)
+            pts, _, _ = layout(ap)
+            anchors = anchors_of(ap)
             for z in _height_mutants(assign_heights(ap), rng):
                 hz = tuple(z)
-                k2 = construct._polygon(ap, z, pts)
-                first = [t for t in reduction_triangles(ap, hz, pts) if 2 <= t.chord < n]
+                k2 = construct._polygon(chord_walk(ap), z, pts)
+                first = [t for t in reduction_triangles(ap, hz, pts, anchors) if 2 <= t.chord < n]
                 r = k2.vertices.index(first[0].triangle[1]) if first else 0
                 rotated = StickKnot(
                     k2.vertices[r:] + k2.vertices[:r], k2.roles[r:] + k2.roles[:r]
                 )
                 for knot in (k2, rotated):
                     try:
-                        got, why = triangle_reductions(ap, knot, hz, pts, crossings), ""
+                        got, why = triangle_reductions(ap, knot, hz, pts, anchors), ""
                     except InternalVerificationError as e:
                         got, why = None, str(e)
                     if any(a >= b for a, b in zip(hz, hz[1:])):
@@ -899,18 +911,18 @@ def test_lemma_verdict_matches_the_reference_at_squashed_heights(n, seed, squash
     geometric reference does, and otherwise returns its result.  The same
     heights with a neighbouring pair swapped are refused."""
     ap, _ = normalize(random_presentation(n, seed))
-    pts, _, crossings = layout(ap)
+    pts, _, _ = layout(ap)
     grid = lattice(pts)[1]
     z = list(assign_heights(ap))
     for i in range(2, n):
         z[i] = max(z[i - 1] + 1, z[i] - squash[i])
-    k2 = construct._polygon(ap, z, grid)
+    k2 = construct._polygon(chord_walk(ap), z, grid)
     try:
         expected = two_pass_reference(ap, k2, tuple(z), grid)
     except InternalVerificationError:
         expected = None
     try:
-        got = triangle_reductions(ap, k2, tuple(z), grid, crossings)
+        got = triangle_reductions(ap, k2, tuple(z), grid, anchors_of(ap))
     except InternalVerificationError as e:
         assert re.fullmatch(PIERCED, str(e))
         got = None
@@ -918,7 +930,8 @@ def test_lemma_verdict_matches_the_reference_at_squashed_heights(n, seed, squash
     i = swap % (n - 1)
     z[i], z[i + 1] = z[i + 1], z[i]
     with pytest.raises(InternalVerificationError, match=f"chord {i + 2} is not above chord {i + 1}"):
-        triangle_reductions(ap, construct._polygon(ap, z, grid), tuple(z), grid, crossings)
+        k2 = construct._polygon(chord_walk(ap), z, grid)
+        triangle_reductions(ap, k2, tuple(z), grid, anchors_of(ap))
 
 
 def test_reductions_make_no_geometric_check(monkeypatch):
@@ -927,23 +940,24 @@ def test_reductions_make_no_geometric_check(monkeypatch):
     make no triangle_pierced call and give the two-pass reference's
     result."""
     ap, _ = normalize(random_presentation(10, 3))
-    pts, _, crossings = layout(ap)
+    pts, _, _ = layout(ap)
     z = assign_heights(ap)
     (dp, dz), grid = lattice(pts)
     assert dp > 1 and dz == 1
-    for k2, points in ((build_k2(ap), pts), (construct._polygon(ap, z, grid), grid)):
+    for k2, points in ((build_k2(ap), pts), (construct._polygon(chord_walk(ap), z, grid), grid)):
         expected = two_pass_reference(ap, k2, z, points)
         calls = []
         with monkeypatch.context() as m:
             m.setattr(construct, "triangle_pierced", lambda *args: calls.append(args))
-            got = triangle_reductions(ap, k2, z, points, crossings)
+            got = triangle_reductions(ap, k2, z, points, anchors_of(ap))
         assert calls == [] and got == expected
         assert len(got[1]) >= 3
 
 
 def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
     """sweep_triangles, the lemma's proof of every triangle of the lifted
-    polygon, runs once per build, on its heights and layout crossings."""
+    polygon, runs once per build, on its heights and each chord's anchor,
+    apex and layout crossings from the apex, read off one chord walk."""
     sweeps = []
     sweep = construct.sweep_triangles
 
@@ -953,9 +967,9 @@ def test_build_full_sweeps_the_lifted_polygon_once(ap6_fig8, monkeypatch):
 
     monkeypatch.setattr(construct, "sweep_triangles", counted)
     _, cert = build_full(ap6_fig8)
-    ((ap, z, crossings),) = sweeps
+    ((ap, z, anchors),) = sweeps
     assert ap == normalize(ap6_fig8)[0] and z == cert.heights
-    assert crossings == layout(ap)[2]
+    assert anchors == anchors_of(ap)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -974,26 +988,27 @@ def test_k2_at_any_increasing_heights_is_embedded(n, seed, gaps, low):
     grid = lattice(pts)[1]
     assert convex_failure(grid) is None
     z = [low + sum(gaps[:k]) for k in range(n)]
-    k2 = construct._polygon(ap, z, grid)
+    k2 = construct._polygon(chord_walk(ap), z, grid)
     assert polygon_embedded(k2.vertices).ok
 
 
-def _layout_reordered(monkeypatch, order):
-    """construct.layout with its points put in ``order`` (indices into them)."""
-    def reordered(ap):
-        pts, retry, crossings = layout(ap)
-        return [pts[k] for k in order(len(pts))], retry, crossings
+def _plan_reordered(monkeypatch, order):
+    """The (n, retry) plan build_full lifts from, with its lattice points put
+    in ``order`` (indices into them); the cached plan itself is untouched."""
+    def reordered(n, retry):
+        pts, hom, scales, grid = arcpres._plan(n, retry)
+        return pts, hom, scales, tuple(grid[k] for k in order(n))
 
-    monkeypatch.setattr(construct, "layout", reordered)
+    monkeypatch.setattr(construct, "_plan", reordered)
 
 
 def test_build_full_refuses_points_out_of_convex_position(ap5, ap6_fig8, monkeypatch):
     """Two binding points swapped turn the cycle right at the first of them;
     a pentagram order turns left everywhere but winds twice."""
-    _layout_reordered(monkeypatch, lambda n: [0, 2, 1, *range(3, n)])
+    _plan_reordered(monkeypatch, lambda n: [0, 2, 1, *range(3, n)])
     with pytest.raises(InternalVerificationError, match="binding point 2 is not in strictly"):
         build_full(ap6_fig8)
-    _layout_reordered(monkeypatch, lambda n: [0, 2, 4, 1, 3])
+    _plan_reordered(monkeypatch, lambda n: [0, 2, 4, 1, 3])
     with pytest.raises(InternalVerificationError, match="binding point 4 is not in strictly"):
         build_full(ap5)
 
@@ -1001,8 +1016,8 @@ def test_build_full_refuses_points_out_of_convex_position(ap5, ap6_fig8, monkeyp
 def test_build_full_refuses_a_repeated_height(ap6_fig8, monkeypatch):
     real = construct._assign_heights
 
-    def repeated(ap, crossings):
-        z = list(real(ap, crossings))
+    def repeated(*args):
+        z = list(real(*args))
         z[3] = z[2]
         return tuple(z)
 
@@ -1026,6 +1041,26 @@ def test_build_full_checks_only_the_final_polygon_in_full(ap5, concurrence9, mon
             checked.clear()
             knot, cert = build_full(ap, top=top)
             assert checked == [len(knot.vertices)]
+
+
+def test_build_full_walks_the_chord_cycle_at_most_four_times(concurrence9, monkeypatch):
+    """A build walks the chord cycle, and maps the chords through each
+    point, at most four times: normalize's scoring of the shifts, the
+    validation of the chosen shift, one walk of that shift that every stage
+    reads, and diagram of the input."""
+    counts = Counter()
+    for name in ("_walk", "_point_uses"):
+
+        def counted(*args, _real=getattr(arcpres, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(arcpres, name, counted)
+    for ap in (random_presentation(24, 5), random_presentation(8, 1), concurrence9):
+        counts.clear()
+        build_full(ap)
+        assert set(counts) == {"_walk", "_point_uses"}
+        assert max(counts.values()) <= 4, counts
 
 
 def test_build_full_intersects_chords_only_in_layout(ap6_fig8, concurrence9, monkeypatch):
@@ -1284,22 +1319,23 @@ def test_a_corner_off_its_neighbours_raises():
     InternalVerificationError of a broken structure, never a ValueError."""
     ap, _ = normalize(random_presentation(10, 3))
     k2 = build_k2(ap)
-    pts, _, crossings = layout(ap)
+    pts, _, _ = layout(ap)
+    anchors = anchors_of(ap)
     z = assign_heights(ap)
-    infos = {t.chord: t for t in reduction_triangles(ap, z, pts)}
+    infos = {t.chord: t for t in reduction_triangles(ap, z, pts, anchors_of(ap))}
     a, b, c = infos[3].triangle
     verts = list(k2.vertices)
     k, m = verts.index(b), len(verts)
     swapped = list(verts)
     swapped[k], swapped[(k + 1) % m] = verts[(k + 1) % m], b
     with pytest.raises(InternalVerificationError, match="polygon structure near chord 3"):
-        triangle_reductions(ap, StickKnot(tuple(swapped), k2.roles), z, pts, crossings)
+        triangle_reductions(ap, StickKnot(tuple(swapped), k2.roles), z, pts, anchors)
     # moved off the triangle's plane: the lemma's conditions hold, and the
     # collapse of chord 3 finds no corner b
     normal = (c[1] - b[1], b[0] - c[0], 0)
     verts[k] = tuple(x + Fraction(y) / 64 for x, y in zip(b, normal))
     with pytest.raises(InternalVerificationError, match="polygon structure near chord 3"):
-        triangle_reductions(ap, StickKnot(tuple(verts), k2.roles), z, pts, crossings)
+        triangle_reductions(ap, StickKnot(tuple(verts), k2.roles), z, pts, anchors)
 
 
 @pytest.mark.parametrize(

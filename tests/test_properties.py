@@ -94,7 +94,7 @@ def test_construction_accepts_exactly_the_arc_presentations(case):
     assert chord_walk(ap) == walk
     # each chord's neighbours are the other chords through its labels, the
     # previous one through its entry and the next one through its exit
-    nb = _neighbours(ap)
+    nb = _neighbours(walk)
     for k, (i, entry, exit_pt) in enumerate(walk):
         assert nb[i] == ((walk[k - 1][0], entry), (walk[(k + 1) % n][0], exit_pt))
         for j, x in nb[i]:
