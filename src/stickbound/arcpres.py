@@ -21,12 +21,11 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
 from .errors import InternalVerificationError, InvalidArcPresentation
-from .geom import _cross3, _dot3, binding_points, lattice
+from .geom import _cross3, _dot3, _homogeneous, binding_points, lattice
 
 MAX_LAYOUT_RETRIES = 64
 
@@ -174,9 +173,12 @@ def classify(ap: ArcPresentation, nb=None):
 
 
 def cyclic_shift(ap: ArcPresentation, k: int) -> ArcPresentation:
-    """Relabel chord indices so that old chord 1+k becomes new chord 1."""
+    """Relabel chord indices so that old chord 1+k becomes new chord 1.  A
+    rotation of a valid presentation is valid: it is not validated again."""
     k %= ap.n
-    return ArcPresentation(ap.chords[k:] + ap.chords[:k])
+    shifted = object.__new__(ArcPresentation)
+    object.__setattr__(shifted, "chords", ap.chords[k:] + ap.chords[:k])
+    return shifted
 
 
 def normalize(ap: ArcPresentation):
@@ -267,12 +269,8 @@ def _plan(n, retry):
     own denominators, and their :func:`lattice` (scales, grid), once per
     process, as immutable tuples: no caller can change what another reads."""
     pts = tuple(binding_points(n, retry))
-    hom = []
-    for x, y in pts:
-        w = math.lcm(x.denominator, y.denominator)
-        hom.append((x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w))
     scales, grid = lattice(pts)
-    return pts, tuple(hom), scales, tuple(grid)
+    return pts, tuple(map(_homogeneous, pts)), scales, tuple(grid)
 
 
 def layout(ap: ArcPresentation):
@@ -281,8 +279,9 @@ def layout(ap: ArcPresentation):
     Tries the canonical layout first, then the deterministic perturbation
     schedule, and fails loudly if 64 retries cannot separate a concurrence.
     Returns (pts, retry, crossings): ``crossings`` maps each pair (i, j) of
-    ``crossing_pairs`` to the u at which chord j (the higher) meets chord i,
-    measured along chord j from its smaller label.  Each binding point is
+    ``crossing_pairs`` to the integers (num, den), den > 0, of the u =
+    num / den at which chord j (the higher) meets chord i, measured along
+    chord j from its smaller label.  Each binding point is
     the integer triple (X, Y, W), W > 0 the lcm of its own denominators;
     each chord's line is the cross product of its ends and each crossing
     the cross product of two lines, W = 0 when they are parallel.  A triple
@@ -307,7 +306,7 @@ def layout(ap: ArcPresentation):
             seen.add(key)
             c, d = ends[j - 1]
             s_c, s_d = _dot3(lines[i - 1], c) * d[2], _dot3(lines[i - 1], d) * c[2]
-            crossings[i, j] = Fraction(s_c, s_c - s_d)
+            crossings[i, j] = (s_c, s_c - s_d) if s_c > s_d else (-s_c, s_d - s_c)
         else:
             return list(pts), retry, crossings
     raise InternalVerificationError(

@@ -12,17 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-from .arcpres import diagram, parse, random_presentation, serialize
+from .arcpres import parse, random_presentation, serialize
 from .arcpres import simplify as simplify_presentation
 from .bounds import bound_report, theorem2_upper
-from .construct import (
-    StickKnot,
-    build_full,
-    knot_from_json,
-    obj_export,
-    polygon_json,
-    stick_count,
-)
+from .construct import bends, build_full, knot_from_json, obj_export, polygon_json
 from .errors import InternalVerificationError, InvalidArcPresentation
 from .geom import lattice, polygon_embedded
 from .invariants import match, project
@@ -100,7 +93,8 @@ def _stored(data, key, *types):
 def cmd_verify(args) -> int:
     """Recheck a stored polygon against an .arc file: the embedding check and
     the stick count on one per-axis lattice image of its vertices, the
-    projection on the vertices themselves, each on its own integers."""
+    projection on the vertices themselves, each on its own integers; both
+    take only the :func:`bends`, read off the image."""
     ap = parse(_read_text(args.arc))
     try:
         data = json.loads(_read_text(args.polygon))
@@ -114,16 +108,17 @@ def cmd_verify(args) -> int:
         print(f"error: malformed polygon JSON: {e}", file=sys.stderr)
         return EXIT_INVALID
 
-    image = StickKnot(tuple(lattice(knot.vertices)[1]), knot.roles)
+    image = lattice(knot.vertices)[1]
     try:
-        emb = polygon_embedded(image.vertices)
+        emb = polygon_embedded(image)
     except ValueError as e:  # degenerate polygon (repeated vertex, too short)
         print(f"error: stored polygon is degenerate: {e}", file=sys.stderr)
         return EXIT_INTERNAL
     if not emb.ok:
         print(f"error: stored polygon is not embedded: {emb.failures[0]}", file=sys.stderr)
         return EXIT_INTERNAL
-    sticks = stick_count(image)
+    corners = bends(image)
+    sticks = len(corners)
     if sticks != stored_sticks:
         print(
             f"error: stored stick count {stored_sticks}, recount {sticks}",
@@ -133,7 +128,7 @@ def cmd_verify(args) -> int:
     if (sticks <= theorem2_upper(ap.n)) != stored_bound_ok:
         print("error: stored bound verdict does not match recount", file=sys.stderr)
         return EXIT_INTERNAL
-    report = match(ap, diagram(ap), project(knot))
+    report = match(ap, project([knot.vertices[i] for i in corners]))
     if stored_det is not None and report.det2 != stored_det:
         print(
             f"error: stored determinant {stored_det} but polygon has {report.det2}",

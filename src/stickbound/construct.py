@@ -27,7 +27,6 @@ from .arcpres import (
     _plan,
     chord_walk,
     classify,
-    diagram,
     layout,
     normalize,
 )
@@ -71,11 +70,16 @@ class StickKnot:
         return [(self.vertices[i], self.vertices[(i + 1) % m]) for i in range(m)]
 
 
+def bends(vertices) -> list:
+    """Indices of the vertices at which the closed polygon ``vertices`` does
+    not run straight on: the ends of its maximal straight runs."""
+    m = len(vertices)
+    return [i for i in range(m) if joint(vertices[i - 1], vertices[i], vertices[(i + 1) % m]) != 1]
+
+
 def stick_count(knot: StickKnot) -> int:
-    """Number of maximal straight runs of the polygon (collinear runs merge)."""
-    v = knot.vertices
-    m = len(v)
-    return sum(joint(v[i - 1], v[i], v[(i + 1) % m]) != 1 for i in range(m))
+    """Number of maximal straight runs of the polygon: its :func:`bends`."""
+    return len(bends(knot.vertices))
 
 
 def _cycle_reads(ap, crossings):
@@ -84,12 +88,12 @@ def _cycle_reads(ap, crossings):
     i - 1) None if it is of type I, else (j, apex, hits): its anchor j (the
     largest smaller neighbour), their shared apex, and (k, num, den) for each
     chord k < i crossing chord i at t = num / den from the apex, den > 0, k
-    ascending as layout lists its ``crossings``."""
+    ascending as layout lists its ``crossings``, t = u or 1 - u of theirs."""
     walk = chord_walk(ap)
     nb = _neighbours(walk)
     hits = [[] for _ in range(ap.n + 1)]
-    for (k, i), u in crossings.items():
-        hits[i].append((k, u.numerator, u.denominator))
+    for (k, i), (num, den) in crossings.items():
+        hits[i].append((k, num, den))
     anchors = []
     for i, (pair, (a, _)) in enumerate(zip(nb, ap.chords), start=1):
         anchor = max(((j + 1, p) for j, p in pair if j < i - 1), default=None)
@@ -147,25 +151,24 @@ def sweep_triangles(ap: ArcPresentation, z: tuple, anchors) -> list:
     return bad
 
 
-def _raise_pierced(bad):
-    k, i = bad[0]
-    raise InternalVerificationError(f"chord {k} touches or pierces the triangle of chord {i}")
+def _check_heights(ap, z, anchors) -> None:
+    """Raise unless the lemma's first and third conditions hold: the heights
+    strictly increase, and :func:`sweep_triangles` finds no chord in the way."""
+    for k in range(1, ap.n):
+        if z[k] <= z[k - 1]:
+            raise InternalVerificationError(f"chord {k + 1} is not above chord {k}")
+    if bad := sweep_triangles(ap, z, anchors):
+        k, i = bad[0]
+        raise InternalVerificationError(f"chord {k} touches or pierces the triangle of chord {i}")
 
 
 def verify_heights(ap: ArcPresentation, z: tuple, crossings) -> None:
-    """Independent exact recheck of the height assignment's guarantees.
-
-    Checks strict monotonicity, z_1 = 1 and z_2 = 2, and then the clearance
-    of every reduction triangle by :func:`sweep_triangles`.  Raises on any
-    violation.  ``build_full`` does not run it: :func:`triangle_reductions`
-    checks the lemma's three conditions itself.
-    """
-    if list(z) != sorted(set(z)):
-        raise InternalVerificationError("heights are not strictly increasing")
+    """Raise unless z starts 1, 2 and passes :func:`_check_heights`, the
+    check :func:`triangle_reductions` runs: not an independent recheck.
+    ``build_full`` does not run it."""
     if z[0] != 1 or z[1] != 2:
         raise InternalVerificationError("heights must start 1, 2")
-    if bad := sweep_triangles(ap, z, _cycle_reads(ap, crossings)[2]):
-        _raise_pierced(bad)
+    _check_heights(ap, z, _cycle_reads(ap, crossings)[2])
 
 
 def _polygon(walk, z, pts) -> StickKnot:
@@ -257,19 +260,16 @@ def triangle_reductions(ap: ArcPresentation, k2: StickKnot, z: tuple, pts, ancho
     stand off chord i's open segment, the anchor's horizontal meets it only
     at A and the other neighbour's vertical only at C.  An earlier
     hypotenuse runs at or below its own horizontal, so it passes under too.
-    A failed condition raises.  The triangles collapse in increasing chord
-    order, each unlinking the index of its corner B once B's neighbours in
-    k2 are A and C.  Returns (knot, the collapsed chords in order).
+    A failed condition raises, convexity checked first.  The triangles
+    collapse in increasing chord order, each unlinking the index of its
+    corner B once B's neighbours in k2 are A and C.  Returns (knot, the
+    collapsed chords in order).
     """
-    for k in range(1, ap.n):
-        if z[k] <= z[k - 1]:
-            raise InternalVerificationError(f"chord {k + 1} is not above chord {k}")
     if (i := convex_failure(pts)) is not None:
         raise InternalVerificationError(
             f"binding point {i + 1} is not in strictly convex position"
         )
-    if bad := sweep_triangles(ap, z, anchors):
-        _raise_pierced(bad)
+    _check_heights(ap, z, anchors)
     m = len(k2.vertices)
     index = {p: i for i, p in enumerate(k2.vertices)}
     roles, removed, reduced = list(k2.roles), set(), []
@@ -457,12 +457,13 @@ def build_full(ap: ArcPresentation, top: bool = True):
     the (n, retry) plan's lattice image at the integer heights themselves
     (the lattice's scale D_z is 1), so every stage from the lemma's checks
     to the final embedding check runs on that image; one chord walk of the
-    shift serves the heights, β, the lift and the lemma.  x and y are then
-    divided by the plan scale D_p once, and the projection takes those true
-    points.  The invariant check compares the exact diagram of the input
-    presentation with a generic projection of the output polygon
-    (determinant and normalized Alexander polynomial); a mismatch is
-    reported, not repaired.
+    shift serves the heights, β, the lift and the lemma.  The stick
+    accounting alone counts the collapses: each reduced vertex is a bend.
+    x and y are then divided by the plan scale D_p once, and the projection
+    takes those true points.  The invariant check compares the exact
+    diagram of the input presentation with a generic projection of the
+    output polygon (determinant and normalized Alexander polynomial); a
+    mismatch is reported, not repaired.
     """
     if ap.n < 3:
         raise InvalidArcPresentation("full build needs at least 3 chords")
@@ -475,11 +476,6 @@ def build_full(ap: ArcPresentation, top: bool = True):
     _, _, scales, grid = _plan(n, retry)
     k2 = _polygon(walk, z, grid)
     reduced, reduced_chords = triangle_reductions(norm, k2, z, grid, anchors)
-    expected_reduced = 2 * n - (beta.beta2 + beta.beta3 - 1)
-    if len(reduced.vertices) != expected_reduced:
-        raise InternalVerificationError(
-            f"reduction accounting: {len(reduced.vertices)} != {expected_reduced}"
-        )
     if top:
         final, status, top_len = top_reduction(reduced)
     else:
@@ -496,7 +492,7 @@ def build_full(ap: ArcPresentation, top: bool = True):
     bound = theorem2_upper(n)
     dp = scales[0]
     true_v = tuple((Fraction(x, dp), Fraction(y, dp), Fraction(h)) for x, y, h in final.vertices)
-    rep = invariants.match(ap, diagram(ap), invariants.project(true_v))
+    rep = invariants.match(ap, invariants.project(true_v))
     cert = Certificate(
         n=n,
         shift=shift,

@@ -83,12 +83,8 @@ def binding_points(n: int, retry: int = 0) -> list:
 
 def orient2d(a, b, c) -> int:
     """Sign of the signed area of triangle abc: +1 ccw, -1 cw, 0 collinear."""
-    d = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if d > 0:
-        return 1
-    if d < 0:
-        return -1
-    return 0
+    d = _orient_val(a, b, c)
+    return (d > 0) - (d < 0)
 
 
 def convex_failure(points):
@@ -135,6 +131,14 @@ def _cross3(a, b):
 
 def _dot3(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _homogeneous(p) -> tuple:
+    """Point p, of ints or ``Fraction``s, on its own integers (X, ..., W):
+    W > 0 the lcm of its denominators and each X its coordinate times W."""
+    ratios = [c.as_integer_ratio() for c in p]
+    w = math.lcm(*(den for _, den in ratios))
+    return (*(num * (w // den) for num, den in ratios), w)
 
 
 def _lerp3(p, q, t):

@@ -29,13 +29,12 @@ sorts the crossings by integer keys.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arcpres import Diagram, _gauss_diagram
+from .arcpres import Diagram, _gauss_diagram, diagram
 from .errors import InternalVerificationError
-from .geom import _cross3, _dot3
+from .geom import _cross3, _dot3, _homogeneous
 
 PROJECTION_ATTEMPTS = 65
 
@@ -607,11 +606,7 @@ def project(knot) -> ProjectedDiagram:
     a(bY - Z), W) is the plane point a b times the true shadow, so no
     common scale carries one vertex's denominators to another's.
     """
-    points = []
-    for v in getattr(knot, "vertices", knot):
-        ratios = [c.as_integer_ratio() for c in v]
-        w = math.lcm(*(den for _, den in ratios))
-        points.append((*(num * (w // den) for num, den in ratios), w))
+    points = [_homogeneous(v) for v in getattr(knot, "vertices", knot)]
     last = "no directions tried"
     for attempt in range(PROJECTION_ATTEMPTS):
         a, b = 7 + attempt, 11 + 2 * attempt
@@ -644,19 +639,18 @@ class MatchReport:
     alex2: LaurentPoly
 
 
-def match(ap, d1, d2) -> MatchReport:
-    """Compare determinant and Alexander polynomial of two diagrams, d1 one of ap.
+def match(ap, d) -> MatchReport:
+    """Compare determinant and Alexander polynomial of ap with those of diagram d.
 
     The Alexander polynomials are compared as they are: :func:`alexander`
     raises unless its result is palindromic, so the t -> 1/t substitution a
     change of traversal orientation induces leaves it unchanged.  det1 is
-    ap's grid determinant, which must equal |Alexander(-1)| of d1; det2 is
-    |Alexander(-1)| of d2.  d1 is usually ap's grid diagram too, but the two
-    determinant routes still share no code: :func:`determinant` eliminates
-    interval rows read off ap's label uses, Alexander the relation rows of
-    d1's Gauss code.
+    ap's grid determinant, which must equal |Alexander(-1)| of ap's grid
+    diagram, drawn here; det2 is |Alexander(-1)| of d.  The two routes share
+    no code: :func:`determinant` eliminates interval rows read off ap's
+    label uses, Alexander the relation rows of the grid's Gauss code.
     """
-    a1, a2 = alexander(d1), alexander(d2)
+    a1, a2 = alexander(diagram(ap)), alexander(d)
     n1, n2 = determinant(ap), abs(a2(-1))
     if abs(a1(-1)) != n1:
         raise InternalVerificationError(

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -265,7 +266,9 @@ def test_layout_crossings_are_the_direct_intersections(concurrence9):
         assert list(crossings) == crossing_pairs(ap)
         segs = [(pts[a - 1], pts[b - 1]) for a, b in ap.chords]  # from the smaller label
         for i, j in crossing_pairs(ap):  # u, along the higher chord j
-            assert crossings[i, j] == seg2_line_intersection(segs[i - 1], segs[j - 1])[1]
+            num, den = crossings[i, j]
+            assert den > 0
+            assert Fraction(num, den) == seg2_line_intersection(segs[i - 1], segs[j - 1])[1]
     assert layout(concurrence9)[1] > 0 and layout(random_presentation(12, 4200))[1] > 0
 
 
@@ -350,15 +353,20 @@ def layout_on_fractions(ap):
     raise AssertionError("no generic layout")
 
 
+def as_fractions(crossings):
+    """``layout``'s crossings, each pair (num, den) as the u = num / den."""
+    return {pair: Fraction(num, den) for pair, (num, den) in crossings.items()}
+
+
 def test_integer_layout_matches_the_fraction_layout(concurrence9):
     aps = [random_presentation(n, 9100 * n + s) for n in range(5, 33) for s in range(4)]
     aps += [concurrence9, random_presentation(12, 4200)]
     aps += [random_presentation(n, 1) for n in (48, 64, 96)]
     retries = []
     for ap in aps:
-        laid = layout(ap)
-        assert laid == layout_on_fractions(ap)
-        retries.append(laid[1])
+        pts, retry, crossings = layout(ap)
+        assert (pts, retry, as_fractions(crossings)) == layout_on_fractions(ap)
+        retries.append(retry)
     assert sum(r > 0 for r in retries) >= 20
     # n = 48, 64 and 96 after a retry, each binding point with its own denominator
     assert min(retries[-3:]) >= 1
@@ -375,12 +383,13 @@ def test_layout_is_shift_invariant(n, seed, k):
     intersection of the unshifted chords."""
     ap = random_presentation(n, seed)
     pts, retry, crossings = layout(ap)
+    crossings = as_fractions(crossings)
     assert (pts, retry, crossings) == layout_on_fractions(ap)
     spts, sretry, scrossings = layout(cyclic_shift(ap, k))
     assert (spts, sretry) == (pts, retry)
     assert len(scrossings) == len(crossings)
     segs = [(pts[a - 1], pts[b - 1]) for a, b in ap.chords]
-    for (i, j), u in scrossings.items():
+    for (i, j), u in as_fractions(scrossings).items():
         i, j = (i - 1 + k) % n + 1, (j - 1 + k) % n + 1  # u is along chord j
         if i < j:
             assert crossings[i, j] == u

@@ -135,8 +135,8 @@ def test_one_lattice_per_build_and_per_verify(ap6_fig8, concurrence9, tmp_path, 
 
 def test_verify_projects_heights_at_their_own_scale(tmp_path, monkeypatch):
     """A stored polygon whose heights are divided by 3 has D_z = 3: verify
-    passes the stored vertices themselves to project, which draws the
-    diagram that the one-scale lattice drew, and exits 0.
+    passes the stored vertices themselves, each a bend, to project, which
+    draws the diagram that the one-scale lattice drew, and exits 0.
     random_presentation(24, 2 * 1_000_003) takes layout retry 1, so D_p is
     hundreds of bits."""
     ap = random_presentation(24, 2 * 1_000_003)
@@ -150,18 +150,68 @@ def test_verify_projects_heights_at_their_own_scale(tmp_path, monkeypatch):
     drawn = []
     real = cli.project
 
-    def recorded(knot):
-        drawn.append((knot.vertices, real(knot)))
+    def recorded(points):
+        drawn.append((points, real(points)))
         return drawn[-1][1]
 
     monkeypatch.setattr(cli, "project", recorded)
     assert cli.main(["verify", str(arc), str(poly)]) == 0
     [(projected, pd)] = drawn
     verts = construct.knot_from_json(doc).vertices
-    assert projected == verts
+    assert construct.bends(verts) == list(range(len(verts)))
+    assert projected == list(verts)
     scales = geom.lattice(verts)[0]
     assert scales[1] == 3 and scales[0].bit_length() > 100
     assert pd == project_on_one_scale(verts)
+
+
+def with_points_on_edges(doc, edges, at):
+    """Build JSON ``doc`` with the point at parameter ``at`` of each of
+    ``edges`` (0-based) inserted as a vertex after the edge's start: at 1/2
+    a vertex inside a stick, at 3/2 one past the stick's end, at which the
+    polygon doubles back."""
+    verts = [[Fraction(c) for c in v] for v in doc["vertices"]]
+    roles = list(doc["edge_roles"])
+    for e in sorted(edges, reverse=True):
+        a, b = verts[e], verts[(e + 1) % len(verts)]
+        verts.insert(e + 1, [x + at * (y - x) for x, y in zip(a, b)])
+        roles.insert(e + 1, roles[e])
+    return {**doc, "vertices": [[str(c) for c in v] for v in verts], "edge_roles": roles}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [KINK, TREFOIL, serialize(random_presentation(24, 1_000_003))],
+    ids=["kink", "trefoil", "n24"],
+)
+def test_verify_counts_and_projects_only_the_bends(text, tmp_path, monkeypatch):
+    """A vertex inside a stick is no joint: verify counts the sticks and
+    projects only the vertices at which the polygon bends, so a build's
+    output with a midpoint added to one edge or to two verifies; a vertex
+    at which the polygon doubles back is refused by the embedding check."""
+    arc, out, poly = tmp_path / "p.arc", tmp_path / "p.json", tmp_path / "p-more.json"
+    arc.write_text(text)
+    assert cli.main(["build", str(arc), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    m = len(doc["vertices"])
+    drawn = []
+    real = cli.project
+
+    def recorded(points):
+        drawn.append(points)
+        return real(points)
+
+    monkeypatch.setattr(cli, "project", recorded)
+    verts = construct.knot_from_json(doc).vertices
+    for edges in ([0], [0, m // 2]):
+        more = with_points_on_edges(doc, edges, Fraction(1, 2))
+        assert len(more["vertices"]) == m + len(edges) and more["sticks"] == m
+        poly.write_text(json.dumps(more))
+        drawn.clear()
+        assert cli.main(["verify", str(arc), str(poly)]) == 0
+        assert drawn == [list(verts)]
+    poly.write_text(json.dumps(with_points_on_edges(doc, [0], Fraction(3, 2))))
+    assert cli.main(["verify", str(arc), str(poly)]) == 2
 
 
 def test_the_kink_builds_and_verifies(tmp_path):

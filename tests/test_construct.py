@@ -117,7 +117,7 @@ def _clearances_on_fractions(ap, crossings, i):
         return None
     j, apex = anchor
     near = apex == ap.chords[i - 1][0]
-    hits = [(k, crossings[k, i]) for k in range(1, i) if (k, i) in crossings]
+    hits = [(k, Fraction(*crossings[k, i])) for k in range(1, i) if (k, i) in crossings]
     return [(k, j, u if near else 1 - u) for k, u in hits]
 
 
@@ -333,8 +333,9 @@ def test_build_full_rejects_tiny_or_invalid():
         build_full(ArcPresentation([(1, 2), (2, 3), (1, 3), (1, 3)]))
 
 
-def test_build_full_validates_only_the_shifts_it_constructs(monkeypatch):
-    ap = random_presentation(12, 5)
+def test_build_full_validates_nothing(concurrence9, monkeypatch):
+    """The input is valid by construction and its shift is a rotation of
+    it, so a build makes no require_valid call, shifted or not."""
     calls = []
     original = arcpres.require_valid
 
@@ -342,9 +343,32 @@ def test_build_full_validates_only_the_shifts_it_constructs(monkeypatch):
         calls.append(p)
         original(p)
 
+    aps = [random_presentation(12, 5), concurrence9, random_presentation(24, 5)]
     monkeypatch.setattr(arcpres, "require_valid", counted)
-    build_full(ap)
-    assert 0 < len(calls) <= ap.n
+    shifts = set()
+    for ap in aps:
+        shifts.add(build_full(ap)[1].shift > 0)
+    assert calls == [] and shifts == {False, True}
+
+
+@pytest.mark.parametrize("top", [True, False])
+def test_a_skipped_collapse_fails_the_stick_accounting(ap5, concurrence9, monkeypatch, top):
+    """build_full counts the collapses only by its stick accounting: with
+    triangle_reductions skipping one collapse, the corner left in place is
+    a bend, so the count is off by one and the build raises there, with the
+    top move on and off."""
+    triangles = construct.reduction_triangles
+
+    def one_fewer(ap, *args):
+        infos = triangles(ap, *args)
+        skip = next(t for t in infos if t.chord < ap.n)
+        return [t for t in infos if t is not skip]
+
+    aps = [ap5, concurrence9, random_presentation(24, 5), random_presentation(8, 1)]
+    monkeypatch.setattr(construct, "reduction_triangles", one_fewer)
+    for ap in aps:
+        with pytest.raises(InternalVerificationError, match="^stick accounting: counted"):
+            build_full(ap, top=top)
 
 
 PIERCED = r"chord (\d+) touches or pierces the triangle of chord (\d+)"
@@ -1043,11 +1067,10 @@ def test_build_full_checks_only_the_final_polygon_in_full(ap5, concurrence9, mon
             assert checked == [len(knot.vertices)]
 
 
-def test_build_full_walks_the_chord_cycle_at_most_four_times(concurrence9, monkeypatch):
+def test_build_full_walks_the_chord_cycle_at_most_three_times(concurrence9, monkeypatch):
     """A build walks the chord cycle, and maps the chords through each
-    point, at most four times: normalize's scoring of the shifts, the
-    validation of the chosen shift, one walk of that shift that every stage
-    reads, and diagram of the input."""
+    point, at most three times: normalize's scoring of the shifts, one walk
+    of the chosen shift that every stage reads, and diagram of the input."""
     counts = Counter()
     for name in ("_walk", "_point_uses"):
 
@@ -1060,7 +1083,7 @@ def test_build_full_walks_the_chord_cycle_at_most_four_times(concurrence9, monke
         counts.clear()
         build_full(ap)
         assert set(counts) == {"_walk", "_point_uses"}
-        assert max(counts.values()) <= 4, counts
+        assert max(counts.values()) <= 3, counts
 
 
 def test_build_full_intersects_chords_only_in_layout(ap6_fig8, concurrence9, monkeypatch):
@@ -1087,7 +1110,8 @@ def test_build_full_intersects_chords_only_in_layout(ap6_fig8, concurrence9, mon
 
 def test_build_full_diagram_is_the_diagram_of_the_input(concurrence9, monkeypatch):
     """build_full matches the grid diagram of the input itself, not of its
-    shift, and its alexander_in is that of the input's circle diagram."""
+    shift, drawn once by invariants.match, and its alexander_in is that of
+    the input's circle diagram."""
     drawn = []
     draw = arcpres.diagram
 
@@ -1095,7 +1119,7 @@ def test_build_full_diagram_is_the_diagram_of_the_input(concurrence9, monkeypatc
         drawn.append(ap)
         return draw(ap)
 
-    monkeypatch.setattr(construct, "diagram", kept)
+    monkeypatch.setattr(invariants, "diagram", kept)
     shifts, retries = set(), set()
     aps = [concurrence9] + [random_presentation(5 + k % 10, 8800 + k) for k in range(30)]
     for ap in aps:

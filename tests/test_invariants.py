@@ -1158,7 +1158,7 @@ def test_project_refuses_polygon_meeting_itself():
 
 def test_projection_preserves_invariants(ap5, ap6_fig8):
     for ap in (ap5, ap6_fig8):
-        rep = match(ap, diagram(ap), project(build_k1(ap)))
+        rep = match(ap, project(build_k1(ap)))
         assert rep.ok
 
 
@@ -1547,19 +1547,19 @@ def test_project_once_reads_each_vertex_at_its_own_weight():
 
 
 def test_match_same_knot(ap5):
-    rep = match(ap5, diagram(ap5), diagram(ap5))
+    rep = match(ap5, diagram(ap5))
     assert rep.ok
     assert rep.det1 == rep.det2 == 3
 
 
 def test_match_flags_different_knots(ap3, ap5):
-    rep = match(ap5, diagram(ap5), diagram(ap3))
+    rep = match(ap5, diagram(ap3))
     assert not rep.ok
     assert (rep.det1, rep.det2) == (3, 1)
 
 
 def test_match_full_pipeline_output(ap6_fig8):
     knot, cert = build_full(ap6_fig8)
-    rep = match(ap6_fig8, diagram(ap6_fig8), project(knot))
+    rep = match(ap6_fig8, project(knot))
     assert rep.ok
     assert str(rep.alex1) == "t^2 - 3*t + 1"
