@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InternalVerificationError, InvalidArcPresentation
 from .geom import _cross3, _dot3, _homogeneous, binding_points, lattice
@@ -61,14 +61,13 @@ class ChordType(Enum):
     III = "III"  # both smaller
 
 
-@dataclass(frozen=True)
-class BetaCounts:
+class BetaCounts(NamedTuple):
     beta1: int
     beta2: int
     beta3: int
 
     def as_tuple(self):
-        return (self.beta1, self.beta2, self.beta3)
+        return tuple(self)
 
 
 def _sorted_pair(pair):
@@ -102,7 +101,7 @@ def require_valid(ap: ArcPresentation) -> None:
             errors.append(f"chord {idx} is degenerate: both endpoints at {a}")
     if errors:
         raise InvalidArcPresentation("; ".join(errors))
-    uses = _point_uses(ap)
+    uses = _point_uses(ap.chords)
     for p in range(1, n + 1):
         count = len(uses.get(p, ()))
         if count != 2:
@@ -136,10 +135,10 @@ def _walk(chords, uses):
             return walk
 
 
-def _point_uses(ap):
+def _point_uses(chords):
     """Binding point label -> 0-based indices of the chords that use it."""
     uses = {}
-    for idx, (a, b) in enumerate(ap.chords):
+    for idx, (a, b) in enumerate(chords):
         uses.setdefault(a, []).append(idx)
         uses.setdefault(b, []).append(idx)
     return uses
@@ -176,9 +175,14 @@ def cyclic_shift(ap: ArcPresentation, k: int) -> ArcPresentation:
     """Relabel chord indices so that old chord 1+k becomes new chord 1.  A
     rotation of a valid presentation is valid: it is not validated again."""
     k %= ap.n
-    shifted = object.__new__(ArcPresentation)
-    object.__setattr__(shifted, "chords", ap.chords[k:] + ap.chords[:k])
-    return shifted
+    return _trusted(ap.chords[k:] + ap.chords[:k])
+
+
+def _trusted(chords) -> ArcPresentation:
+    """The presentation of ``chords``, sorted pairs proved valid: not validated again."""
+    ap = object.__new__(ArcPresentation)
+    object.__setattr__(ap, "chords", chords)
+    return ap
 
 
 def normalize(ap: ArcPresentation):
@@ -251,7 +255,7 @@ def chord_walk(ap: ArcPresentation) -> list:
     subsequent chord is entered through the point it shares with the previous
     one.  The exit of the last chord is the entry of the first.
     """
-    return _walk(ap.chords, _point_uses(ap))
+    return _walk(ap.chords, _point_uses(ap.chords))
 
 
 def _neighbours(walk) -> list:
@@ -314,8 +318,7 @@ def layout(ap: ArcPresentation):
     )
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One transversal crossing of a planar diagram.
 
     ``over``/``under`` index the two strands (the strands of :func:`diagram`
@@ -417,9 +420,9 @@ def diagram(ap: ArcPresentation) -> Diagram:
 def random_presentation(n: int, seed: int) -> ArcPresentation:
     """Uniform-over-retries random valid presentation with n chords.
 
-    Shuffles the multiset of binding-point slots (each point twice) into n
-    chords and rejects until the single-cycle invariant holds.  Deterministic
-    for fixed (n, seed).
+    Shuffles the 2n binding-point slots (each label in 1..n twice) into n
+    chords until :func:`_single_cycle` holds, so the draw it returns is valid
+    and is not validated again.  Deterministic for fixed (n, seed).
     """
     if n < 2:
         raise InvalidArcPresentation(f"need n >= 2, got {n}")
@@ -427,11 +430,28 @@ def random_presentation(n: int, seed: int) -> ArcPresentation:
     slots = [p for p in range(1, n + 1) for _ in range(2)]
     for _ in range(1_000_000):
         rng.shuffle(slots)
-        try:
-            return ArcPresentation(tuple(zip(slots[::2], slots[1::2])))
-        except InvalidArcPresentation:
-            continue
+        chords = tuple(zip(slots[::2], slots[1::2]))
+        if _single_cycle(chords):
+            return _trusted(tuple((a, b) if a < b else (b, a) for a, b in chords))
     raise InternalVerificationError(f"rejection sampling stalled for n={n}")
+
+
+def _single_cycle(chords) -> bool:
+    """:func:`require_valid`'s verdict on pairs using each label in 1..n twice.
+    A degenerate chord closes on itself, so the walk alone would decide; the
+    cheaper test for one comes first."""
+    if any(a == b for a, b in chords):
+        return False
+    return len(_walk(chords, _point_uses(chords))) == len(chords)
+
+
+def torus_presentation(p: int, q: int) -> ArcPresentation:
+    """The grid presentation of the torus knot T(p, q): n = p + q chords,
+    chord i joining labels i and ((i + p - 1) mod n) + 1."""
+    if p < 2 or q < 2 or math.gcd(p, q) != 1:
+        raise InvalidArcPresentation(f"torus knot T({p}, {q}) needs coprime p, q >= 2")
+    n = p + q
+    return ArcPresentation(tuple((i, (i + p - 1) % n + 1) for i in range(1, n + 1)))
 
 
 def parse(text: str) -> ArcPresentation:

@@ -7,10 +7,10 @@ as a correctly rounded 3-decimal string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import InternalVerificationError
 
@@ -39,8 +39,7 @@ def huh_oh_upper(c: int, nonalternating_prime: bool = False) -> Fraction:
     return Fraction(3 * c, 2) if nonalternating_prime else Fraction(3 * (c + 1), 2)
 
 
-@dataclass(frozen=True)
-class NegamiBounds:
+class NegamiBounds(NamedTuple):
     """Stick range (5 + sqrt(25 + 8(c-2)))/2 <= s <= 2c."""
 
     c: int
@@ -65,8 +64,7 @@ def negami_bounds(c: int) -> NegamiBounds:
     return NegamiBounds(c=c, lower_ceiling=ceiling, lower_decimal=dec, upper=2 * c)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     c: int
     nonalternating_prime: bool
     negami: NegamiBounds
@@ -83,10 +81,4 @@ def bound_report(c: int, nonalternating_prime: bool = False) -> BoundReport:
         raise InternalVerificationError(
             f"bound chain broke at c={c}: {via_arc} != {direct}"
         )
-    return BoundReport(
-        c=c,
-        nonalternating_prime=nonalternating_prime,
-        negami=negami_bounds(c),
-        arc_index_upper=a,
-        stick_upper=direct,
-    )
+    return BoundReport(c, nonalternating_prime, negami_bounds(c), a, direct)

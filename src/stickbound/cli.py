@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .arcpres import parse, random_presentation, serialize
+from .arcpres import parse, random_presentation, serialize, torus_presentation
 from .arcpres import simplify as simplify_presentation
 from .bounds import bound_report, theorem2_upper
 from .construct import bends, build_full, knot_from_json, obj_export, polygon_json
@@ -153,13 +153,19 @@ def cmd_simplify(args) -> int:
 
 
 def cmd_random(args) -> int:
+    if args.torus and args.count != 1:
+        print(f"error: random --torus makes one presentation, not {args.count}", file=sys.stderr)
+        return EXIT_INVALID
     if args.out is not None:
         directory = Path(args.out)
         directory.mkdir(parents=True, exist_ok=True)
     for i in range(args.count):
         seed_i = _instance_seed(args.seed, i)
-        ap = random_presentation(args.n, seed_i)
-        text = f"# n={args.n} seed={seed_i}\n" + serialize(ap)
+        if args.torus:
+            head, ap = "torus T({}, {})".format(*args.torus), torus_presentation(*args.torus)
+        else:
+            head, ap = f"n={args.n} seed={seed_i}", random_presentation(args.n, seed_i)
+        text = f"# {head}\n" + serialize(ap)
         if args.out is None:
             sys.stdout.write(text)
         else:
@@ -279,7 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simplify)
 
     r = sub.add_parser("random", help="generate random valid presentations")
-    r.add_argument("--n", type=int, required=True)
+    kind = r.add_mutually_exclusive_group(required=True)
+    kind.add_argument("--n", type=int)
+    kind.add_argument("--torus", type=int, nargs=2, metavar=("P", "Q"),
+                      help="the torus knot T(P, Q) in place of random presentations")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--count", type=int, default=1)
     r.add_argument("--out", metavar="PATH", help="directory for NNN.arc files (default stdout)")

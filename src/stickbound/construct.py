@@ -16,9 +16,8 @@ skipped top move and checks the final polygon.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import invariants
 from .arcpres import (
@@ -53,8 +52,7 @@ ROLE_CONN = "connector"
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")  # str() of a Fraction
 
 
-@dataclass(frozen=True)
-class StickKnot:
+class StickKnot(NamedTuple):
     """Closed polygon in 3-space: vertex cycle plus a role tag per edge.
 
     Edge i runs from vertices[i] to vertices[(i+1) % len]; roles[i] names how
@@ -198,8 +196,7 @@ def build_k2(ap: ArcPresentation) -> StickKnot:
     return _polygon(walk, [Fraction(h) for h in _assign_heights(anchors)], pts)
 
 
-@dataclass(frozen=True)
-class TriangleInfo:
+class TriangleInfo(NamedTuple):
     chord: int
     anchor: int
     triangle: tuple  # (A, B, C) = (apex low corner, right-angle corner, far corner)
@@ -427,8 +424,7 @@ def _certify_top(rot_v, t_a, t_b, stationary):
     return False, reason
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checked record of one full build."""
 
     n: int

@@ -31,9 +31,8 @@ The filter is exact, so every verdict is the one the unfiltered loop gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Segment3 = tuple  # ((x, y, z), (x, y, z))
 Triangle3 = tuple  # three (x, y, z) points
@@ -371,8 +370,7 @@ def triangle_pierced(t, s: Segment3, ignore=frozenset()) -> bool:
     return hit is not None and (hit[0] == "segment" or hit[1] not in ignore)
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """Verdict of polygon_embedded; failures name offending edge index pairs."""
 
     ok: bool

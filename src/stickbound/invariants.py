@@ -29,8 +29,8 @@ sorts the crossings by integer keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arcpres import Diagram, _gauss_diagram, diagram
 from .errors import InternalVerificationError
@@ -171,8 +171,7 @@ def _pdivexact(num, den):
     return _pstrip(q)
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(NamedTuple):
     """An integer polynomial taken modulo units +-t^k.
 
     Canonical form: tuple of coefficients from degree 0 up, nonzero at both
@@ -495,8 +494,7 @@ def _int_bareiss(m):
 # generic projection of a polygon to a diagram
 
 
-@dataclass(frozen=True)
-class ProjectedDiagram:
+class ProjectedDiagram(NamedTuple):
     """A diagram obtained by projecting a polygon along a generic direction."""
 
     diagram: Diagram
@@ -628,8 +626,7 @@ def project(knot) -> ProjectedDiagram:
 # comparing two diagrams
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     """Side-by-side invariants of two diagrams of purportedly the same knot."""
 
     ok: bool
@@ -656,10 +653,4 @@ def match(ap, d) -> MatchReport:
         raise InternalVerificationError(
             f"determinant paths disagree: |{a1}(-1)| = {abs(a1(-1))} vs {n1}"
         )
-    return MatchReport(
-        ok=n1 == n2 and a1 == a2,
-        det1=n1,
-        det2=n2,
-        alex1=a1,
-        alex2=a2,
-    )
+    return MatchReport(n1 == n2 and a1 == a2, n1, n2, a1, a2)

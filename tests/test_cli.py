@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import sys
@@ -411,6 +412,16 @@ def test_random_reproducible(tmp_path):
     assert names == [f"{i:03d}.arc" for i in range(10)]
     for name in names:
         assert (d1 / name).read_text() == (d2 / name).read_text()
+
+
+def test_random_stdout_matches_the_recorded_digest(capsys):
+    """``random --n 9 --seed 7 --count 3``, recorded while the sampler still
+    built a validated ArcPresentation for every draw."""
+    assert cli.main(["random", "--n", "9", "--seed", "7", "--count", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# n=9 seed=7000021\n9\n1 7\n")
+    digest = "25787bb99486c3bfccba101659d66ef5b39e0c912865840e4196c58ecc037e5f"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_batch_over_files(tmp_path):

@@ -15,7 +15,8 @@ from math import gcd
 import pytest
 from conftest import pdivexact_schoolbook, pmul_schoolbook
 
-from stickbound.arcpres import ArcPresentation, diagram
+from stickbound import cli
+from stickbound.arcpres import ArcPresentation, diagram, serialize
 from stickbound.bounds import negami_bounds, theorem2_upper
 from stickbound.construct import build_full
 from stickbound.invariants import LaurentPoly, alexander, determinant
@@ -71,3 +72,26 @@ def test_torus_knot_without_the_top_move_keeps_two_more_sticks(p, q):
     assert cert.sticks_final == ap.n + cert.beta[0] + 1
     if q < 2 * p:
         assert cert.sticks_final >= 2 * q
+
+
+def test_cli_random_torus_prints_the_oracle_presentation(capsys):
+    for p, q in PAIRS:
+        assert cli.main(["random", "--torus", str(p), str(q)]) == 0
+        assert capsys.readouterr().out == f"# torus T({p}, {q})\n" + serialize(torus(p, q))
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["--torus", "4", "6"], "T(4, 6) needs coprime p, q >= 2"),
+        (["--torus", "1", "5"], "T(1, 5) needs coprime p, q >= 2"),
+        (["--torus", "5", "-3"], "T(5, -3) needs coprime p, q >= 2"),
+        (["--torus", "4", "5", "--count", "2"], "makes one presentation, not 2"),
+        (["--torus", "4", "5", "--n", "9"], "not allowed with argument --torus"),
+        (["--torus", "4"], "expected 2 arguments"),
+    ],
+)
+def test_cli_random_torus_rejects_what_is_no_torus_knot(argv, fragment, capsys):
+    assert cli.main(["random", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and fragment in captured.err
